@@ -88,6 +88,90 @@ class Rays:
         )
 
 
+def fmax_first(acc, x):
+    """``np.fmax`` that keeps ``acc`` on ties and when ``x`` is NaN.
+
+    This is the rule ``np.fmax.reduce`` applies along an axis; the
+    elementwise ufunc leaves signed-zero ties (``-0.0`` vs ``0.0``) to
+    its SIMD loop, which may pick either operand.
+    """
+    return np.where((acc >= x) | np.isnan(x), acc, x)
+
+
+def fmin_first(acc, x):
+    """``np.fmin`` counterpart of :func:`fmax_first`."""
+    return np.where((acc <= x) | np.isnan(x), acc, x)
+
+
+def slab_axes(
+    origins, invs, parallels, box_mins, box_maxs,
+    enter_fold=fmax_first, exit_fold=fmin_first,
+):
+    """The slab test over per-axis columns: ``(t_enter, t_exit)``.
+
+    Each of the first five arguments is a sequence with one entry per
+    axis: origin coordinates, reciprocal directions, zero-direction flags
+    and box bounds (all broadcast-compatible). ``parallels[a]`` is
+    ``None`` when no ray has a zero component on axis *a*, ``True`` when
+    every ray does (``invs[a]`` is then unused), and a boolean mask
+    otherwise. The axes fold left to right with ``enter_fold`` /
+    ``exit_fold``; the defaults follow the tie rule of a reduction over
+    the coordinate axis, so the results are bit-identical to it. Plain
+    ``np.fmax``/``np.fmin`` agree in value (signed zeros aside), which is
+    all a hit test needs.
+    """
+    t_enter = t_exit = None
+    for o, inv, par, lo, hi in zip(origins, invs, parallels, box_mins, box_maxs):
+        # A ray parallel to a slab (zero direction component) never
+        # enters or leaves it: the axis contributes (-inf, +inf) when the
+        # origin lies within the slab (closed) and an empty interval
+        # otherwise. Handling this explicitly avoids the 0 * inf = NaN
+        # corner when the origin sits exactly on a slab boundary.
+        if par is True:
+            inside = (lo <= o) & (o <= hi)
+            near = np.where(inside, -np.inf, np.inf)
+            far = np.where(inside, np.inf, -np.inf)
+        else:
+            # Overflow to inf in the t products is the correct saturating
+            # behaviour for near-parallel rays.
+            with np.errstate(invalid="ignore", over="ignore"):
+                t1 = (lo - o) * inv
+                t2 = (hi - o) * inv
+            near = np.fmin(t1, t2)
+            far = np.fmax(t1, t2)
+            if par is not None and par.any():
+                inside = (lo <= o) & (o <= hi)
+                near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+                far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+        t_enter = near if t_enter is None else enter_fold(t_enter, near)
+        t_exit = far if t_exit is None else exit_fold(t_exit, far)
+    return t_enter, t_exit
+
+
+def slab_hit(t_enter, t_exit, tmins, tmaxs, live):
+    """Hit mask of a slab interval against the ray's ``[tmin, tmax]``.
+
+    ``live`` is the box liveness (``min <= max`` on every axis):
+    degenerate boxes produce an empty slab interval and never hit — the
+    per-axis min/max ordering would silently "un-invert" such a box.
+    """
+    return (
+        live
+        & (t_enter <= t_exit)
+        & (t_exit >= tmins)
+        & (t_enter <= tmaxs)
+        & (t_exit >= 0.0)
+    )
+
+
+def box_live(box_mins, box_maxs):
+    """``min <= max`` on every axis, from per-axis bound columns."""
+    live = box_mins[0] <= box_maxs[0]
+    for lo, hi in zip(box_mins[1:], box_maxs[1:]):
+        live &= lo <= hi
+    return live
+
+
 def ray_aabb_interval(
     origins: np.ndarray,
     dirs: np.ndarray,
@@ -101,36 +185,18 @@ def ray_aabb_interval(
     ``t_enter`` is the box entry parameter (negative when the origin is
     inside the box — Case 2); hardware reports the committed hit at
     ``max(t_enter, tmin)``. See :func:`ray_aabb_hit` for the hit semantics.
+    The coordinate axis is unrolled (:func:`slab_axes`).
     """
-    # Overflow to inf in the t products is the correct saturating
-    # behaviour for near-parallel rays; suppress the warning with the
-    # division ones.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = 1.0 / dirs
-        t1 = (box_mins - origins) * inv
-        t2 = (box_maxs - origins) * inv
-    # A ray parallel to a slab (zero direction component) never enters or
-    # leaves it: the axis contributes (-inf, +inf) when the origin lies
-    # within the slab (closed) and an empty interval otherwise. Handling
-    # this explicitly avoids the 0 * inf = NaN corner when the origin
-    # sits exactly on a slab boundary.
-    near = np.fmin(t1, t2)
-    far = np.fmax(t1, t2)
-    parallel = dirs == 0.0
-    if parallel.any():
-        inside = (box_mins <= origins) & (origins <= box_maxs)
-        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-    t_enter = np.fmax.reduce(near, axis=-1)
-    t_exit = np.fmin.reduce(far, axis=-1)
-    live = np.all(box_mins <= box_maxs, axis=-1)
-    hit = (
-        live
-        & (t_enter <= t_exit)
-        & (t_exit >= tmins)
-        & (t_enter <= tmaxs)
-        & (t_exit >= 0.0)
-    )
+    d = dirs.shape[-1]
+    dir_cols = [dirs[..., a] for a in range(d)]
+    with np.errstate(divide="ignore", over="ignore"):
+        invs = [1.0 / c for c in dir_cols]
+    parallels = [c == 0.0 for c in dir_cols]
+    o = [origins[..., a] for a in range(d)]
+    lo = [box_mins[..., a] for a in range(d)]
+    hi = [box_maxs[..., a] for a in range(d)]
+    t_enter, t_exit = slab_axes(o, invs, parallels, lo, hi)
+    hit = slab_hit(t_enter, t_exit, tmins, tmaxs, box_live(lo, hi))
     return t_enter, t_exit, hit
 
 

@@ -7,6 +7,8 @@ OptiX 8 + RT cores (paper §2.2-§2.4):
   primitives, with build, refit, and batch ray traversal that tracks the
   exact per-ray work an RT core would perform (node visits, IS-shader
   invocations).
+- :mod:`repro.rtcore.kernel` — the one frontier traversal kernel every
+  structure (Morton BVH, SAH BVH, box-overlap traversal) runs.
 - :mod:`repro.rtcore.gas` / :mod:`repro.rtcore.ias` — the two-level
   Geometry / Instance acceleration structures with SRT instance transforms
   (Figure 2), the substrate of LibRTS's mutability design (§4).

@@ -9,12 +9,16 @@ with the leaf level padded to a power of two using unhittable degenerate
 boxes so that every level can be constructed and refit with pure
 vectorized reductions.
 
-Traversal processes a *batch* of rays as a frontier of ``(ray, node)``
-pairs expanded level by level — numerically identical to per-ray recursive
-traversal, but every step is one vectorized slab test. The per-ray node
-visit counts recorded in :class:`~repro.rtcore.stats.TraversalStats` are
-exactly what each hardware thread would perform under the single-ray
-programming model.
+Traversal runs the one frontier kernel of :mod:`repro.rtcore.kernel`
+over this tree's :class:`~repro.rtcore.kernel.HeapTopology`: a batch of
+rays descends as a frontier of ``(ray, node)`` pairs expanded level by
+level — numerically identical to per-ray recursive traversal, but every
+step is one vectorized slab test. Node bounds are read through strided
+per-axis column views of ``node_mins``/``node_maxs``, and node liveness
+is cached once per refit/rebuild/adopt, never per launch. The per-ray
+node visit counts recorded in :class:`~repro.rtcore.stats.TraversalStats`
+are exactly what each hardware thread would perform under the
+single-ray programming model.
 
 Refit (paper §2.4, §4.2) keeps the topology (the sorted order) and
 recomputes node boxes bottom-up; when primitives move far from their
@@ -30,8 +34,9 @@ import numpy as np
 from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
 from repro.geometry.morton import morton_encode
-from repro.geometry.ray import ray_aabb_interval
 from repro.obs.tracer import counter_snapshot, record_delta
+from repro.rtcore import kernel
+from repro.rtcore.kernel import Candidates, node_liveness
 from repro.rtcore.stats import TraversalStats
 
 
@@ -49,50 +54,6 @@ def readonly_view(a: np.ndarray) -> np.ndarray:
     v = a.view()
     v.flags.writeable = False
     return v
-
-
-class Candidates:
-    """IS-shader candidates produced by one traversal.
-
-    ``rows`` indexes the launch's ray batch, ``prims`` are primitive ids
-    local to the traversed structure, ``t_enter`` the box entry parameter,
-    and ``aabb_hit`` whether the ray actually meets the primitive's AABB
-    (OptiX invokes the IS shader on *potential* hits, footnote 2 of the
-    paper, so with leaf sizes above one some candidates carry
-    ``aabb_hit = False``).
-    """
-
-    __slots__ = ("rows", "prims", "t_enter", "aabb_hit")
-
-    def __init__(self, rows, prims, t_enter, aabb_hit):
-        self.rows = rows
-        self.prims = prims
-        self.t_enter = t_enter
-        self.aabb_hit = aabb_hit
-
-    @classmethod
-    def empty(cls) -> "Candidates":
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            promote64(np.empty(0)),
-            np.empty(0, dtype=bool),
-        )
-
-    @classmethod
-    def concat(cls, parts: list["Candidates"]) -> "Candidates":
-        parts = [p for p in parts if len(p.rows)]
-        if not parts:
-            return cls.empty()
-        return cls(
-            np.concatenate([p.rows for p in parts]),
-            np.concatenate([p.prims for p in parts]),
-            np.concatenate([p.t_enter for p in parts]),
-            np.concatenate([p.aabb_hit for p in parts]),
-        )
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class BVH:
@@ -187,6 +148,7 @@ class BVH:
                 self.node_maxs[kids_lo + 1 : kids_hi : 2],
             )
             level_start = parent_start
+        self._live = node_liveness(self.node_mins, self.node_maxs)
 
     def rebuild(self) -> None:
         """Full rebuild: re-sort primitives at their current coordinates
@@ -241,6 +203,8 @@ class BVH:
         self.leaf_prims = arrays["leaf_prims"]
         self.node_mins = arrays["node_mins"]
         self.node_maxs = arrays["node_maxs"]
+        # A private array: the cache never writes through adopted views.
+        self._live = node_liveness(self.node_mins, self.node_maxs)
         return self
 
     # -- traversal -----------------------------------------------------------
@@ -285,55 +249,13 @@ class BVH:
         stats: TraversalStats,
         stat_ids: np.ndarray | None = None,
     ) -> Candidates:
-        m = origins.shape[0]
-        if stat_ids is None:
-            stat_ids = np.arange(m, dtype=np.int64)
-        if m == 0 or self.n_prims == 0:
-            return Candidates.empty()
-
-        rows = np.arange(m, dtype=np.int64)
-        nodes = np.zeros(m, dtype=np.int64)
-        first_leaf = self.n_leaves - 1
-        out: list[Candidates] = []
-
-        while len(rows):
-            t_enter, _t_exit, hit = ray_aabb_interval(
-                origins[rows],
-                dirs[rows],
-                tmins[rows],
-                tmaxs[rows],
-                self.node_mins[nodes],
-                self.node_maxs[nodes],
-            )
-            stats.count_nodes(stat_ids[rows])
-            rows = rows[hit]
-            nodes = nodes[hit]
-            t_enter = t_enter[hit]
-
-            at_leaf = nodes >= first_leaf
-            if at_leaf.any():
-                out.append(
-                    self._emit_leaf_candidates(
-                        rows[at_leaf],
-                        nodes[at_leaf] - first_leaf,
-                        t_enter[at_leaf],
-                        origins,
-                        dirs,
-                        tmins,
-                        tmaxs,
-                        stats,
-                        stat_ids,
-                    )
-                )
-            inner = ~at_leaf
-            rows = np.repeat(rows[inner], 2)
-            nodes = nodes[inner]
-            children = np.empty(2 * len(nodes), dtype=np.int64)
-            children[0::2] = 2 * nodes + 1
-            children[1::2] = 2 * nodes + 2
-            nodes = children
-
-        return Candidates.concat(out)
+        return kernel.traverse(
+            kernel.HeapTopology(self),
+            kernel.RaySlab(origins, dirs, tmins, tmaxs),
+            origins.shape[0],
+            stats,
+            stat_ids,
+        )
 
     def traverse_boxes(
         self,
@@ -352,93 +274,11 @@ class BVH:
         counted in the same units as ray traversal (one node visit per
         box-box test).
         """
-        m = q_mins.shape[0]
-        if stat_ids is None:
-            stat_ids = np.arange(m, dtype=np.int64)
-        if m == 0 or self.n_prims == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.copy()
-
-        rows = np.arange(m, dtype=np.int64)
-        nodes = np.zeros(m, dtype=np.int64)
-        first_leaf = self.n_leaves - 1
-        out_rows: list[np.ndarray] = []
-        out_prims: list[np.ndarray] = []
-
-        while len(rows):
-            nm = self.node_mins[nodes]
-            nx = self.node_maxs[nodes]
-            hit = np.all(
-                (nm <= q_maxs[rows]) & (nx >= q_mins[rows]) & (nm <= nx), axis=-1
-            )
-            stats.count_nodes(stat_ids[rows])
-            rows, nodes = rows[hit], nodes[hit]
-
-            at_leaf = nodes >= first_leaf
-            if at_leaf.any():
-                l_rows = rows[at_leaf]
-                leaves = nodes[at_leaf] - first_leaf
-                prims = self.leaf_prims[leaves].reshape(-1)
-                l_rows = np.repeat(l_rows, self.leaf_size)
-                valid = prims >= 0
-                l_rows, prims = l_rows[valid], prims[valid]
-                stats.count_is(stat_ids[l_rows])
-                pm = self.boxes.mins[prims]
-                px = self.boxes.maxs[prims]
-                ok = np.all(
-                    (pm <= q_maxs[l_rows]) & (px >= q_mins[l_rows]) & (pm <= px),
-                    axis=-1,
-                )
-                out_rows.append(l_rows[ok])
-                out_prims.append(prims[ok])
-
-            inner = ~at_leaf
-            rows = np.repeat(rows[inner], 2)
-            nodes = nodes[inner]
-            children = np.empty(2 * len(nodes), dtype=np.int64)
-            children[0::2] = 2 * nodes + 1
-            children[1::2] = 2 * nodes + 2
-            nodes = children
-
-        if not out_rows:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.copy()
-        return np.concatenate(out_rows), np.concatenate(out_prims)
-
-    def _emit_leaf_candidates(
-        self,
-        rows: np.ndarray,
-        leaves: np.ndarray,
-        t_enter: np.ndarray,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        tmins: np.ndarray,
-        tmaxs: np.ndarray,
-        stats: TraversalStats,
-        stat_ids: np.ndarray,
-    ) -> Candidates:
-        """Turn (ray, leaf) hits into per-primitive IS candidates."""
-        if self.leaf_size == 1:
-            prims = self.leaf_prims[leaves, 0]
-            valid = prims >= 0
-            rows, prims, t_enter = rows[valid], prims[valid], t_enter[valid]
-            stats.count_is(stat_ids[rows])
-            return Candidates(rows, prims, t_enter, np.ones(len(rows), dtype=bool))
-        # Multi-primitive leaves: every primitive in a hit leaf is a
-        # *potential* intersection and gets an IS invocation; the
-        # per-primitive slab test happens in the shader's stead here so the
-        # pipeline can expose t_enter / aabb_hit to user code.
-        prims = self.leaf_prims[leaves].reshape(-1)
-        rows = np.repeat(rows, self.leaf_size)
-        valid = prims >= 0
-        rows, prims = rows[valid], prims[valid]
-        stats.count_is(stat_ids[rows])
-        t_enter, _t_exit, hit = ray_aabb_interval(
-            origins[rows],
-            dirs[rows],
-            tmins[rows],
-            tmaxs[rows],
-            self.boxes.mins[prims],
-            self.boxes.maxs[prims],
+        cand = kernel.traverse(
+            kernel.HeapTopology(self),
+            kernel.BoxOverlap(q_mins, q_maxs),
+            q_mins.shape[0],
+            stats,
+            stat_ids,
         )
-        return Candidates(rows, prims, t_enter, hit)
+        return cand.rows[cand.aabb_hit], cand.prims[cand.aabb_hit]

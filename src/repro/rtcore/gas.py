@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 
 from repro.geometry.boxes import Boxes
-from repro.rtcore.bvh import BVH, Candidates
+from repro.rtcore.bvh import BVH
+from repro.rtcore.kernel import Candidates
 from repro.rtcore.stats import TraversalStats
 
 

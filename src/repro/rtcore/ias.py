@@ -157,9 +157,6 @@ class InstanceAS:
         stat_ids: np.ndarray | None,
         tracer=None,
     ) -> InstanceHits:
-        m = origins.shape[0]
-        if stat_ids is None:
-            stat_ids = np.arange(m, dtype=np.int64)
         parts: list[InstanceHits] = []
         for inst in self.instances:
             if len(inst.gas) == 0:

@@ -15,7 +15,11 @@ vectorized for hundreds of thousands of primitives.
 
 The class implements the same traversal/refit interface as ``BVH`` and
 slots into :class:`~repro.rtcore.gas.GeometryAS` via its ``builder``
-parameter.
+parameter. Traversal runs the one frontier kernel of
+:mod:`repro.rtcore.kernel` over an
+:class:`~repro.rtcore.kernel.ExplicitTopology`, reading node bounds
+through strided per-axis column views and a node-liveness array cached
+once per refit/rebuild/adopt.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ import numpy as np
 
 from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
-from repro.geometry.ray import ray_aabb_interval
 from repro.obs.tracer import counter_snapshot, record_delta
-from repro.rtcore.bvh import Candidates
+from repro.rtcore import kernel
+from repro.rtcore.bvh import readonly_view
+from repro.rtcore.kernel import Candidates, node_liveness
 from repro.rtcore.stats import TraversalStats
 
 
@@ -71,6 +76,7 @@ class SAHBVH:
             self.start = np.array([0], dtype=np.int64)
             self.count = np.array([0], dtype=np.int64)
             self.levels = [np.array([0], dtype=np.int64)]
+            self._live = node_liveness(self.node_mins, self.node_maxs)
             return
 
         # Deleted (degenerate) primitives get NaN-free sort keys.
@@ -223,8 +229,6 @@ class SAHBVH:
         ``levels`` is ragged, so it ships as one concatenated id array
         plus per-level sizes; ``adopt`` splits it back into views.
         """
-        from repro.rtcore.bvh import readonly_view
-
         arrays = {
             "node_mins": readonly_view(self.node_mins),
             "node_maxs": readonly_view(self.node_maxs),
@@ -267,6 +271,8 @@ class SAHBVH:
         self.perm = arrays["perm"]
         bounds = np.cumsum(arrays["level_sizes"])[:-1]
         self.levels = [np.asarray(lv) for lv in np.split(arrays["levels"], bounds)]
+        # A private array: the cache never writes through adopted views.
+        self._live = node_liveness(self.node_mins, self.node_maxs)
         return self
 
     # -- shared interface -------------------------------------------------------
@@ -306,6 +312,7 @@ class SAHBVH:
                 lc, rc = self.left[inner], self.right[inner]
                 self.node_mins[inner] = np.minimum(self.node_mins[lc], self.node_mins[rc])
                 self.node_maxs[inner] = np.maximum(self.node_maxs[lc], self.node_maxs[rc])
+        self._live = node_liveness(self.node_mins, self.node_maxs)
 
     def rebuild(self) -> None:
         self._build()
@@ -343,53 +350,10 @@ class SAHBVH:
         stats: TraversalStats,
         stat_ids: np.ndarray | None = None,
     ) -> Candidates:
-        m = origins.shape[0]
-        if stat_ids is None:
-            stat_ids = np.arange(m, dtype=np.int64)
-        if m == 0 or self.n_prims == 0:
-            return Candidates.empty()
-
-        rows = np.arange(m, dtype=np.int64)
-        nodes = np.zeros(m, dtype=np.int64)
-        out: list[Candidates] = []
-
-        while len(rows):
-            t_enter, _t_exit, hit = ray_aabb_interval(
-                origins[rows],
-                dirs[rows],
-                tmins[rows],
-                tmaxs[rows],
-                self.node_mins[nodes],
-                self.node_maxs[nodes],
-            )
-            stats.count_nodes(stat_ids[rows])
-            rows, nodes = rows[hit], nodes[hit]
-
-            at_leaf = self.left[nodes] == -1
-            if at_leaf.any():
-                l_rows = rows[at_leaf]
-                l_nodes = nodes[at_leaf]
-                sizes = self.count[l_nodes]
-                sc = np.concatenate([[0], np.cumsum(sizes[:-1])]) if len(sizes) else np.empty(0, np.int64)
-                offs = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(sc, sizes)
-                prim = self.perm[np.repeat(self.start[l_nodes], sizes) + offs]
-                c_rows = np.repeat(l_rows, sizes)
-                stats.count_is(stat_ids[c_rows])
-                te, _tx, phit = ray_aabb_interval(
-                    origins[c_rows],
-                    dirs[c_rows],
-                    tmins[c_rows],
-                    tmaxs[c_rows],
-                    self.boxes.mins[prim],
-                    self.boxes.maxs[prim],
-                )
-                out.append(Candidates(c_rows, prim, te, phit))
-
-            inner = ~at_leaf
-            rows = np.repeat(rows[inner], 2)
-            kids = np.empty(2 * int(inner.sum()), dtype=np.int64)
-            kids[0::2] = self.left[nodes[inner]]
-            kids[1::2] = self.right[nodes[inner]]
-            nodes = kids
-
-        return Candidates.concat(out)
+        return kernel.traverse(
+            kernel.ExplicitTopology(self),
+            kernel.RaySlab(origins, dirs, tmins, tmaxs),
+            origins.shape[0],
+            stats,
+            stat_ids,
+        )

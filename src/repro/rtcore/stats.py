@@ -38,23 +38,17 @@ class TraversalStats:
     def count_nodes(self, ray_idx: np.ndarray) -> None:
         """Record one node visit per entry of ``ray_idx`` (repeats allowed)."""
         if len(ray_idx):
-            self.nodes_visited += np.bincount(
-                ray_idx, minlength=self.n_rays
-            ).astype(np.int64)
+            self.nodes_visited += np.bincount(ray_idx, minlength=self.n_rays)
 
     def count_is(self, ray_idx: np.ndarray) -> None:
         """Record one IS-shader invocation per entry of ``ray_idx``."""
         if len(ray_idx):
-            self.is_invocations += np.bincount(
-                ray_idx, minlength=self.n_rays
-            ).astype(np.int64)
+            self.is_invocations += np.bincount(ray_idx, minlength=self.n_rays)
 
     def count_results(self, ray_idx: np.ndarray) -> None:
         """Record one emitted result per entry of ``ray_idx``."""
         if len(ray_idx):
-            self.results_emitted += np.bincount(
-                ray_idx, minlength=self.n_rays
-            ).astype(np.int64)
+            self.results_emitted += np.bincount(ray_idx, minlength=self.n_rays)
 
     def merge(self, other: "TraversalStats") -> None:
         """Accumulate another launch over the same ray set (e.g. per IAS
