@@ -59,7 +59,7 @@ class LockHygiene(Checker):
     title = "locks follow the one global order in repro.lockorder.RANKS"
     rationale = (
         "serve/parallel/obs share threads: the scheduler records metrics, "
-        "the load generator drives the service, the executor hands work "
+        "client threads drive the service, the executor hands work "
         "to pool threads. One global lock order (repro.lockorder.RANKS) "
         "makes deadlock impossible by construction. This rule builds the "
         "static acquisition graph — with-blocks, .acquire() calls, and "

@@ -5,7 +5,7 @@ Result-producing code must be replayable: randomness comes from seeded
 clock (or ``time.perf_counter``/``time.monotonic`` for pure wall-clock
 *reporting*). ``time.time()`` couples results to the wall clock;
 legacy ``np.random.*`` calls and unseeded ``default_rng()`` couple them
-to process-global hidden state — the obs gate's bit-exact counter
+to process-global hidden state — the exact gate's bit-exact counter
 baselines only work because neither appears in the stack.
 """
 
@@ -38,7 +38,7 @@ class BenchDeterminism(Checker):
     rule_id = "RTS006"
     title = "no wall-clock time.time() or unseeded/global RNG"
     rationale = (
-        "The counter-drift gate replays every benchmark against a "
+        "The exact gate replays every benchmark against a "
         "committed baseline, which requires bit-identical results run "
         "to run. time.time() leaks the wall clock into results (use "
         "time.perf_counter for durations, the platform model for "

@@ -5,8 +5,8 @@ Every experiment run can leave a JSON/CSV artifact
 (:func:`export_metrics_json` / :func:`export_metrics_csv`): the figure
 tables flattened to ``figure/row/column/value`` records plus the run
 configuration. CI uploads the JSON so each build's numbers are
-diffable; the counter-drift gate (:mod:`repro.obs.gate`) consumes the
-same machinery for its fixed workload.
+diffable. These figures are not gated; the exact gate over the
+deterministic counters and simulated times is :mod:`repro.bench.gate`.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def collect_metrics(
     """Assemble the machine-readable metrics document for one bench run.
 
     ``results`` maps experiment id to what :func:`run_experiment`
-    returned. ``extra`` merges arbitrary top-level entries (the obs gate
-    adds its counter totals here).
+    returned. ``extra`` merges arbitrary top-level entries (the CLI adds
+    per-experiment wall seconds here).
     """
     doc: dict = {
         "schema": "repro.bench.metrics/v1",

@@ -1,7 +1,8 @@
 """Churn benchmark: write absorption and read latency under sustained
 mutation, with drift-triggered compaction.
 
-Two sections come out, written to ``BENCH_churn.json``:
+Two workloads, which :mod:`repro.bench.gate` runs as the ``churn``
+section of ``BENCH_gate.json``:
 
 - **staged** — a deterministic, simulated-time churn loop. One
   :class:`~repro.churn.ChurnIndex` absorbs a scripted tombstone-heavy
@@ -12,47 +13,31 @@ Two sections come out, written to ``BENCH_churn.json``:
   the identical trace through the refit path, pricing the write side of
   the LSM trade: the mirror pays a GAS refit per touched batch, the
   churn index tombstones main-resident deletes for free. Every number is
-  simulated and seeded, so ``--check`` re-runs the loop and verifies the
-  committed artifact bit-for-bit (same compaction rounds, same trigger
-  evidence, same times) — the churn gate.
+  simulated and seeded, so the gate commits this section and checks it
+  bit-for-bit (same compaction rounds, same trigger evidence, same
+  times).
 
 - **concurrent** — the same drift-only policy behind a real
   :class:`~repro.serve.SpatialQueryService` with the
   :class:`~repro.churn.BackgroundCompactor` polling. Reader waves drive
   the drift EWMAs (reads ARE the sensor) until the compactor fires and
-  publishes a compacted epoch while reads keep flowing. Wall-clock
-  fields here are reported, not checked; ``--check`` verifies the
-  invariants only: at least one compaction, reason ``counter-drift``,
-  reads served before/after, answers stable across the publication.
-
-Usage::
-
-    python -m repro.churn.bench --write    # regenerate BENCH_churn.json
-    python -m repro.churn.bench --check    # CI churn gate
+  publishes a compacted epoch while reads keep flowing. Its timing
+  depends on the machine, so it is never committed; the gate checks its
+  invariants only.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
-import sys
 import time
 
 import numpy as np
 
-from repro.churn import BackgroundCompactor, ChurnConfig, ChurnIndex
+from repro.churn import ChurnConfig, ChurnIndex
 from repro.core.index import RTSIndex
 from repro.geometry.boxes import Boxes
 
-SCHEMA = "repro.churn.bench/v1"
-DEFAULT_OUT = "BENCH_churn.json"
-
-#: Relative tolerance on recomputed simulated times and drift factors.
-SIM_RTOL = 1e-9
-
-#: The drift-only trigger policy both sections run: safety caps out of
-#: reach, so every compaction in this artifact is a priced counter-drift
+#: The drift-only trigger policy both workloads run: safety caps out of
+#: reach, so every compaction these workloads see is a priced counter-drift
 #: decision — the property the gate exists to protect.
 DRIFT_ONLY = dict(
     delta_ratio_max=1e9,
@@ -184,8 +169,9 @@ def run_concurrent(
     A clean read wave seeds the baseline EWMAs; a tombstone-heavy delete
     then degrades traversal quality; reader waves keep flowing until the
     background compactor prices the observed drift above a rebuild and
-    publishes a compacted epoch. Wall-clock latencies are reported for
-    the human reader; only structural invariants are gate-checked.
+    publishes a compacted epoch. Reported: the structural facts the
+    gate checks (how many compactions, the trigger evidence, reads
+    before publication, answers across it).
     """
     from repro.serve import ServiceConfig, SpatialQueryService
 
@@ -196,7 +182,6 @@ def run_concurrent(
     churn = ChurnConfig(**DRIFT_ONLY, poll_interval=0.001)
     config = ServiceConfig(churn=churn, cache_size=0)
 
-    wave_wall_us = []
     with SpatialQueryService(seed_index, config) as svc:
         svc.query_points(pts)  # clean baseline observation
         svc.delete(np.arange(int(n_rects * delete_fraction)))
@@ -204,15 +189,11 @@ def run_concurrent(
         deadline = time.monotonic() + deadline_s
         last_pre = None
         while svc.compactor.n_compactions == 0 and time.monotonic() < deadline:
-            t0 = time.perf_counter()
             last_pre = svc.query_points(pts)
-            wave_wall_us.append((time.perf_counter() - t0) * 1e6)
             reads_before += 1
         fired = svc.compactor.n_compactions
         summary = svc.compactor.last_summary
-        t0 = time.perf_counter()
         after = svc.query_points(pts)
-        post_wall_us = (time.perf_counter() - t0) * 1e6
         stable = (
             last_pre is not None and last_pre.pair_set() == after.pair_set()
         )
@@ -227,150 +208,5 @@ def run_concurrent(
             "reads_before_compaction": reads_before,
             "read_epoch_after": after.meta["epoch"],
             "answers_stable_across_compaction": bool(stable),
-            # Wall-clock, machine-dependent: reported, never checked.
-            "wave_wall_us_mean": (
-                float(np.mean(wave_wall_us)) if wave_wall_us else None
-            ),
-            "post_compaction_wave_wall_us": post_wall_us,
         }
 
-
-def _invariant_failures(concurrent: dict, label: str) -> list[str]:
-    """The structural claims the concurrent section must always satisfy."""
-    failures = []
-    if concurrent.get("compactions", 0) < 1:
-        failures.append(f"{label}: no compaction fired within the deadline")
-        return failures
-    trigger = concurrent.get("trigger") or {}
-    if trigger.get("reason") != "counter-drift":
-        failures.append(
-            f"{label}: compaction reason {trigger.get('reason')!r}, expected "
-            "'counter-drift' (safety caps are unreachable in this policy)"
-        )
-    if trigger.get("drift", 0.0) < DRIFT_ONLY["drift_threshold"]:
-        failures.append(f"{label}: trigger drift {trigger.get('drift')} below threshold")
-    if trigger.get("excess_s", 0.0) <= trigger.get("rebuild_s", math.inf):
-        failures.append(f"{label}: priced decision did not pay for the rebuild")
-    if concurrent.get("reads_before_compaction", 0) < 2:
-        failures.append(f"{label}: no reads proceeded while drift accumulated")
-    if not concurrent.get("answers_stable_across_compaction"):
-        failures.append(f"{label}: answers changed across the compacted epoch")
-    return failures
-
-
-def check(path: str) -> list[str]:
-    """Re-run both sections and verify the committed artifact. The staged
-    section must reproduce bit-for-bit; the concurrent section must
-    satisfy its invariants both as committed and as re-run."""
-    with open(path) as fh:
-        committed = json.load(fh)
-    failures = []
-    if committed.get("schema") != SCHEMA:
-        return [f"schema mismatch: {committed.get('schema')!r} != {SCHEMA!r}"]
-
-    want = committed.get("staged", {})
-    fresh = run_staged(
-        **{
-            k: want[k]
-            for k in (
-                "n_rects", "n_rounds", "delete_per_round", "insert_per_round",
-                "queries_per_wave", "seed",
-            )
-            if k in want
-        }
-    )
-    want_events = [(c["round"], c["reason"]) for c in want.get("compactions", [])]
-    fresh_events = [(c["round"], c["reason"]) for c in fresh["compactions"]]
-    if want_events != fresh_events:
-        failures.append(
-            f"staged: compaction schedule drifted — committed {want_events} "
-            f"!= recomputed {fresh_events}"
-        )
-    if not any(reason == "counter-drift" for _, reason in fresh_events):
-        failures.append("staged: no counter-drift compaction in the trace")
-    for i, (w, f) in enumerate(zip(want.get("rounds", []), fresh["rounds"])):
-        for field in ("drift_factor", "churn_write_s", "mirror_write_s",
-                      "read_wave_s"):
-            if not math.isclose(w[field], f[field], rel_tol=SIM_RTOL, abs_tol=1e-15):
-                failures.append(
-                    f"staged round {i}.{field}: committed {w[field]!r} != "
-                    f"recomputed {f[field]!r}"
-                )
-        if w["pairs"] != f["pairs"] or w["compacted"] != f["compacted"]:
-            failures.append(f"staged round {i}: pairs/compacted mismatch")
-    if len(want.get("rounds", [])) != len(fresh["rounds"]):
-        failures.append("staged: round count mismatch")
-    if fresh["write_sim_speedup"] <= 1.0:
-        failures.append(
-            "staged: churn writes not cheaper than refit-path mirror "
-            f"(speedup {fresh['write_sim_speedup']:.3f})"
-        )
-    if fresh["delete_sim_s_churn"] >= fresh["delete_sim_s_mirror"]:
-        failures.append(
-            "staged: tombstone deletes not cheaper than refit-path deletes"
-        )
-
-    failures += _invariant_failures(committed.get("concurrent", {}), "committed")
-    failures += _invariant_failures(run_concurrent(), "re-run")
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.churn.bench",
-        description="Churn benchmark / CI gate (delta absorption + "
-        "drift-triggered compaction).",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--write", action="store_true",
-                      help=f"regenerate the artifact (default path {DEFAULT_OUT})")
-    mode.add_argument("--check", action="store_true",
-                      help="re-run and verify the committed artifact (CI gate)")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="artifact path")
-    args = parser.parse_args(argv)
-
-    if args.check:
-        failures = check(args.out)
-        for f in failures:
-            print(f"CHURN GATE FAIL: {f}")
-        if failures:
-            return 1
-        print(f"churn gate OK: {args.out} reproduced (staged trace + invariants)")
-        return 0
-
-    staged = run_staged()
-    for row in staged["rounds"]:
-        mark = "  <- compacted" if row["compacted"] else ""
-        print(
-            f"round {row['round']:>2d}  live {row['live']:>6d}  "
-            f"delta {row['delta_fraction']:6.3f}  "
-            f"drift {row['drift_factor']:6.3f}  "
-            f"read {row['read_per_query_us']:7.3f} us/q{mark}"
-        )
-    print(
-        f"write sim: churn {staged['write_sim_s_churn'] * 1e3:.3f} ms vs "
-        f"refit mirror {staged['write_sim_s_mirror'] * 1e3:.3f} ms "
-        f"({staged['write_sim_speedup']:.1f}x); deletes "
-        f"{staged['delete_sim_s_churn'] * 1e3:.3f} ms vs "
-        f"{staged['delete_sim_s_mirror'] * 1e3:.3f} ms"
-    )
-    concurrent = run_concurrent()
-    trig = concurrent.get("trigger") or {}
-    print(
-        f"concurrent: {concurrent['compactions']} compaction(s), "
-        f"reason {trig.get('reason')!r}, drift {trig.get('drift', 0.0):.3f}, "
-        f"{concurrent['reads_before_compaction']} reads before publication, "
-        f"answers stable: {concurrent['answers_stable_across_compaction']}"
-    )
-
-    doc = {"schema": SCHEMA, "staged": staged, "concurrent": concurrent}
-    if args.write:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,12 +17,12 @@ reverse)::
      5  churn.compactor   background-compactor wakeup/decision state
     10  serve.service     admission queue + scheduler condition
     20  serve.snapshot    single-writer publish lock
+    25  serve.procpool    process-pool segment registry + worker table
     30  serve.cache       result-cache LRU
     35  plan.planner      planner EWMA feedback state
     38  churn.state       churn drift EWMAs (traversal baselines)
     40  obs.metrics       counter/gauge/histogram registry
     45  obs.tracer        child-span registration
-    50  serve.loadgen     load-generator report accumulation
     60  parallel.pools    module-level thread-pool registry
 
 The compactor lock sits *below* the serve locks because a compaction
@@ -56,7 +56,6 @@ RANKS: dict[str, int] = {
     "churn.state": 38,
     "obs.metrics": 40,
     "obs.tracer": 45,
-    "serve.loadgen": 50,
     "parallel.pools": 60,
 }
 

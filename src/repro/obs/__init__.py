@@ -9,9 +9,10 @@ Three cooperating pieces (see docs/API.md, "Observability"):
 - :mod:`repro.obs.metrics` — a session-level :class:`MetricsRegistry`
   of counters, gauges and per-ray work histograms, exportable as
   JSON/CSV.
-- :mod:`repro.obs.gate` — the CI regression gate: a fixed workload whose
-  counter totals and simulated times are committed as ``BENCH_obs.json``;
-  drift without a baseline update fails the build.
+- :mod:`repro.obs.workload` — a fixed workload whose counter totals and
+  simulated times are the ``obs`` section of ``BENCH_gate.json``;
+  ``python -m repro.bench.gate --check`` fails the build on drift
+  without a baseline update.
 
 The invariant underlying all three: observation is read-only. Pairs,
 per-ray counters and simulated times are bit-identical whether tracing

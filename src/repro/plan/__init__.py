@@ -13,8 +13,8 @@ Entry points:
   — plan per batch on an index;
 - :class:`~repro.serve.service.ServiceConfig` ``planner="auto"``
   (the default) — the serve scheduler plans every executed batch;
-- ``python -m repro.plan.bench`` — the planned-vs-static benchmark
-  behind the committed ``BENCH_plan.json`` and the CI plan gate.
+- :mod:`repro.plan.bench` — the planned-vs-static matrix, the ``plan``
+  section of ``python -m repro.bench.gate`` (baseline ``BENCH_gate.json``).
 
 Planning never changes answers: all backends implement identical
 predicate semantics and sharding is result-invariant, so a planned

@@ -12,47 +12,25 @@ the way). Every cell executes the identical batch sequence twice:
   baseline build it actually incurs (``backend_built_now``), under a
   tracer so each decision's ``plan.decide`` span is counted.
 
-Everything is simulated time, seeded and Date-free, so the artifact is
-machine-independent and exactly reproducible: ``--check`` re-runs the
-matrix and verifies the committed ``BENCH_plan.json`` — backend
-decisions identical, simulated times within ``SIM_RTOL``, the planner
-never worse than static beyond ``WORSE_TOL`` on any cell, and the
-geomean speedup still at or above ``TARGET_GEOMEAN``. Pair counts are
-asserted equal between the two sides on every batch while running (the
-planner must never change answers).
-
-Usage::
-
-    python -m repro.plan.bench --write          # regenerate BENCH_plan.json
-    python -m repro.plan.bench --check          # CI plan gate
+Everything is simulated time, seeded and Date-free, so the result is
+machine-independent and exactly reproducible. Pair counts are asserted
+equal between the two sides on every batch while running (the planner
+must never change answers), and so is one ``plan.decide`` span per
+planned batch. :mod:`repro.bench.gate` commits the matrix as the
+``plan`` section of ``BENCH_gate.json`` and bounds it: decisions
+identical, no cell more than 2% worse than static, geomean speedup at
+least 1.3.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import sys
 
 import numpy as np
 
 from repro.core.index import Predicate, RTSIndex
 from repro.geometry.boxes import Boxes
 from repro.obs.tracer import Tracer
-
-SCHEMA = "repro.plan.bench/v1"
-DEFAULT_OUT = "BENCH_plan.json"
-
-#: Relative tolerance on recomputed simulated times (the gate's bar for
-#: "deterministic": same seeds, same arithmetic, same times).
-SIM_RTOL = 1e-9
-
-#: A planned cell may be at most this fraction worse than static (covers
-#: the amortized build charges of early exploratory decisions).
-WORSE_TOL = 0.02
-
-#: The committed artifact must show at least this geomean speedup.
-TARGET_GEOMEAN = 1.3
 
 #: The benchmark matrix. Small cells: many tiny batches, where the RT
 #: pipeline's fixed launch/build overheads dominate and the planner
@@ -151,94 +129,5 @@ def run_matrix() -> dict:
     geomean = math.exp(
         sum(math.log(r["speedup"]) for r in rows) / len(rows)
     )
-    return {
-        "schema": SCHEMA,
-        "target_geomean": TARGET_GEOMEAN,
-        "cells": rows,
-        "geomean_speedup": geomean,
-    }
+    return {"cells": rows, "geomean_speedup": geomean}
 
-
-def check(path: str) -> list[str]:
-    """Re-run the matrix and diff against the committed artifact.
-    Returns a list of failure strings (empty = gate passes)."""
-    with open(path) as fh:
-        committed = json.load(fh)
-    fresh = run_matrix()
-    failures = []
-    if committed.get("schema") != SCHEMA:
-        failures.append(
-            f"schema mismatch: committed {committed.get('schema')!r} != {SCHEMA!r}"
-        )
-        return failures
-    committed_cells = {c["name"]: c for c in committed.get("cells", [])}
-    for row in fresh["cells"]:
-        name = row["name"]
-        want = committed_cells.get(name)
-        if want is None:
-            failures.append(f"{name}: missing from committed artifact")
-            continue
-        if row["decisions"] != want["decisions"]:
-            failures.append(
-                f"{name}: decisions drifted — committed {want['decisions']} "
-                f"!= recomputed {row['decisions']}"
-            )
-        for field in ("static_sim_s", "auto_sim_s", "auto_build_s"):
-            if not math.isclose(row[field], want[field], rel_tol=SIM_RTOL, abs_tol=1e-15):
-                failures.append(
-                    f"{name}.{field}: committed {want[field]!r} != "
-                    f"recomputed {row[field]!r}"
-                )
-        if row["auto_total_s"] > row["static_sim_s"] * (1.0 + WORSE_TOL):
-            failures.append(
-                f"{name}: planner worse than static beyond tolerance "
-                f"({row['auto_total_s']:.3e}s vs {row['static_sim_s']:.3e}s)"
-            )
-    if fresh["geomean_speedup"] < TARGET_GEOMEAN:
-        failures.append(
-            f"geomean speedup {fresh['geomean_speedup']:.3f} below target "
-            f"{TARGET_GEOMEAN}"
-        )
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.plan.bench",
-        description="Adaptive-planner benchmark / CI gate (simulated time).",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--write", action="store_true",
-                      help=f"regenerate the artifact (default path {DEFAULT_OUT})")
-    mode.add_argument("--check", action="store_true",
-                      help="re-run and verify the committed artifact (CI gate)")
-    parser.add_argument("--out", default=DEFAULT_OUT, help="artifact path")
-    args = parser.parse_args(argv)
-
-    if args.check:
-        failures = check(args.out)
-        for f in failures:
-            print(f"PLAN GATE FAIL: {f}")
-        if failures:
-            return 1
-        print(f"plan gate OK: {args.out} reproduced (decisions + sim times)")
-        return 0
-
-    doc = run_matrix()
-    for row in doc["cells"]:
-        print(
-            f"{row['name']:<18s} static {row['static_sim_s'] * 1e3:9.4f} ms  "
-            f"auto {row['auto_total_s'] * 1e3:9.4f} ms  "
-            f"x{row['speedup']:6.2f}  decisions {set(row['decisions'])}"
-        )
-    print(f"geomean speedup: {doc['geomean_speedup']:.3f} (target {TARGET_GEOMEAN})")
-    if args.write:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

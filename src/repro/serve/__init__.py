@@ -18,9 +18,10 @@ serve heavy traffic, not just library calls). Four cooperating pieces:
   out and the parent merges bit-identical responses
   (``ServiceConfig.workers``).
 
-Plus the measurement harness: :mod:`repro.serve.loadgen` (closed-loop
-clients) and ``python -m repro.serve.bench`` (the ``BENCH_serve.json``
-artifact). See docs/API.md "Serving" and DESIGN.md §9.
+The deterministic serving workloads in :mod:`repro.serve.bench` are the
+``serve`` section of ``python -m repro.bench.gate``; wall-clock serving
+is measured by ``perfbench/run.py``. See docs/API.md "Serving" and
+DESIGN.md §9.
 """
 
 from repro.serve.batcher import BatchPolicy
@@ -32,7 +33,6 @@ from repro.serve.errors import (
     ServiceOverloaded,
     WorkerFailed,
 )
-from repro.serve.loadgen import LoadGenerator, LoadReport, WorkloadMix
 from repro.serve.procpool import ProcessPool
 from repro.serve.request import QueryRequest, normalize_payload
 from repro.serve.service import ServiceConfig, SpatialQueryService
@@ -42,8 +42,6 @@ __all__ = [
     "BatchPolicy",
     "DeadlineExceeded",
     "EpochSnapshots",
-    "LoadGenerator",
-    "LoadReport",
     "ProcessPool",
     "QueryRequest",
     "ResultCache",
@@ -53,7 +51,6 @@ __all__ = [
     "ServiceOverloaded",
     "SpatialQueryService",
     "WorkerFailed",
-    "WorkloadMix",
     "normalize_payload",
     "query_digest",
 ]

@@ -76,8 +76,8 @@ def split_batch(result: QueryResult, batch: list[QueryRequest], epoch: int) -> l
     """Scatter a batched result into per-request :class:`QueryResult`\\ s.
 
     A single-request batch keeps the underlying pairs, phases, counters
-    and meta untouched (the property the obs gate's serve mode checks
-    bit-for-bit) but wraps them in a *fresh* :class:`QueryResult`: the
+    and meta untouched (the property the exact gate's serving replays
+    check bit-for-bit) but wraps them in a *fresh* :class:`QueryResult`: the
     scheduler caches and annotates what this function returns, and
     annotating the execution result in place would leak serving
     bookkeeping into an object other code may still hold (and a stale

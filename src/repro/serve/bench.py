@@ -1,46 +1,29 @@
-"""Serving benchmark: throughput and tail latency vs. offered load.
+"""Serving workloads behind the ``serve`` section of the gate.
 
-Runs a closed-loop load-generation matrix over (client count,
-write ratio, max_batch) cells — each cell a fresh index + service — and
-writes ``BENCH_serve.json``. Two families of numbers come out:
+Two deterministic, simulated-time experiments, which
+:mod:`repro.bench.gate` commits to ``BENCH_gate.json`` and checks:
 
-- **wall-clock**: requests/s and p50/p99 latency, machine-dependent,
-  what a capacity planner reads;
-- **simulated**: queries per simulated second of launch time
-  (``sim_qps``), machine-independent, which isolates the batching win —
-  one launch for B requests pays the fixed launch overhead once, so
-  ``sim_qps`` at ``max_batch>=16`` must beat ``max_batch=1`` (the repo's
-  acceptance gate; see tests/serve/test_batcher.py for the deterministic
-  version).
+- ``staged_batching`` stages identical requests before the scheduler
+  starts, so unbatched and coalesced runs execute the same logical work
+  and their sim-throughput ratio isolates launch-overhead amortization
+  (one launch for B requests pays the fixed launch overhead once);
+- ``process_scaling`` replays one mixed read/write session at each
+  worker count (0 = in-process): the response digests must match
+  bit-for-bit across counts while the simulated throughput scales with
+  the worker pool (see :mod:`repro.serve.procpool`).
 
-A third section, ``process_scaling``, replays one deterministic mixed
-read/write session at each ``--workers`` count (0 = in-process) and
-reports per-count ``sim_qps`` plus a response digest: the digests must
-match bit-for-bit across counts while the simulated throughput scales
-with the worker pool (the multi-process sharding win; see
-repro.serve.procpool).
-
-Usage::
-
-    python -m repro.serve.bench --out BENCH_serve.json --metrics-csv serve_metrics.csv
-    python -m repro.serve.bench --requests 200 --clients 1 32 --max-batch 1 16
-    python -m repro.serve.bench --workers 0 2 4
+Wall-clock throughput and latency under load are measured, gated and
+oracle-checked by ``perfbench/run.py`` (workloads ``serve-read`` and
+``serve-churn``).
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import sys
 
 import numpy as np
 
 from repro.core.index import RTSIndex
 from repro.geometry.boxes import Boxes
-from repro.serve.loadgen import LoadGenerator, WorkloadMix
 from repro.serve.service import ServiceConfig, SpatialQueryService
-
-SCHEMA = "repro.serve.bench/v1"
 
 
 def build_index(n_rects: int, seed: int, domain: float = 100.0) -> RTSIndex:
@@ -50,57 +33,14 @@ def build_index(n_rects: int, seed: int, domain: float = 100.0) -> RTSIndex:
     return RTSIndex(data, dtype=np.float32, seed=seed)
 
 
-def run_cell(
-    *,
-    n_rects: int,
-    n_requests: int,
-    n_clients: int,
-    write_ratio: float,
-    max_batch: int,
-    max_wait: float,
-    queries_per_request: int,
-    cache_size: int,
-    seed: int,
-    workers: int = 0,
-) -> dict:
-    """One benchmark cell: fresh index, fresh service, one closed loop."""
-    config = ServiceConfig(
-        max_queue_depth=max(64, 4 * n_clients),
-        max_batch=max_batch,
-        max_wait=max_wait,
-        cache_size=cache_size,
-        workers=workers,
-    )
-    mix = WorkloadMix(
-        write_ratio=write_ratio, queries_per_request=queries_per_request
-    )
-    with SpatialQueryService(build_index(n_rects, seed), config) as service:
-        gen = LoadGenerator(
-            service,
-            n_clients=n_clients,
-            n_requests=n_requests,
-            mix=mix,
-            seed=seed,
-        )
-        report = gen.run()
-        row = report.to_dict()
-        # The cache's own locked snapshot: consistent hits/misses/rate at
-        # end of run (the loadgen's metric deltas remain the per-window
-        # view; this is the authoritative cache-side count).
-        row["cache"] = service.cache.stats()
-    row["max_batch"] = max_batch
-    row["workers"] = workers
-    return row
-
-
 def run_process_scaling(
     *,
-    n_rects: int,
-    n_steps: int,
-    requests_per_step: int,
-    queries_per_request: int,
-    workers_list: list[int],
-    seed: int,
+    n_rects: int = 40_000,
+    n_steps: int = 4,
+    requests_per_step: int = 16,
+    queries_per_request: int = 2048,
+    workers_list: tuple[int, ...] = (0, 2, 4),
+    seed: int = 7,
 ) -> dict:
     """Deterministic staged scaling experiment for process-sharded serving.
 
@@ -119,7 +59,11 @@ def run_process_scaling(
 
     ``max_batch == requests_per_step`` with a generous linger makes each
     step exactly one wave in every configuration, so the comparison is
-    batching-invariant.
+    batching-invariant. The default size makes one wave's cast work
+    (16 x 2048 rays against 40k rects) dominate the per-shard launch
+    overhead and dispatch tax — the regime process sharding targets;
+    overhead-bound micro-waves stay at one shard by design (see
+    repro.parallel.executor.process_priced_shards).
     """
     import hashlib
 
@@ -195,16 +139,16 @@ def run_process_scaling(
 
 def run_staged(
     *,
-    n_rects: int,
-    n_requests: int,
-    queries_per_request: int,
-    max_batches: list[int],
-    seed: int,
+    n_rects: int = 20_000,
+    n_requests: int = 32,
+    queries_per_request: int = 32,
+    max_batches: tuple[int, ...] = (1, 16),
+    seed: int = 7,
 ) -> dict:
     """Deterministic batching experiment: stage identical requests before
     starting the scheduler, so every configuration executes exactly the
     same logical work and the sim-throughput ratio isolates launch-overhead
-    amortization (no thread-timing noise, unlike the closed loop)."""
+    amortization, free of thread-timing noise."""
     from repro.core.index import Predicate
 
     rng = np.random.default_rng(seed)
@@ -249,177 +193,3 @@ def run_staged(
         out["max_batch"] = b
     return out
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.bench",
-        description="Closed-loop serving benchmark (throughput / tail latency).",
-    )
-    parser.add_argument("--rects", type=int, default=20_000, help="indexed rectangles")
-    parser.add_argument("--requests", type=int, default=300, help="requests per cell")
-    parser.add_argument(
-        "--clients", type=int, nargs="+", default=[1, 8, 32], help="closed-loop client counts"
-    )
-    parser.add_argument(
-        "--write-ratio", type=float, nargs="+", default=[0.0, 0.1], help="mutation fractions"
-    )
-    parser.add_argument(
-        "--max-batch", type=int, nargs="+", default=[1, 16], help="batching limits to sweep"
-    )
-    parser.add_argument("--max-wait", type=float, default=0.002, help="batch linger seconds")
-    parser.add_argument("--queries-per-request", type=int, default=32)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[0, 2, 4],
-        help="worker-process counts for the process-scaling experiment "
-        "(0 = in-process baseline)",
-    )
-    parser.add_argument("--cache-size", type=int, default=256)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default="BENCH_serve.json", help="JSON artifact path")
-    parser.add_argument("--metrics-csv", default=None, help="also write flat CSV rows")
-    args = parser.parse_args(argv)
-
-    rows = []
-    for write_ratio in args.write_ratio:
-        for n_clients in args.clients:
-            for max_batch in args.max_batch:
-                row = run_cell(
-                    n_rects=args.rects,
-                    n_requests=args.requests,
-                    n_clients=n_clients,
-                    write_ratio=write_ratio,
-                    max_batch=max_batch,
-                    max_wait=args.max_wait,
-                    queries_per_request=args.queries_per_request,
-                    cache_size=args.cache_size,
-                    seed=args.seed,
-                )
-                rows.append(row)
-                print(
-                    f"clients={n_clients:<3d} write={write_ratio:<4.2f} "
-                    f"max_batch={max_batch:<3d} -> "
-                    f"{row['throughput_rps']:8.1f} req/s  "
-                    f"sim {row['sim_qps']:10.1f} q/sim-s  "
-                    f"mean batch {row['mean_batch']:5.2f}  "
-                    f"p50 {row['p50_us']:8.0f}us  p99 {row['p99_us']:8.0f}us"
-                )
-
-    # The deterministic batching claim: identical staged work, unbatched
-    # vs coalesced, sim-throughput ratio = pure launch amortization.
-    staged = run_staged(
-        n_rects=args.rects,
-        n_requests=max(args.max_batch) * 2 if args.max_batch else 32,
-        queries_per_request=args.queries_per_request,
-        max_batches=args.max_batch,
-        seed=args.seed,
-    )
-
-    # The closed-loop batching summary, per (clients, write_ratio) pair
-    # that ran both an unbatched and a >=16 configuration. A single
-    # closed-loop client keeps at most one request outstanding, so
-    # batching cannot engage there — only concurrent cells are compared.
-    batching = []
-    for write_ratio in args.write_ratio:
-        for n_clients in [c for c in args.clients if c > 1]:
-            cell = {
-                r["max_batch"]: r
-                for r in rows
-                if r["n_clients"] == n_clients and r["write_ratio"] == write_ratio
-            }
-            big = [b for b in cell if b >= 16]
-            if 1 in cell and big:
-                b = max(big)
-                batching.append(
-                    {
-                        "n_clients": n_clients,
-                        "write_ratio": write_ratio,
-                        "sim_qps_unbatched": cell[1]["sim_qps"],
-                        "sim_qps_batched": cell[b]["sim_qps"],
-                        "sim_speedup": (
-                            cell[b]["sim_qps"] / cell[1]["sim_qps"]
-                            if cell[1]["sim_qps"]
-                            else 0.0
-                        ),
-                        "max_batch": b,
-                    }
-                )
-
-    # The process-sharding claim: identical staged mixed read/write
-    # session per worker count, digests prove bit-identity, sim-time
-    # ratio shows the sharding win. Sized so one wave's cast work
-    # (16 x 2048 rays against >=40k rects) dominates the per-shard
-    # launch overhead and dispatch tax — the regime process sharding
-    # targets; overhead-bound micro-waves stay at one shard by design
-    # (see repro.parallel.executor.process_priced_shards).
-    scaling = run_process_scaling(
-        n_rects=max(args.rects, 40_000),
-        n_steps=4,
-        requests_per_step=16,
-        queries_per_request=2048,
-        workers_list=args.workers,
-        seed=args.seed,
-    )
-
-    doc = {
-        "schema": SCHEMA,
-        "config": {
-            "rects": args.rects,
-            "requests": args.requests,
-            "clients": args.clients,
-            "write_ratio": args.write_ratio,
-            "max_batch": args.max_batch,
-            "max_wait": args.max_wait,
-            "queries_per_request": args.queries_per_request,
-            "cache_size": args.cache_size,
-            "workers": args.workers,
-            "seed": args.seed,
-        },
-        "rows": rows,
-        "batching": batching,
-        "staged_batching": staged,
-        "process_scaling": scaling,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if "sim_speedup_batched_vs_unbatched" in staged:
-        print(
-            f"staged batching: max_batch={staged['max_batch']} gives "
-            f"{staged['sim_speedup_batched_vs_unbatched']:.2f}x sim throughput "
-            "over unbatched"
-        )
-    for key, cell in sorted(scaling["cells"].items(), key=lambda kv: int(kv[0])):
-        print(
-            f"process scaling: workers={key:>2s}  "
-            f"sim {cell['sim_qps']:10.1f} q/sim-s  digest {cell['digest'][:12]}"
-        )
-    if scaling.get("bit_identical") is not None:
-        speedups = ", ".join(
-            f"{k.removeprefix('sim_speedup_workers')}w={v:.2f}x"
-            for k, v in sorted(scaling.items())
-            if k.startswith("sim_speedup_workers")
-        )
-        print(
-            f"process scaling: bit_identical={scaling['bit_identical']}  "
-            f"sim speedup vs in-process: {speedups}"
-        )
-    print(f"wrote {args.out} ({len(rows)} cells)")
-
-    if args.metrics_csv:
-        import csv
-
-        fields = sorted({k for r in rows for k in r if k not in ("per_predicate", "cache")})
-        with open(args.metrics_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {args.metrics_csv}")
-
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

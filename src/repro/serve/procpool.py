@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
+from collections import deque
 from hashlib import sha1
 from multiprocessing import connection, get_context, resource_tracker
 
@@ -584,12 +585,15 @@ class ProcessPool:
         Routing is consistent-hash on the batch part's digest with
         round-robin shard fan-out from the home slot; each completed task
         adds its shard launch time plus the dispatch tax to its worker's
-        simulated clock. Worker death mid-wave resubmits that worker's
-        in-flight tasks to a respawned process on the same slot (the
-        epoch segment is still published, so the new worker attaches and
-        the wave completes without a torn epoch).
+        simulated clock. Each slot keeps one task outstanding and gets
+        its next only after the reply is read: a worker blocked sending
+        a reply is then never also owed a task, so neither side can
+        block on a full pipe while the other does. Worker death mid-wave
+        resubmits that worker's outstanding task to a respawned process
+        on the same slot (the epoch segment is still published, so the
+        new worker attaches and the wave completes without a torn epoch).
         """
-        inflight: dict[int, dict] = {}
+        queues: list[deque] = [deque() for _ in range(self.n_workers)]
         for task in tasks:
             # Consistent hash picks the batch part's *home* slot; shards
             # fan out round-robin from there. Affinity is preserved (the
@@ -611,47 +615,47 @@ class ProcessPool:
             task["dispatch_sim"] = (
                 C.PROC_DISPATCH_SIM_S + payload_bytes * C.PROC_PAYLOAD_BYTE_SIM_S
             )
+            queues[task["slot"]].append(task)
         with self._lock:
-            for task in tasks:
-                if not self._workers[task["slot"]].process.is_alive():
-                    self._respawn_locked(task["slot"])
-        for task in tasks:
-            self._send_task(task)
-            inflight[task["id"]] = task
+            for slot, queue in enumerate(queues):
+                if queue and not self._workers[slot].process.is_alive():
+                    self._respawn_locked(slot)
+        #: slot -> its one outstanding task.
+        inflight: dict[int, dict] = {}
+        for slot in range(self.n_workers):
+            self._send_next(slot, queues, inflight)
 
         while inflight:
             # Snapshot the slot table under the lock each pass (a respawn
             # replaces list entries); the blocking wait stays outside it.
             with self._lock:
-                conns = {self._workers[t["slot"]].conn for t in inflight.values()}
+                conns = {self._workers[slot].conn: slot for slot in inflight}
             ready = connection.wait(list(conns), timeout=30.0)
             if not ready:
                 # Nothing readable and nobody died: keep waiting (a
                 # huge shard can legitimately run long on 1 CPU).
                 with self._lock:
                     dead = [
-                        w.slot
-                        for w in self._workers
-                        if not w.process.is_alive()
-                        and any(t["slot"] == w.slot for t in inflight.values())
+                        slot
+                        for slot in inflight
+                        if not self._workers[slot].process.is_alive()
                     ]
                 for slot in dead:
-                    self._recover(slot, inflight, batches)
+                    self._recover(slot, queues, inflight, batches)
                 continue
             for conn_ in ready:
-                with self._lock:
-                    slot = next(
-                        w.slot for w in self._workers if w.conn is conn_
-                    )
+                slot = conns[conn_]
                 try:
                     msg = conn_.recv()
                 except (EOFError, OSError):
-                    self._recover(slot, inflight, batches)
+                    self._recover(slot, queues, inflight, batches)
                     continue
                 kind, task_id = msg[0], msg[1]
-                task = inflight.pop(task_id, None)
-                if task is None:
+                task = inflight.get(slot)
+                if task is None or task["id"] != task_id:
                     continue  # reply from a pre-fault duplicate
+                del inflight[slot]
+                self._send_next(slot, queues, inflight)
                 batch = batches[task["batch"]]
                 if kind == "err":
                     if batch["error"] is None:
@@ -680,6 +684,13 @@ class ProcessPool:
                     + task["dispatch_sim"]
                 )
 
+    def _send_next(self, slot: int, queues: list, inflight: dict) -> None:
+        """Send ``slot``'s next queued task, if any, as its outstanding one."""
+        if queues[slot]:
+            task = queues[slot].popleft()
+            inflight[slot] = task
+            self._send_task(task)
+
     def _respawn_locked(self, slot: int) -> None:
         old = self._workers[slot]
         old.conn.close()
@@ -688,23 +699,23 @@ class ProcessPool:
         old.process.join(timeout=5.0)
         self._workers[slot] = self._spawn(slot)
 
-    def _recover(self, slot: int, inflight: dict, batches: list) -> None:
-        """A worker died: respawn its slot and resubmit its shards."""
+    def _recover(self, slot: int, queues: list, inflight: dict, batches: list) -> None:
+        """A worker died: respawn its slot and resubmit its shard."""
         with self._lock:
             self._respawn_locked(slot)
-        stranded = [t for t in inflight.values() if t["slot"] == slot]
-        for task in stranded:
+        task = inflight.pop(slot, None)
+        if task is not None:
             task["attempts"] += 1
-            if task["attempts"] >= MAX_TASK_ATTEMPTS:
-                del inflight[task["id"]]
+            if task["attempts"] < MAX_TASK_ATTEMPTS:
+                queues[slot].appendleft(task)
+            else:
                 batch = batches[task["batch"]]
                 if batch["error"] is None:
                     batch["error"] = WorkerFailed(
                         f"shard {task['part']}[{task['slot_idx']}] lost "
                         f"{task['attempts']} workers; giving up"
                     )
-                continue
-            self._send_task(task)
+        self._send_next(slot, queues, inflight)
 
     # -- merge -------------------------------------------------------------
 

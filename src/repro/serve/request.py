@@ -40,11 +40,6 @@ def normalize_payload(predicate: Predicate, queries, ndim: int, dtype):
     raise ValueError(f"unsupported predicate: {predicate!r}")
 
 
-def payload_len(payload) -> int:
-    """Logical query count of a normalized payload."""
-    return len(payload)
-
-
 def concat_payloads(predicate: Predicate, payloads: list):
     """Concatenate normalized payloads into one launch-sized payload,
     preserving request order (the batch's query-id space is the

@@ -22,7 +22,8 @@ into a concurrent server:
 The single scheduler thread is deliberate: it mirrors one GPU executing
 one launch at a time, keeps execution order identical to admission order
 (so a serial client through the service is bit-for-bit the direct-index
-run — the obs gate's ``--serve`` mode enforces this), and makes the
+run — the ``obs`` section of ``python -m repro.bench.gate`` enforces
+this), and makes the
 snapshot read path lock-free.
 
 Observability: queue depth and epoch gauges, batch-size and latency

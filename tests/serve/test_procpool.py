@@ -3,12 +3,14 @@ worker-fault recovery, and segment-leak accounting."""
 
 from __future__ import annotations
 
+import threading
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.core.index import Predicate, RTSIndex
+from repro.geometry.boxes import Boxes
 from repro.serve.errors import WorkerFailed
 from repro.serve.procpool import HashRing, ProcessPool
 
@@ -121,6 +123,42 @@ class TestEquivalence:
             assert len(p.created_segment_names) == 2
             still = leaked(p.created_segment_names)
             assert still == [p.created_segment_names[-1]]
+        assert leaked(p.created_segment_names) == []
+
+
+class TestLargeWaves:
+    def test_wave_larger_than_pipe_buffers_completes(self):
+        """Shard payloads and replies far larger than a pipe buffer: the
+        wave must neither deadlock (parent blocked sending a task while
+        the worker is blocked sending its reply) nor leak its segment."""
+        rng = np.random.default_rng(3)
+        lo = rng.random((20_000, 2)) * 100.0
+        data = Boxes(lo, lo + rng.random((20_000, 2)) * 3.0 + 0.05, dtype=np.float32)
+        snap = RTSIndex(data, dtype=np.float32, seed=1).fork()
+        specs = [
+            (Predicate.CONTAINS_POINT,
+             (rng.random((10_000, 2)) * 104.0).astype(np.float32), None)
+            for _ in range(8)
+        ]
+        p = ProcessPool(2)
+        out = {}
+        wave = threading.Thread(
+            target=lambda: out.update(results=p.dispatch(snap, specs)[0]),
+            daemon=True,
+        )
+        wave.start()
+        wave.join(timeout=60.0)
+        if wave.is_alive():
+            # Deadlocked: kill the workers so the stuck send fails and
+            # close() can reclaim the segment.
+            for w in p._workers:
+                w.process.kill()
+            wave.join(timeout=10.0)
+        p.close()
+        assert "results" in out, "wave dispatch deadlocked"
+        for i, (pred, payload, _) in enumerate(specs):
+            want = snap.query(pred, payload, planner="off")
+            assert_results_equal(out["results"][i], want, f"batch {i}")
         assert leaked(p.created_segment_names) == []
 
 
