@@ -65,8 +65,29 @@ class OpRecord:
     sim_time: float
 
 
+def _require_finite(what: str, coords, exempt: np.ndarray | None = None) -> None:
+    """Raise ``ValueError`` naming the first row of ``coords`` with a NaN
+    or infinite coordinate, skipping rows where ``exempt`` is set.
+
+    Callers pass coordinates already cast to the index dtype, so a
+    float64 value that overflows float32 is caught too. Non-finite
+    bounds defeat the slab test and the diagonal casts, which would
+    otherwise return silently wrong pairs.
+    """
+    finite = np.isfinite(np.atleast_2d(coords))
+    if finite.all():
+        return
+    bad = ~finite.all(axis=tuple(range(1, finite.ndim)))
+    if exempt is not None:
+        bad &= ~exempt
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{what} row {row} has a non-finite (NaN or inf) coordinate")
+
+
 def _coerce_boxes(data, ndim: int, dtype) -> Boxes:
-    """Accept Boxes, an (n, 2*ndim) interleaved array, or (mins, maxs)."""
+    """Accept Boxes, an (n, 2*ndim) interleaved array, or (mins, maxs);
+    reject NaN/inf coordinates."""
     if isinstance(data, Boxes):
         b = data
     elif isinstance(data, tuple) and len(data) == 2:
@@ -81,7 +102,14 @@ def _coerce_boxes(data, ndim: int, dtype) -> Boxes:
         b = Boxes.from_interleaved(arr)
     if b.ndim != ndim:
         raise ValueError(f"expected {ndim}-D rectangles, got {b.ndim}-D")
-    return Boxes(b.mins.copy(), b.maxs.copy(), dtype=dtype)
+    out = Boxes(b.mins.copy(), b.maxs.copy(), dtype=dtype)
+    if not (np.isfinite(out.mins).all() and np.isfinite(out.maxs).all()):
+        # Boxes.degenerate's deletion marker (+inf mins, -inf maxs) can
+        # never be hit; the degenerate-box checks reject it wherever a
+        # live rectangle is required.
+        deleted = (out.mins == np.inf).all(axis=1) & (out.maxs == -np.inf).all(axis=1)
+        _require_finite("rectangle", np.hstack([out.mins, out.maxs]), exempt=deleted)
+    return out
 
 
 def _coerce_planner(planner):
@@ -796,6 +824,7 @@ class RTSIndex:
             return result
         if predicate is Predicate.CONTAINS_POINT:
             payload = np.asarray(queries)
+            _require_finite("query point", np.asarray(payload, dtype=self.dtype))
         else:
             payload = _coerce_boxes(queries, self.ndim, self.dtype)
 

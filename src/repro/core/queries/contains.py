@@ -21,8 +21,9 @@ import numpy as np
 from repro.geometry.boxes import Boxes
 from repro.geometry.predicates import pairwise_box_contains_box
 from repro.geometry.ray import Rays
+from repro.core.queries.launch import cast, cast_result
 from repro.obs.tracer import NULL_TRACER
-from repro.rtcore.stats import TraversalStats, merge_shard_stats
+from repro.rtcore.stats import TraversalStats
 
 
 def make_contains_work(index, q: Boxes, tracer=NULL_TRACER):
@@ -73,35 +74,10 @@ def run_contains_query(index, queries: Boxes, handler=None, executor=None):
 
     n = len(q)
     work = make_contains_work(index, q, tracer=tracer)
-
-    with tracer.span("contains.cast", n_queries=n) as cast_sp:
-        if executor is None:
-            shards = [np.arange(n, dtype=np.int64)]
-            with tracer.span("shard", shard=0, n_queries=n):
-                parts = [work(shards[0])]
-        else:
-            shards = executor.plan(n)
-            parts = executor.map(work, shards, tracer=tracer, parent=cast_sp)
-
-        rect_ids = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        query_ids = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-        stats = merge_shard_stats(n, [(p[2], s) for p, s in zip(parts, shards)])
-
-        phases = {"cast": index.platform.query_time(stats, index.total_nodes())}
-        if tracer.enabled:
-            cast_sp.sim_time = phases["cast"]
-            cast_sp.counters = {
-                k: v for k, v in stats.totals().items() if k != "rays"
-            }
-            cast_sp.attrs["n_shards"] = len(shards)
-
+    merged, parts, shards = cast(
+        index, "contains.cast", n, work, executor, index.total_nodes(), n_queries=n
+    )
+    rect_ids, query_ids, phases, meta = cast_result(merged, parts, shards)
     if handler is not None:
         handler.on_results(rect_ids, query_ids)
-
-    meta = {
-        "stats": stats.totals(),
-        "stats_obj": stats,
-        "n_candidates": int(sum(p[3] for p in parts)),
-        "n_shards": len(shards),
-    }
     return rect_ids, query_ids, phases, meta

@@ -43,6 +43,7 @@ from repro.core.multicast import (
     estimate_selectivity,
     predict_k,
 )
+from repro.core.queries.launch import cast, intersects_result
 from repro.geometry.boxes import Boxes
 from repro.geometry.segment import (
     anti_diagonal,
@@ -53,7 +54,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.perfmodel import calibration as C
 from repro.perfmodel.build import BuildModel
 from repro.rtcore.gas import GeometryAS
-from repro.rtcore.stats import TraversalStats, merge_shard_stats
+from repro.rtcore.stats import TraversalStats
 
 
 def _flatten(boxes: Boxes) -> Boxes:
@@ -274,85 +275,40 @@ def run_intersects_query(
     if q.is_degenerate().any():
         raise ValueError("query rectangles must not be degenerate")
 
-    phases = {
-        "k_prediction": 0.0,
-        "bvh_build": 0.0,
-        "forward_cast": 0.0,
-        "backward_cast": 0.0,
-    }
     empty = np.empty(0, dtype=np.int64)
     live_ids = np.nonzero(~index._deleted)[0]
     n_s = len(q)
     if n_s == 0 or len(live_ids) == 0:
+        phases = {
+            "k_prediction": 0.0,
+            "bvh_build": 0.0,
+            "forward_cast": 0.0,
+            "backward_cast": 0.0,
+        }
         return empty, empty.copy(), phases, {"k": 1}
 
     # ---- Phase 1: multicast parameter prediction (Equations 3-5) --------
-    k, phases["k_prediction"] = resolve_k(index, q, live_ids, k, tracer=tracer)
+    k, k_sim = resolve_k(index, q, live_ids, k, tracer=tracer)
 
     # ---- Phase 2 + casting prep (query-side BVH, forward traversable,
     # replicated backward rays) -------------------------------------------
     ctx = IntersectsContext(index, q, k, tracer=tracer)
-    phases["bvh_build"] = ctx.bvh_build_sim
-    fwd_work = ctx.fwd_work
 
     # ---- Phase 3: forward casting (Algorithm 1) --------------------------
-    with tracer.span("intersects.forward_cast", n_queries=n_s) as f_sp:
-        if executor is None:
-            f_shards = [np.arange(n_s, dtype=np.int64)]
-            with tracer.span("shard", shard=0, n_queries=n_s):
-                f_parts = [fwd_work(f_shards[0])]
-        else:
-            f_shards = executor.plan(n_s)
-            f_parts = executor.map(fwd_work, f_shards, tracer=tracer, parent=f_sp)
-        fr = np.concatenate([p[0] for p in f_parts])
-        fq = np.concatenate([p[1] for p in f_parts])
-        stats_f = merge_shard_stats(n_s, [(p[2], s) for p, s in zip(f_parts, f_shards)])
-        phases["forward_cast"] = index.platform.query_time(
-            stats_f, index.total_nodes()
-        )
-        if tracer.enabled:
-            f_sp.sim_time = phases["forward_cast"]
-            f_sp.counters = {
-                k2: v for k2, v in stats_f.totals().items() if k2 != "rays"
-            }
-            f_sp.attrs["n_shards"] = len(f_shards)
+    fwd, _, f_shards = cast(
+        index, "intersects.forward_cast", n_s, ctx.fwd_work, executor,
+        index.total_nodes(), n_queries=n_s,
+    )
 
     # ---- Phase 4: backward casting with Ray Multicast --------------------
-    m = ctx.m
-    bwd_work = ctx.bwd_work
+    bwd, _, b_shards = cast(
+        index, "intersects.backward_cast", ctx.m, ctx.bwd_work, executor,
+        ctx.backward_nodes, n_rays=ctx.m, k=int(k),
+    )
 
-    with tracer.span("intersects.backward_cast", n_rays=m, k=int(k)) as bk_sp:
-        if executor is None:
-            b_shards = [np.arange(m, dtype=np.int64)]
-            with tracer.span("shard", shard=0, n_queries=m):
-                b_parts = [bwd_work(b_shards[0])]
-        else:
-            b_shards = executor.plan(m)
-            b_parts = executor.map(bwd_work, b_shards, tracer=tracer, parent=bk_sp)
-        br = np.concatenate([p[0] for p in b_parts])
-        bq = np.concatenate([p[1] for p in b_parts])
-        stats_b = merge_shard_stats(m, [(p[2], s) for p, s in zip(b_parts, b_shards)])
-        phases["backward_cast"] = index.platform.query_time(
-            stats_b, ctx.backward_nodes
-        )
-        if tracer.enabled:
-            bk_sp.sim_time = phases["backward_cast"]
-            bk_sp.counters = {
-                k2: v for k2, v in stats_b.totals().items() if k2 != "rays"
-            }
-            bk_sp.attrs["n_shards"] = len(b_shards)
-
-    rect_ids = np.concatenate([fr, br])
-    query_ids = np.concatenate([fq, bq])
+    rect_ids, query_ids, phases, meta = intersects_result(
+        k, k_sim, ctx.bvh_build_sim, fwd, bwd, len(f_shards) + len(b_shards)
+    )
     if handler is not None:
         handler.on_results(rect_ids, query_ids)
-
-    meta = {
-        "k": int(k),
-        "forward_stats": stats_f.totals(),
-        "backward_stats": stats_b.totals(),
-        "forward_stats_obj": stats_f,
-        "backward_stats_obj": stats_b,
-        "n_shards": len(f_shards) + len(b_shards),
-    }
     return rect_ids, query_ids, phases, meta

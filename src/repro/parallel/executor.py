@@ -2,10 +2,11 @@
 
 Spatial queries are embarrassingly parallel over the query set (the
 paper exploits exactly this to scale CPU baselines to 128 cores). The
-executor shards a batch, maps a query function over shards with a
+executor shards a batch and maps a shard kernel over the shards on a
 module-level reusable thread pool — NumPy releases the GIL inside its
-kernels, so threads scale — and merges the per-shard pair lists back
-into canonical query-major order with correct global query ids.
+kernels, so threads scale. The shard parts are reduced by the caller's
+launch (:func:`repro.core.queries.launch.merge_launch`), the same
+reduction serial and process-pool launches use.
 
 Shard sizing is adaptive: large batches are split into ~4 shards per
 worker so the pool can balance uneven per-query work, while batches
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.canonical import canonical_pairs
 from repro.lockorder import make_lock
 
 #: Batches smaller than this are never sharded — per-shard bookkeeping
@@ -321,40 +321,3 @@ class ChunkedExecutor:
         if len(shards) <= 1:
             return [work(s) for s in shards]
         return list(self._pool().map(work, shards))
-
-    def run(
-        self,
-        fn: Callable,
-        queries: Sequence | np.ndarray,
-        take: Callable | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Execute a pair-producing ``fn`` over shards of ``queries``.
-
-        ``fn(queries_subset)`` must return ``(rect_ids, local_query_ids)``
-        where local ids index the subset; the executor rebases them.
-        ``take(queries, idx)`` extracts a shard (defaults to numpy
-        indexing, which also works for :class:`~repro.geometry.boxes.Boxes`).
-        """
-        n = len(queries)
-        if take is None:
-            def take(q, idx):
-                return q[idx]
-        shards = shard_queries(n, self.n_workers)
-        if len(shards) <= 1:
-            r, q = fn(queries)
-            return self._canonical(r, q)
-
-        def work(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            r, local = fn(take(queries, idx))
-            return np.asarray(r, dtype=np.int64), idx[np.asarray(local, dtype=np.int64)]
-
-        parts = self.map(work, shards)
-        rects = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        qids = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-        return self._canonical(rects, qids)
-
-    @staticmethod
-    def _canonical(rects: np.ndarray, qids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Query-major: primary key query id, secondary key rect id — the
-        # canonical pair order documented in docs/PERFMODEL.md.
-        return canonical_pairs(rects, qids)

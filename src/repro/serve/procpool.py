@@ -20,12 +20,12 @@ How equivalence is engineered, piece by piece:
   against an adopted shared-memory index whose buffers are byte-wise
   equal to the owner's. Row slicing commutes with every operation in
   them, so shard replies equal in-process shard results.
-- **Counters** come back as per-ray arrays and are scatter-merged with
-  :func:`~repro.rtcore.stats.merge_shard_stats` — integer addition into
-  disjoint slots, so the merged launch counters equal a serial launch's.
-- **Phases** are computed centrally from the merged counters on the
-  owning snapshot (same platform, same node counts), reproducing the
-  serial float arithmetic exactly.
+- **Counters and phases** come back as per-ray arrays and go through
+  the in-process launch reduction
+  (:func:`~repro.core.queries.launch.merge_launch`): integer addition
+  into disjoint slots, then one pricing call on the owning snapshot
+  (same platform, same node counts), so merged counters and simulated
+  times equal a serial launch's.
 - **k prediction** consumes the snapshot's RNG, so the dispatcher
   resolves k centrally, in admission order, on the owning snapshot —
   exactly when the in-process scheduler would have — and ships the
@@ -65,6 +65,7 @@ import numpy as np
 from repro.core.index import Predicate, RTSIndex
 from repro.core.queries.contains import make_contains_work
 from repro.core.queries.intersects import IntersectsContext, resolve_k
+from repro.core.queries.launch import cast_result, intersects_result, merge_launch
 from repro.core.queries.point import make_point_work
 from repro.core.result import QueryResult
 from repro.geometry.boxes import Boxes
@@ -78,7 +79,7 @@ from repro.parallel.executor import (
 from repro.perfmodel import calibration as C
 from repro.perfmodel.build import BuildModel
 from repro.perfmodel.querycost import rt_cast_cost
-from repro.rtcore.stats import TraversalStats, merge_shard_stats
+from repro.rtcore.stats import TraversalStats
 from repro.serve.cache import query_digest
 from repro.serve.errors import WorkerFailed
 from repro.serve.shm import adopt_index, publish_index
@@ -431,6 +432,13 @@ class ProcessPool:
                     seg["refs"] -= 1
                 self._unlink_retired_locked()
 
+    def _launch(self, n: int, est_cast_s: float, nodes: int) -> dict:
+        """One casting launch of a wave batch: its cost-priced shard plan,
+        the node count it is priced against, and reply slots per shard."""
+        s = process_priced_shards(n, self.n_workers, est_cast_s, min_shard=self.min_shard)
+        shards = shard_queries(n, s)
+        return {"n": n, "shards": shards, "nodes": nodes, "parts": [None] * len(shards)}
+
     def _dispatch_wave(
         self, snapshot, specs, epoch, live, manifest, tracer
     ) -> tuple[list, float]:
@@ -441,122 +449,64 @@ class ProcessPool:
         serial_sim = 0.0
 
         for i, (pred, payload, k_req) in enumerate(specs):
-            batch: dict = {"pred": pred, "error": None}
+            batch: dict = {"error": None}
             batches.append(batch)
-            if pred is Predicate.RANGE_INTERSECTS:
+            ix = pred is Predicate.RANGE_INTERSECTS
+            if pred is Predicate.CONTAINS_POINT:
+                q = np.ascontiguousarray(payload, dtype=snapshot.dtype)
+            else:
                 q = payload.astype(snapshot.dtype)
-                live_ids = np.nonzero(~snapshot._deleted)[0]
-                n_s = len(q)
-                if n_s == 0 or len(live_ids) == 0:
-                    batch["kind"] = "local"
-                    batch["result"] = snapshot.query(
-                        pred, payload, k=k_req, planner="off"
-                    )
-                    serial_sim += batch["result"].sim_time
-                    continue
+            live_ids = np.nonzero(~snapshot._deleted)[0]
+            n = len(q)
+            if n == 0 or (len(live_ids) == 0 if ix else len(snapshot) == 0):
+                batch["result"] = snapshot.query(pred, payload, k=k_req, planner="off")
+                serial_sim += batch["result"].sim_time
+                continue
+            if ix:
                 # k is resolved here — centrally, in admission order, on
                 # the owning snapshot — so the RNG stream advances exactly
                 # as in-process execution would have advanced it.
                 k, k_sim = resolve_k(snapshot, q, live_ids, k_req, tracer=tracer)
                 m = len(live_ids) * k
                 digest = query_digest(q)
-                s_f = process_priced_shards(
-                    n_s,
-                    self.n_workers,
-                    rt_cast_cost(n_s, len(live_ids)),
-                    min_shard=self.min_shard,
-                )
-                s_b = process_priced_shards(
-                    m,
-                    self.n_workers,
-                    rt_cast_cost(m, n_s),
-                    min_shard=self.min_shard,
-                )
-                f_shards = shard_queries(n_s, s_f)
-                b_shards = shard_queries(m, s_b)
-                batch.update(
-                    kind="ix",
-                    n_s=n_s,
-                    m=m,
-                    k=k,
-                    k_sim=k_sim,
-                    f_shards=f_shards,
-                    b_shards=b_shards,
-                    f_parts=[None] * len(f_shards),
-                    b_parts=[None] * len(b_shards),
-                    pending=len(f_shards) + len(b_shards),
-                )
-                serial_sim += k_sim + BuildModel.optix_gas_build(n_s)
-                base = {
-                    "epoch": epoch,
-                    "q_mins": q.mins,
-                    "q_maxs": q.maxs,
-                    "k": k,
-                    "digest": digest,
-                    "live": live,
+                batch.update(k=k, k_sim=k_sim, n_s=n)
+                batch["launches"] = {
+                    "fwd": self._launch(n, rt_cast_cost(n, len(live_ids)), total_nodes),
+                    "bwd": self._launch(m, rt_cast_cost(m, n), 2 * n),
                 }
-                for part, shards in (("fwd", f_shards), ("bwd", b_shards)):
-                    for j, idx in enumerate(shards):
-                        tasks.append(
-                            {
-                                "batch": i,
-                                "part": part,
-                                "slot_idx": j,
-                                "key": f"{digest}:{part}:{j}",
-                                "spec": {**base, "kind": part, "idx": idx},
-                            }
-                        )
-                continue
-            # Point / Range-Contains: one row-shardable launch.
-            if pred is Predicate.CONTAINS_POINT:
-                pts = np.ascontiguousarray(payload, dtype=snapshot.dtype)
-                n = len(pts)
+                serial_sim += k_sim + BuildModel.optix_gas_build(n)
+                base = {"epoch": epoch, "q_mins": q.mins, "q_maxs": q.maxs,
+                        "k": k, "digest": digest, "live": live}
             else:
-                q = payload.astype(snapshot.dtype)
-                n = len(q)
-            if n == 0 or len(snapshot) == 0:
-                batch["kind"] = "local"
-                batch["result"] = snapshot.query(pred, payload, k=k_req, planner="off")
-                serial_sim += batch["result"].sim_time
-                continue
-            digest = query_digest(payload)
-            s = process_priced_shards(
-                n,
-                self.n_workers,
-                rt_cast_cost(n, snapshot.n_rects),
-                min_shard=self.min_shard,
-            )
-            shards = shard_queries(n, s)
-            batch.update(
-                kind="rows",
-                n=n,
-                shards=shards,
-                parts=[None] * len(shards),
-                pending=len(shards),
-            )
-            for j, idx in enumerate(shards):
-                if pred is Predicate.CONTAINS_POINT:
-                    spec = {"kind": "rows", "pred": pred.value, "epoch": epoch,
-                            "pts": pts[idx], "live": live}
-                else:
-                    spec = {"kind": "rows", "pred": pred.value, "epoch": epoch,
-                            "q_mins": q.mins[idx], "q_maxs": q.maxs[idx],
-                            "live": live}
-                tasks.append(
-                    {
-                        "batch": i,
-                        "part": "rows",
-                        "slot_idx": j,
-                        "key": f"{digest}:rows:{j}",
-                        "spec": spec,
-                    }
-                )
+                # Point / Range-Contains: one row-shardable launch.
+                digest = query_digest(payload)
+                batch["launches"] = {
+                    "rows": self._launch(n, rt_cast_cost(n, snapshot.n_rects), total_nodes)
+                }
+                base = {"kind": "rows", "pred": pred.value, "epoch": epoch, "live": live}
+            for part, launch in batch["launches"].items():
+                for j, idx in enumerate(launch["shards"]):
+                    if ix:
+                        spec = {**base, "kind": part, "idx": idx}
+                    elif pred is Predicate.CONTAINS_POINT:
+                        spec = {**base, "pts": q[idx]}
+                    else:
+                        spec = {**base, "q_mins": q.mins[idx], "q_maxs": q.maxs[idx]}
+                    tasks.append(
+                        {
+                            "batch": i,
+                            "part": part,
+                            "slot_idx": j,
+                            "key": f"{digest}:{part}:{j}",
+                            "spec": spec,
+                        }
+                    )
 
         worker_clock = [0.0] * self.n_workers
         if tasks:
             self._run_tasks(tasks, batches, manifest, worker_clock, snapshot)
 
-        results = self._merge_batches(batches, snapshot, total_nodes)
+        results = self._merge_batches(batches, snapshot)
         wave_sim = serial_sim + max(worker_clock, default=0.0)
         return results, wave_sim
 
@@ -668,19 +618,10 @@ class ProcessPool:
                 stats = _stats_from_wire(reply)
                 part = (reply["rect_ids"], reply["rows"], stats,
                         reply.get("n_cand", 0))
-                if task["part"] == "rows":
-                    batch["parts"][task["slot_idx"]] = part
-                elif task["part"] == "fwd":
-                    batch["f_parts"][task["slot_idx"]] = part
-                else:
-                    batch["b_parts"][task["slot_idx"]] = part
-                nodes = (
-                    2 * batch["n_s"]
-                    if task["part"] == "bwd"
-                    else snapshot.total_nodes()
-                )
+                launch = batch["launches"][task["part"]]
+                launch["parts"][task["slot_idx"]] = part
                 worker_clock[task["slot"]] += (
-                    snapshot.platform.query_time(stats, nodes)
+                    snapshot.platform.query_time(stats, launch["nodes"])
                     + task["dispatch_sim"]
                 )
 
@@ -719,76 +660,38 @@ class ProcessPool:
 
     # -- merge -------------------------------------------------------------
 
-    def _merge_batches(self, batches, snapshot, total_nodes) -> list:
+    def _merge_batches(self, batches, snapshot) -> list:
         """Rebuild each batch's :class:`QueryResult` from its shard
-        replies, exactly as the in-process query functions would."""
+        replies through the in-process launch reduction."""
         results = []
         for batch in batches:
             if batch["error"] is not None:
                 results.append(batch["error"])
                 continue
-            if batch["kind"] == "local":
+            if "result" in batch:  # answered locally (empty batch or index)
                 results.append(batch["result"])
                 continue
-            if batch["kind"] == "rows":
-                parts, shards = batch["parts"], batch["shards"]
-                rect_ids = np.concatenate([p[0] for p in parts])
-                query_ids = np.concatenate(
-                    [idx[p[1]] for p, idx in zip(parts, shards)]
-                )
-                stats = merge_shard_stats(
-                    batch["n"], [(p[2], s) for p, s in zip(parts, shards)]
-                )
-                phases = {
-                    "cast": snapshot.platform.query_time(stats, total_nodes)
-                }
-                meta = {
-                    "stats": stats.totals(),
-                    "stats_obj": stats,
-                    "n_candidates": int(sum(p[3] for p in parts)),
-                    "n_shards": len(shards),
-                }
-                results.append(QueryResult(rect_ids, query_ids, phases, meta))
+            launches = batch["launches"]
+            if "rows" in launches:
+                # Row-shard workers index their own shard: rebase to
+                # launch rows before the merge.
+                lc = launches["rows"]
+                parts = [
+                    (r, idx[rows], stats, n_cand)
+                    for (r, rows, stats, n_cand), idx in zip(lc["parts"], lc["shards"])
+                ]
+                merged = merge_launch(snapshot, lc["n"], lc["shards"], parts, lc["nodes"])
+                results.append(QueryResult(*cast_result(merged, parts, lc["shards"])))
                 continue
-            # Intersects: forward + backward concat in shard order, then
-            # the canonicalizing QueryResult constructor — identical to
-            # run_intersects_query's tail.
-            f_parts, f_shards = batch["f_parts"], batch["f_shards"]
-            b_parts, b_shards = batch["b_parts"], batch["b_shards"]
-            fr = np.concatenate([p[0] for p in f_parts])
-            fq = np.concatenate([p[1] for p in f_parts])
-            br = np.concatenate([p[0] for p in b_parts])
-            bq = np.concatenate([p[1] for p in b_parts])
-            stats_f = merge_shard_stats(
-                batch["n_s"], [(p[2], s) for p, s in zip(f_parts, f_shards)]
+            fwd, bwd = (
+                merge_launch(snapshot, lc["n"], lc["shards"], lc["parts"], lc["nodes"])
+                for lc in (launches["fwd"], launches["bwd"])
             )
-            stats_b = merge_shard_stats(
-                batch["m"], [(p[2], s) for p, s in zip(b_parts, b_shards)]
-            )
-            phases = {
-                "k_prediction": batch["k_sim"],
-                "bvh_build": BuildModel.optix_gas_build(batch["n_s"]),
-                "forward_cast": snapshot.platform.query_time(
-                    stats_f, total_nodes
-                ),
-                "backward_cast": snapshot.platform.query_time(
-                    stats_b, 2 * batch["n_s"]
-                ),
-            }
-            meta = {
-                "k": int(batch["k"]),
-                "forward_stats": stats_f.totals(),
-                "backward_stats": stats_b.totals(),
-                "forward_stats_obj": stats_f,
-                "backward_stats_obj": stats_b,
-                "n_shards": len(f_shards) + len(b_shards),
-            }
+            n_shards = len(launches["fwd"]["shards"]) + len(launches["bwd"]["shards"])
+            bvh_sim = BuildModel.optix_gas_build(batch["n_s"])
             results.append(
                 QueryResult(
-                    np.concatenate([fr, br]),
-                    np.concatenate([fq, bq]),
-                    phases,
-                    meta,
+                    *intersects_result(batch["k"], batch["k_sim"], bvh_sim, fwd, bwd, n_shards)
                 )
             )
         return results

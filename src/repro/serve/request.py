@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.index import Predicate, _coerce_boxes
+from repro.core.index import Predicate, _coerce_boxes, _require_finite
 from repro.geometry.boxes import Boxes
 
 
@@ -31,6 +31,7 @@ def normalize_payload(predicate: Predicate, queries, ndim: int, dtype):
         pts = np.ascontiguousarray(queries, dtype=dtype)
         if pts.ndim != 2 or pts.shape[1] != ndim:
             raise ValueError(f"expected points of shape (n, {ndim})")
+        _require_finite("query point", pts)
         return pts
     if predicate in (Predicate.RANGE_CONTAINS, Predicate.RANGE_INTERSECTS):
         boxes = _coerce_boxes(queries, ndim, dtype)

@@ -6,7 +6,8 @@ into a concurrent server:
 - **Admission control** — requests enter a bounded FIFO queue;
   ``ServiceOverloaded`` rejects beyond ``max_queue_depth`` so queueing
   delay stays bounded for admitted work, and per-request deadlines drop
-  requests that waited too long.
+  requests that waited too long. Malformed payloads (wrong shape, NaN
+  or infinite coordinates) raise ``ValueError`` at ``submit``.
 - **Micro-batching** — a single scheduler thread coalesces compatible
   queued requests (same predicate / pinned k) into one batched index
   launch (see :mod:`repro.serve.batcher`), amortizing per-launch
@@ -23,14 +24,19 @@ The single scheduler thread is deliberate: it mirrors one GPU executing
 one launch at a time, keeps execution order identical to admission order
 (so a serial client through the service is bit-for-bit the direct-index
 run — the ``obs`` section of ``python -m repro.bench.gate`` enforces
-this), and makes the
-snapshot read path lock-free.
+this), and makes the snapshot read path lock-free. One loop serves both
+execution modes: it collects a wave of batches, pins the snapshot,
+admits each batch and scatters its result. In-process serving
+(``workers=0``) is the one-batch wave; with ``workers=N`` a wave holds
+up to ``2 * N`` batches and executes on the process pool
+(:mod:`repro.serve.procpool`). Only the execute step differs.
 
 Observability: queue depth and epoch gauges, batch-size and latency
-histograms (p50/p99 via ``Histogram.quantile``), cache hit/miss and
-deadline counters on a service-level
-:class:`~repro.obs.MetricsRegistry`; each launch runs under a
-``serve.batch`` span when a tracer is installed.
+histograms (p50/p99 via ``Histogram.quantile``), cache hit/miss,
+deadline, wave and batch-error counters on a service-level
+:class:`~repro.obs.MetricsRegistry`; when a tracer is installed each
+in-process launch runs under a ``serve.batch`` span and each
+process-pool wave under a ``serve.wave`` span.
 """
 
 from __future__ import annotations
@@ -78,13 +84,10 @@ class ServiceConfig:
     planner: str | None = "auto"
     #: Worker processes for sharded dispatch over shared-memory epoch
     #: snapshots (:mod:`repro.serve.procpool`). 0 (default) serves
-    #: in-process; N > 0 fans query batches across N processes with
-    #: bit-identical responses.
+    #: in-process, one batch per scheduler wave; N > 0 fans waves of up
+    #: to ``2 * N`` batches across N processes with bit-identical
+    #: responses.
     workers: int = 0
-    #: Batches dispatched per scheduler wave in process mode (the wave is
-    #: the unit of overlap: independent batches in one wave execute on
-    #: parallel workers). ``None`` defaults to ``max(2 * workers, 1)``.
-    max_inflight: int | None = None
     #: High-churn write path: a :class:`~repro.churn.ChurnConfig` wraps
     #: the seed index in a :class:`~repro.churn.ChurnIndex` (writes land
     #: in delta GASes + tombstones; the main structure is never refit)
@@ -104,8 +107,6 @@ class ServiceConfig:
             raise ValueError(f'planner must be None, "off" or "auto", got {self.planner!r}')
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
         if self.churn is not None:
             # Deferred import: churn is optional and the plan/serve
             # import graph must stay acyclic for churn-free users.
@@ -205,9 +206,8 @@ class SpatialQueryService:
             if self._closed:
                 raise ServiceClosed("service is closed")
             if self._thread is None:
-                target = self._run_proc if self.pool is not None else self._run
                 self._thread = threading.Thread(
-                    target=target, name="repro-serve-scheduler", daemon=True
+                    target=self._run, name="repro-serve-scheduler", daemon=True
                 )
                 self._thread.start()
         # Outside the service lock: the compactor takes its own lock
@@ -389,9 +389,12 @@ class SpatialQueryService:
 
     # -- scheduler ---------------------------------------------------------
 
-    def _collect_batch(self) -> list[QueryRequest] | None:  # thread: repro-serve-scheduler
-        """Block until a batch is ready (or the service drains); FIFO
-        prefix coalescing with a bounded linger for stragglers."""
+    def _collect_wave(self, wave_size: int) -> list[list[QueryRequest]] | None:  # thread: repro-serve-scheduler
+        """Block until a wave of up to ``wave_size`` batches is ready (or
+        the service drains). The first batch is a FIFO-prefix run of
+        compatible requests with a bounded linger for stragglers; the
+        rest drain whatever is already queued, without extra linger — a
+        wave dispatches as soon as there is work to overlap."""
         with self._cond:
             while not self._pending and not self._closed:
                 self._cond.wait()
@@ -411,8 +414,11 @@ class SpatialQueryService:
                     if remaining <= 0:
                         break
                     self._cond.wait(remaining)
+            wave = [batch]
+            while len(wave) < wave_size and self._pending:
+                wave.append(take_compatible(self._pending, self.policy.max_batch))
             self.metrics.set_gauge("serve.queue_depth", len(self._pending))
-            return batch
+            return wave
 
     def _complete(self, req: QueryRequest, result: QueryResult) -> None:  # thread: repro-serve-scheduler
         latency_us = (time.monotonic() - req.enqueue_t) * 1e6
@@ -470,11 +476,19 @@ class SpatialQueryService:
             self._complete(req, part)
 
     def _run(self) -> None:  # thread: repro-serve-scheduler
+        """The scheduler loop: collect a wave, pin the published snapshot,
+        admit each batch, execute, then fail or scatter each batch.
+        In-process serving is the one-batch wave; a process pool takes
+        waves of up to ``2 * workers`` batches. Execution follows
+        admission order in both modes (a wave's results merge per batch
+        in admission order), so responses are bit-identical across
+        modes; only the simulated clock reflects the overlap."""
+        wave_size = max(2 * self.config.workers, 1)
         while True:
-            batch = self._collect_batch()
-            if batch is None:
+            wave = self._collect_wave(wave_size)
+            if wave is None:
                 return
-            snapshot = self.snapshots.current  # epoch pinned for the batch
+            snapshot = self.snapshots.current  # epoch pinned for the wave
             prev = self._last_served
             if prev is not None and prev is not snapshot and not self.snapshots.retain_all:
                 # Superseded epoch: release its executor pool references
@@ -486,106 +500,63 @@ class SpatialQueryService:
                 prev.close()
             self._last_served = snapshot
             epoch = snapshot.epoch
-            live = self._admit_batch(batch, epoch, time.monotonic())
-            if not live:
-                continue
-            requests = [req for req, _ in live]
-            try:
-                with self.tracer.span(
-                    "serve.batch",
-                    epoch=epoch,
-                    batch_size=len(requests),
-                    predicate=requests[0].predicate.value,
-                    n_queries=sum(r.n_queries for r in requests),
-                ):
-                    # None in the config means "fixed config": translate
-                    # to the explicit "off" so a planner installed on the
-                    # snapshot index itself cannot re-enable planning.
-                    result = execute_batch(
-                        snapshot, requests, planner=self.config.planner or "off"
-                    )
-            except BaseException as err:  # complete, don't kill the scheduler
-                for req, _ in live:
-                    req.future.set_exception(err)
-                self.metrics.inc("serve.batch_errors")
-                continue
-            self.metrics.inc("serve.sim_time", result.sim_time)
-            self._finish_batch(result, live, epoch)
-
-    # -- scheduler: process-pool mode --------------------------------------
-
-    def _collect_wave(self, max_inflight: int) -> list[list[QueryRequest]] | None:  # thread: repro-serve-scheduler
-        """One wave of up to ``max_inflight`` batches: the first batch is
-        collected with the normal blocking/linger policy, the rest drain
-        whatever is already queued (no extra linger — the wave should
-        dispatch as soon as there is work to overlap)."""
-        first = self._collect_batch()
-        if first is None:
-            return None
-        wave = [first]
-        with self._cond:
-            while len(wave) < max_inflight and self._pending:
-                wave.append(take_compatible(self._pending, self.policy.max_batch))
-            self.metrics.set_gauge("serve.queue_depth", len(self._pending))
-        return wave
-
-    def _run_proc(self) -> None:  # thread: repro-serve-scheduler
-        """Scheduler loop for ``workers > 0``: collect a wave of batches,
-        dispatch them across the process pool in one call, scatter the
-        per-batch results. Execution order inside a wave follows
-        admission order (results are merged per batch in spec order), so
-        responses stay bit-identical to the in-process scheduler; only
-        the simulated clock reflects the overlap."""
-        pool = self.pool
-        max_inflight = self.config.max_inflight or max(2 * self.config.workers, 1)
-        while True:
-            wave = self._collect_wave(max_inflight)
-            if wave is None:
-                return
-            snapshot = self.snapshots.current  # epoch pinned for the wave
-            prev = self._last_served
-            if prev is not None and prev is not snapshot and not self.snapshots.retain_all:
-                prev.close()
-            self._last_served = snapshot
-            epoch = snapshot.epoch
             now = time.monotonic()
-            live_batches = []
-            specs = []
-            for batch in wave:
-                live = self._admit_batch(batch, epoch, now)
-                if not live:
-                    continue
-                first = live[0][0]
-                payload = concat_payloads(
-                    first.predicate, [req.payload for req, _ in live]
-                )
-                live_batches.append(live)
-                specs.append((first.predicate, payload, first.k))
-            if not live_batches:
+            lives = [self._admit_batch(batch, epoch, now) for batch in wave]
+            lives = [live for live in lives if live]
+            if not lives:
                 continue
             try:
-                with self.tracer.span(
-                    "serve.wave",
-                    epoch=epoch,
-                    n_batches=len(specs),
-                    n_queries=sum(req.n_queries for lv in live_batches for req, _ in lv),
-                ):
-                    results, wave_sim = pool.dispatch(snapshot, specs)
+                results, sim = self._execute(snapshot, lives)
             except BaseException as err:  # complete, don't kill the scheduler
-                for live in live_batches:
-                    for req, _ in live:
-                        req.future.set_exception(err)
-                self.metrics.inc("serve.batch_errors")
-                continue
-            self.metrics.inc("serve.sim_time", wave_sim)
-            self.metrics.inc("serve.waves")
-            for live, result in zip(live_batches, results):
+                results = [err] * len(lives)
+            else:
+                self.metrics.inc("serve.sim_time", sim)
+                self.metrics.inc("serve.waves")
+            for live, result in zip(lives, results):
                 if isinstance(result, BaseException):
                     for req, _ in live:
                         req.future.set_exception(result)
                     self.metrics.inc("serve.batch_errors")
                     continue
                 self._finish_batch(result, live, epoch)
+
+    # thread: repro-serve-scheduler
+    def _execute(
+        self, snapshot: RTSIndex, lives: list[list[tuple[QueryRequest, tuple | None]]]
+    ) -> tuple[list, float]:
+        """Execute one admitted wave against ``snapshot``. Returns each
+        batch's :class:`QueryResult` (or its exception) in wave order,
+        and the wave's simulated time."""
+        epoch = snapshot.epoch
+        if self.pool is None:
+            (live,) = lives
+            requests = [req for req, _ in live]
+            with self.tracer.span(
+                "serve.batch",
+                epoch=epoch,
+                batch_size=len(requests),
+                predicate=requests[0].predicate.value,
+                n_queries=sum(r.n_queries for r in requests),
+            ):
+                # None in the config means "fixed config": translate to
+                # the explicit "off" so a planner installed on the
+                # snapshot index itself cannot re-enable planning.
+                result = execute_batch(
+                    snapshot, requests, planner=self.config.planner or "off"
+                )
+            return [result], result.sim_time
+        specs = []
+        for live in lives:
+            first = live[0][0]
+            payload = concat_payloads(first.predicate, [req.payload for req, _ in live])
+            specs.append((first.predicate, payload, first.k))
+        with self.tracer.span(
+            "serve.wave",
+            epoch=epoch,
+            n_batches=len(specs),
+            n_queries=sum(req.n_queries for live in lives for req, _ in live),
+        ):
+            return self.pool.dispatch(snapshot, specs)
 
     def __repr__(self) -> str:
         return (

@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines import BoostRTree
-from repro.geometry.boxes import Boxes
-from repro.geometry.predicates import join_contains_point
 from repro.parallel import (
     MIN_SHARD_SIZE,
     ChunkedExecutor,
@@ -13,7 +10,7 @@ from repro.parallel import (
     shard_queries,
     shared_pool,
 )
-from tests.conftest import assert_pairs_equal, random_boxes, random_points
+from tests.conftest import random_boxes, random_points
 
 
 class TestSharding:
@@ -54,94 +51,6 @@ class TestShardPlanning:
     def test_shared_pool_reused_per_width(self):
         assert shared_pool(3) is shared_pool(3)
         assert shared_pool(3) is not shared_pool(5)
-
-
-class TestCanonicalMerge:
-    """Regression tests for the shard-merge ordering bug: merged pairs
-    must come back query-major (sorted by query id, then rect id), not
-    rect-major."""
-
-    def test_interleaved_shard_outputs_query_major(self):
-        # Shard 0 owns queries {0, 1} and reports high rect ids; shard 1
-        # owns {2, 3} with low rect ids.  A rect-major sort interleaves
-        # the shards — (1, 2) would come before (7, 0); query-major keeps
-        # each query's pairs in query order.
-        def fn(subset):
-            if subset[0, 0] == 0.0:  # shard of queries 0..1
-                return np.array([7, 2]), np.array([0, 1])
-            return np.array([1, 9]), np.array([0, 1])  # local ids 0..1
-
-        queries = np.array([[0.0], [1.0], [2.0], [3.0]])
-        rects, qids = ChunkedExecutor(n_workers=2).run(fn, queries)
-        assert qids.tolist() == [0, 1, 2, 3]
-        assert rects.tolist() == [7, 2, 1, 9]
-
-    def test_duplicate_query_rect_tiebreak(self):
-        def fn(subset):
-            # Every query matches rects 5 and 3, emitted out of order.
-            n = len(subset)
-            return (
-                np.tile([5, 3], n),
-                np.repeat(np.arange(n), 2),
-            )
-
-        queries = np.arange(6, dtype=np.float64)[:, None]
-        rects, qids = ChunkedExecutor(n_workers=3).run(fn, queries)
-        assert qids.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-        assert rects.tolist() == [3, 5] * 6
-
-
-class TestExecutor:
-    def test_parallel_point_query_matches_serial(self, rng):
-        data = random_boxes(rng, 800)
-        pts = random_points(rng, 500)
-        tree = BoostRTree(data)
-
-        def fn(subset):
-            res = tree.point_query(subset)
-            return res.rect_ids, res.query_ids
-
-        got = ChunkedExecutor(n_workers=6).run(fn, pts)
-        assert_pairs_equal(got, join_contains_point(data, pts), "parallel")
-
-    def test_single_worker_path(self, rng):
-        data = random_boxes(rng, 100)
-        pts = random_points(rng, 30)
-        tree = BoostRTree(data)
-
-        def fn(subset):
-            res = tree.point_query(subset)
-            return res.rect_ids, res.query_ids
-
-        got = ChunkedExecutor(n_workers=1).run(fn, pts)
-        assert_pairs_equal(got, join_contains_point(data, pts), "serial path")
-
-    def test_boxes_sharding_with_take(self, rng):
-        data = random_boxes(rng, 500)
-        q = random_boxes(rng, 200, max_extent=8.0)
-        tree = BoostRTree(data)
-
-        def fn(subset: Boxes):
-            res = tree.intersects_query(subset)
-            return res.rect_ids, res.query_ids
-
-        got = ChunkedExecutor(n_workers=4).run(fn, q, take=lambda b, idx: b[idx])
-        serial = tree.intersects_query(q)
-        assert_pairs_equal(got, serial.pairs(), "boxes sharding")
-
-    def test_rtsindex_parallel(self, rng):
-        from repro.core.index import RTSIndex
-
-        data = random_boxes(rng, 600)
-        idx = RTSIndex(data, dtype=np.float64)
-        pts = random_points(rng, 400)
-
-        def fn(subset):
-            res = idx.query_points(subset)
-            return res.rect_ids, res.query_ids
-
-        got = ChunkedExecutor(n_workers=4).run(fn, pts)
-        assert_pairs_equal(got, idx.query_points(pts).pairs(), "librts parallel")
 
 
 class TestPoolLifecycle:

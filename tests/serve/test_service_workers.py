@@ -140,6 +140,65 @@ class TestProcessModeEquivalence:
         assert counters.get("serve.sim_time", 0.0) > 0.0
 
 
+class TestOneSchedulerLoop:
+    """In-process serving is the one-batch wave of the same scheduler loop
+    that dispatches process-pool waves."""
+
+    @staticmethod
+    def stage(svc, n):
+        """``n`` staged requests alternating predicates, so each is its
+        own batch."""
+        rng = np.random.default_rng(8)
+        futs = []
+        for i in range(n):
+            if i % 2 == 0:
+                futs.append(svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 20)))
+            else:
+                futs.append(svc.submit(Predicate.RANGE_CONTAINS, random_boxes(rng, 8)))
+        return futs
+
+    @pytest.mark.parametrize("workers,waves", [(0, 6), (2, 2)])
+    def test_wave_holds_two_batches_per_worker(self, workers, waves):
+        svc = SpatialQueryService(
+            make_index(n=300),
+            ServiceConfig(planner=None, workers=workers, cache_size=0),
+            autostart=False,
+        )
+        try:
+            futs = self.stage(svc, 6)
+            svc.start()
+            for f in futs:
+                f.result(timeout=120)
+            counters = svc.metrics.as_dict()["counters"]
+        finally:
+            svc.close()
+        assert counters["serve.waves"] == waves
+        assert counters["serve.batches"] == 6
+
+    def test_failed_dispatch_counts_every_batch(self):
+        svc = SpatialQueryService(
+            make_index(n=300),
+            ServiceConfig(planner=None, workers=2, cache_size=0),
+            autostart=False,
+        )
+
+        def broken(snapshot, specs):
+            raise RuntimeError("dispatch failed")
+
+        svc.pool.dispatch = broken
+        try:
+            futs = self.stage(svc, 3)
+            svc.start()
+            for f in futs:
+                with pytest.raises(RuntimeError, match="dispatch failed"):
+                    f.result(timeout=120)
+            counters = svc.metrics.as_dict()["counters"]
+        finally:
+            svc.close()
+        assert counters["serve.batch_errors"] == 3
+        assert "serve.waves" not in counters
+
+
 class TestRetainLast:
     def test_int_retain_caps_history(self):
         svc = SpatialQueryService(
