@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
-from repro.geometry.morton import morton_encode
+from repro.geometry.morton import morton_order
 from repro.geometry.predicates import join_intersects_box
 
 #: Weight of the intersection cost in Equation 3. Intersections are far
@@ -112,15 +112,10 @@ class MulticastLayout:
         span = promote64(hi) - self.lo
         self.span = np.where(span <= 0.0, 1.0, span)
 
-        n = len(prims)
-        if n:
-            centers = np.clip(promote64(prims.centers()), lo, hi)
-            codes = morton_encode(centers, self.lo, self.lo + self.span)
-            rank = np.empty(n, dtype=np.int64)
-            rank[np.argsort(codes, kind="stable")] = np.arange(n)
-            self.subspace = (rank % self.k).astype(np.int64)
-        else:
-            self.subspace = np.empty(0, dtype=np.int64)
+        centers = np.clip(promote64(prims.centers()), lo, hi)
+        rank = np.empty(len(prims), dtype=np.int64)
+        rank[morton_order(centers, self.lo, self.lo + self.span)] = np.arange(len(prims))
+        self.subspace = rank % self.k
 
         mins_t = self._normalize(prims.mins)
         maxs_t = self._normalize(prims.maxs)

@@ -27,7 +27,7 @@ from repro.geometry.segment import (
     anti_diagonal,
     pairwise_segment_intersects_box,
 )
-from repro.geometry.morton import morton_encode, quantize_unit
+from repro.geometry.morton import morton_encode, morton_order, quantize_unit
 from repro.geometry.transforms import Transform
 from repro.geometry.polygon import PolygonSoup
 
@@ -46,6 +46,7 @@ __all__ = [
     "anti_diagonal",
     "pairwise_segment_intersects_box",
     "morton_encode",
+    "morton_order",
     "quantize_unit",
     "Transform",
     "PolygonSoup",

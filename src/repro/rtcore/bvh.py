@@ -9,6 +9,11 @@ with the leaf level padded to a power of two using unhittable degenerate
 boxes so that every level can be constructed and refit with pure
 vectorized reductions.
 
+The build is a per-axis Morton sort + column-wise refit: bounds,
+centroids and codes are computed one axis column at a time into reused
+buffers, :func:`~repro.geometry.morton.morton_order` sorts once, and
+refit reduces each axis column separately — no ``(n, d)`` temporaries.
+
 Traversal runs the one frontier kernel of :mod:`repro.rtcore.kernel`
 over this tree's :class:`~repro.rtcore.kernel.HeapTopology`: a batch of
 rays descends as a frontier of ``(ray, node)`` pairs expanded level by
@@ -32,8 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.boxes import Boxes
-from repro.geometry.dtypes import promote64
-from repro.geometry.morton import morton_encode
+from repro.geometry.morton import morton_order
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore import kernel
 from repro.rtcore.kernel import Candidates, node_liveness
@@ -79,34 +83,37 @@ class BVH:
         self.leaf_size = int(leaf_size)
         self.n_prims = len(boxes)
         self._sort()
-        d = boxes.ndim
-        self.node_mins = np.empty((2 * self.n_leaves - 1, d), dtype=boxes.dtype)
-        self.node_maxs = np.empty_like(self.node_mins)
         self.refit()
 
     # -- construction ------------------------------------------------------
 
     def _sort(self) -> None:
         """Order primitives by centroid Morton code (the build step GPU
-        drivers perform; Karras 2012)."""
+        drivers perform; Karras 2012) and size the node arrays."""
         n = self.n_prims
-        if n == 0:
-            self.order = np.empty(0, dtype=np.int64)
-        else:
-            lo, hi = self.boxes.union_bounds()
-            centers = self.boxes.centers()
-            # Degenerate (deleted) primitives sort by their +inf center;
-            # clip keeps the codes finite.
-            codes = morton_encode(
-                promote64(np.clip(centers, lo, hi)), lo, hi
-            )
-            self.order = np.argsort(codes, kind="stable").astype(np.int64)
+        lo, hi = self.boxes.union_bounds()
+        self.order = morton_order(self._centroid_columns(lo, hi), lo, hi)
         n_slots = max(1, -(-n // self.leaf_size))
         self.n_leaves = _next_pow2(n_slots)
         # Leaf slot table: slot -> primitive id, -1 for padding.
         padded = np.full(self.n_leaves * self.leaf_size, -1, dtype=np.int64)
         padded[:n] = self.order
         self.leaf_prims = padded.reshape(self.n_leaves, self.leaf_size)
+        shape = (2 * self.n_leaves - 1, self.boxes.ndim)
+        self.node_mins = np.empty(shape, dtype=self.boxes.dtype)
+        self.node_maxs = np.empty_like(self.node_mins)
+
+    def _centroid_columns(self, lo: np.ndarray, hi: np.ndarray):
+        """Yield each axis's primitive centroids clipped to ``[lo, hi]``,
+        refilling one buffer. Degenerate (deleted) primitives have NaN
+        centroids, which the Morton code sends to cell 0."""
+        col = np.empty(self.n_prims, dtype=self.boxes.dtype)
+        for axis in range(self.boxes.ndim):
+            with np.errstate(invalid="ignore"):
+                np.add(self.boxes.mins[:, axis], self.boxes.maxs[:, axis], out=col)
+            col *= 0.5
+            np.clip(col, lo[axis], hi[axis], out=col)
+            yield col
 
     @property
     def depth(self) -> int:
@@ -119,44 +126,42 @@ class BVH:
 
     def refit(self) -> None:
         """Recompute all node boxes bottom-up from the current primitive
-        coordinates, keeping the topology (OptiX BVH update, §2.4)."""
-        L = self.n_leaves
-        d = self.boxes.ndim
-        # Gather primitive boxes into leaf slots; padding slots are
-        # unhittable (+inf, -inf) and vanish under the min/max reductions.
-        slot_mins = np.full((L, self.leaf_size, d), np.inf, dtype=self.boxes.dtype)
-        slot_maxs = np.full((L, self.leaf_size, d), -np.inf, dtype=self.boxes.dtype)
-        valid = self.leaf_prims >= 0
-        slot_mins[valid] = self.boxes.mins[self.leaf_prims[valid]]
-        slot_maxs[valid] = self.boxes.maxs[self.leaf_prims[valid]]
-        first_leaf = L - 1
-        self.node_mins[first_leaf:] = slot_mins.min(axis=1)
-        self.node_maxs[first_leaf:] = slot_maxs.max(axis=1)
-        # Internal levels, bottom-up: parent = union of the two children.
-        level_start = first_leaf
-        while level_start > 0:
-            parent_start = (level_start - 1) // 2
-            n_parents = level_start - parent_start
-            kids_lo = level_start
-            kids_hi = level_start + 2 * n_parents
-            self.node_mins[parent_start:level_start] = np.minimum(
-                self.node_mins[kids_lo:kids_hi:2],
-                self.node_mins[kids_lo + 1 : kids_hi : 2],
-            )
-            self.node_maxs[parent_start:level_start] = np.maximum(
-                self.node_maxs[kids_lo:kids_hi:2],
-                self.node_maxs[kids_lo + 1 : kids_hi : 2],
-            )
-            level_start = parent_start
+        coordinates, keeping the topology (OptiX BVH update, §2.4).
+
+        Per axis column: gather into the leaf slots (padding is unhittable
+        ±inf), fold each leaf's slots left to right — the order a row
+        reduction takes, so signed zeros keep their bits — then union
+        sibling pairs level by level on strided column views."""
+        L, k, n = self.n_leaves, self.leaf_size, self.n_prims
+        slots = np.empty(L * k, dtype=self.boxes.dtype)
+        leaf = slots.reshape(L, k)
+        for prims, nodes, pad, union in (
+            (self.boxes.mins, self.node_mins, np.inf, np.minimum),
+            (self.boxes.maxs, self.node_maxs, -np.inf, np.maximum),
+        ):
+            for axis in range(self.boxes.ndim):
+                np.take(prims[:, axis], self.order, out=slots[:n], mode="clip")
+                slots[n:] = pad
+                col = nodes[:, axis]
+                level = col[L - 1 :]
+                level[:] = leaf[:, 0]
+                for j in range(1, k):
+                    union(level, leaf[:, j], out=level)
+                start = L - 1
+                while start > 0:
+                    parent = (start - 1) // 2
+                    union(
+                        col[start : 2 * start + 1 : 2],
+                        col[start + 1 : 2 * start + 2 : 2],
+                        out=col[parent:start],
+                    )
+                    start = parent
         self._live = node_liveness(self.node_mins, self.node_maxs)
 
     def rebuild(self) -> None:
         """Full rebuild: re-sort primitives at their current coordinates
         and recompute boxes (restores BVH quality after heavy updates)."""
         self._sort()
-        d = self.boxes.ndim
-        self.node_mins = np.empty((2 * self.n_leaves - 1, d), dtype=self.boxes.dtype)
-        self.node_maxs = np.empty_like(self.node_mins)
         self.refit()
 
     # -- flatten / adopt ---------------------------------------------------

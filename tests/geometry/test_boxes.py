@@ -98,6 +98,47 @@ class TestDerived:
         sub = b[2]
         assert len(sub) == 1
 
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([4, 0, 0, 2]),
+            np.array([1, 3], dtype=np.int32),
+            np.array([1, 3], dtype=np.uint32),
+            np.array([1, 3], dtype=np.uint64),
+            [3, -1, 0],
+            np.array([-5, -2]),
+            np.array([], dtype=np.int64),
+            [],
+            np.array([True, False, True, False, True]),
+            [False, True, False, False, True],
+            slice(1, 4),
+            slice(None, None, -2),
+            2,
+            -1,
+            np.int64(3),
+        ],
+        ids=repr,
+    )
+    def test_getitem_matches_numpy_indexing(self, idx):
+        """Integer gathers take rows; every index kind keeps numpy's
+        shape and selection, and array indices copy as fancy indexing does."""
+        b = Boxes(np.arange(15.0).reshape(5, 3), np.arange(15.0).reshape(5, 3) + 1.0)
+        sub = b[idx]
+        assert sub.mins.shape == np.atleast_2d(b.mins[idx]).shape
+        assert np.array_equal(sub.mins, np.atleast_2d(b.mins[idx]))
+        assert np.array_equal(sub.maxs, np.atleast_2d(b.maxs[idx]))
+        assert sub.dtype == b.dtype
+        if len(sub) and isinstance(idx, (list, np.ndarray)):
+            sub.mins[0] = -99.0
+            assert (b.mins != -99.0).all()
+
+    def test_getitem_out_of_range(self):
+        b = Boxes(np.zeros((3, 2)), np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            b[np.array([0, 3])]
+        with pytest.raises(IndexError):
+            b[[-4]]
+
     def test_iter(self):
         b = Boxes([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]])
         items = list(b)
@@ -106,6 +147,27 @@ class TestDerived:
 
 
 class TestMutation:
+    def test_is_degenerate_any_axis(self):
+        mins = np.zeros((4, 3))
+        maxs = np.ones((4, 3))
+        maxs[1, 0] = -1.0  # inverted on x only
+        maxs[2, 2] = -1.0  # inverted on z only
+        maxs[3] = 0.0  # zero extent is live
+        b = Boxes(mins, maxs)
+        assert list(b.is_degenerate()) == [False, True, True, False]
+        assert b.is_degenerate().shape == (4,)
+        assert Boxes.empty(3).is_degenerate().shape == (0,)
+
+    def test_union_bounds_matches_row_reduction(self, rng):
+        mins = rng.random((200, 3)).astype(np.float32)
+        b = Boxes(mins, mins + 0.1)
+        b.degenerate(np.arange(0, 200, 7))
+        live = ~(b.maxs < b.mins).any(axis=1)
+        lo, hi = b.union_bounds()
+        assert lo.dtype == hi.dtype == np.float32
+        assert np.array_equal(lo, b.mins[live].min(axis=0))
+        assert np.array_equal(hi, b.maxs[live].max(axis=0))
+
     def test_degenerate_marks(self):
         b = Boxes(np.zeros((3, 2)), np.ones((3, 2)))
         b.degenerate(np.array([1]))
