@@ -45,10 +45,10 @@ class GuardConsistency(Checker):
     rule_id = "RTS007"
     title = "a lock-guarded field is never accessed lock-free across threads"
     rationale = (
-        "The serve scheduler, the procpool dispatcher, the background "
-        "compactor and user threads share plain Python attributes; the "
-        "only memory model is 'hold the right lock'. If a field is "
-        "written under serve.service somewhere, a lock-free read from "
+        "The serve scheduler, the background compactor and user threads "
+        "share plain Python attributes; the only memory model is 'hold "
+        "the right lock'. If a field is written under serve.service "
+        "somewhere, a lock-free read from "
         "another thread root sees torn state (a half-updated deque, a "
         "stale epoch) with no error anywhere. This rule infers the "
         "guarding lock per field from the locked writes (Eraser's "

@@ -1,14 +1,13 @@
 """RTS008 — snapshot escape: published buffers are never written.
 
 Epoch correctness rests on copy-on-write publication: the arrays behind
-``RTSIndex.flatten_state()`` / ``repro.serve.shm.attach_segment()`` and
-the snapshot indexes handed out by ``EpochSnapshots`` / ``service
-.snapshot()`` are shared by every concurrent reader (and, for shm
-segments, by every worker process). One in-place write tears responses
-at *other* epochs with no exception anywhere — the worst failure mode in
-the repo. The runtime guards (read-only ndarray views, ``_adopted``
-mutation guard) cover the common paths; this rule covers the rest at
-review time by dataflow:
+``flatten_state()`` / ``attach_segment()`` exports and the snapshot
+indexes handed out by ``EpochSnapshots`` / ``service.snapshot()`` are
+shared by every concurrent reader (and, for shm segments, by every
+worker process). One in-place write tears responses at *other* epochs
+with no exception anywhere — the worst failure mode in the repo. The
+runtime guard (read-only ndarray views) covers the common paths; this
+rule covers the rest at review time by dataflow:
 
 **Sources** — calls to ``flatten_state()`` / ``attach_segment()`` /
 ``snapshot()`` and loads of ``<snapshots>.current`` (tuple unpacking

@@ -1,7 +1,7 @@
 """RTS009 — thread-identity discipline: affinity comments are enforced.
 
 Some methods are correct only on one thread: the serve scheduler's
-``_collect_wave``/``_finish_batch`` mutate batching state that is
+``_collect_batch``/``_finish_batch`` mutate batching state that is
 single-consumer by design, and ``SpatialQueryService.compact`` must only
 be entered by the caller thread or the background compactor — never the
 scheduler, which would deadlock the epoch publication it is itself

@@ -8,12 +8,10 @@ baseline in the same PR) or a regression (the gate fails the build).
 ``BENCH_gate.json`` holds one section per subsystem workload:
 
 - ``obs`` — :func:`repro.obs.workload.run_fixed_workload` on the index
-  directly; the same workload through the service, with and without
-  two worker processes, must equal it too;
+  directly; the same workload through the service must equal it too;
 - ``plan`` — the planned-vs-static matrix of :mod:`repro.plan.bench`;
 - ``churn`` — the staged churn loop of :mod:`repro.churn.bench`;
-- ``serve`` — staged batching and process scaling of
-  :mod:`repro.serve.bench`.
+- ``serve`` — staged batching of :mod:`repro.serve.bench`.
 
 :func:`compare` diffs a run against the baseline: ints, strings, bools
 and ``None`` must match exactly, floats within :data:`REL_TOL`, and a
@@ -39,7 +37,6 @@ from repro.churn.bench import DRIFT_ONLY, run_concurrent
 from repro.churn.bench import run_staged as churn_staged
 from repro.obs.workload import run_fixed_workload
 from repro.plan.bench import run_matrix
-from repro.serve.bench import run_process_scaling
 from repro.serve.bench import run_staged as serve_staged
 
 #: The committed baseline: the repository root (next to ROADMAP.md).
@@ -145,17 +142,9 @@ def churn_claims(staged: dict, concurrent: dict) -> list[str]:
 
 
 def serve_claims(serve: dict) -> list[str]:
-    failures = []
-    digests = {c["digest"] for c in serve["process_scaling"]["cells"].values()}
-    if len(digests) != 1:
-        failures.append(
-            "serve.process_scaling: response digests differ across worker counts"
-        )
     if not serve["staged_batching"]["sim_speedup_batched_vs_unbatched"] > 1.0:
-        failures.append(
-            "serve.staged_batching: batched sim throughput does not beat unbatched"
-        )
-    return failures
+        return ["serve.staged_batching: batched sim throughput does not beat unbatched"]
+    return []
 
 
 def run() -> tuple[dict, dict, list[str]]:
@@ -172,16 +161,10 @@ def run() -> tuple[dict, dict, list[str]]:
             "obs": run_fixed_workload(),
             "plan": run_matrix(),
             "churn": {"staged": churn_staged()},
-            "serve": {
-                "staged_batching": serve_staged(),
-                "process_scaling": run_process_scaling(),
-            },
+            "serve": {"staged_batching": serve_staged()},
         }
     )
-    replays = {
-        "obs[service]": _json(run_fixed_workload(via_service=True)),
-        "obs[service,workers=2]": _json(run_fixed_workload(via_service=True, workers=2)),
-    }
+    replays = {"obs[service]": _json(run_fixed_workload(via_service=True))}
     claims = (
         plan_claims(doc["plan"])
         + churn_claims(doc["churn"]["staged"], run_concurrent())

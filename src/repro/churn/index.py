@@ -49,7 +49,6 @@ from repro.lockorder import make_lock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.perfmodel.compaction import compaction_build_cost, priced_drift_decision
-from repro.rtcore.bvh import readonly_view as _readonly
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.ias import InstanceAS
 
@@ -366,7 +365,6 @@ class ChurnIndex(RTSIndex):
         """Delete by public id. Delta-resident rectangles use the native
         degenerate-and-refit path; main-resident ones are tombstoned with
         the main GAS untouched. Already-dead ids are skipped."""
-        self._assert_mutable()
         ids = np.unique(np.asarray(ids, dtype=np.int64))
         if len(ids) == 0:
             return
@@ -398,7 +396,6 @@ class ChurnIndex(RTSIndex):
         contract) refit in place; main-resident and compacted-away ids
         tombstone the old slot and land the new coordinates as delta,
         keeping the public id."""
-        self._assert_mutable()
         ids = np.asarray(ids, dtype=np.int64)
         new = _coerce_boxes(new_data, self.ndim, self.dtype)
         if len(new) != len(ids):
@@ -444,7 +441,6 @@ class ChurnIndex(RTSIndex):
         pre-compaction state. Priced as one full GAS build plus the IAS
         relink (:func:`~repro.perfmodel.compaction.compaction_build_cost`).
         """
-        self._assert_mutable()
         with self.tracer.span(
             "churn.compact",
             reason=reason,
@@ -586,7 +582,7 @@ class ChurnIndex(RTSIndex):
             clean=self.is_clean,
         )
 
-    # -- fork / flatten / adopt --------------------------------------------------
+    # -- fork --------------------------------------------------------------------
 
     def _fork_extra(self, new: "RTSIndex") -> None:
         """Carry churn state across the copy-on-write fork: id maps are
@@ -600,31 +596,3 @@ class ChurnIndex(RTSIndex):
         new._delta_refits = self._delta_refits
         new._n_tombstones = self._n_tombstones
         new._state = self._state
-
-    def flatten_state(self):
-        arrays, meta = super().flatten_state()
-        arrays["churn.canon"] = _readonly(self._canon_id)
-        arrays["churn.pub_slot"] = _readonly(self._pub_slot)
-        meta["churn"] = {
-            "main_batches": int(self._main_batches),
-            "delta_refits": int(self._delta_refits),
-            "n_tombstones": int(self._n_tombstones),
-        }
-        return arrays, meta
-
-    @classmethod
-    def adopt_state(cls, arrays, meta) -> "ChurnIndex":
-        """Adopted churn indexes answer queries (public ids included)
-        bit-identically to the owner; being read-only, they never
-        compact — ``repro.serve`` ships compactions to workers as new
-        epoch manifests instead."""
-        self = super().adopt_state(arrays, meta)
-        self.churn = ChurnConfig()
-        self._state = ChurnState(alpha=self.churn.alpha)
-        self._canon_id = arrays["churn.canon"]
-        self._pub_slot = arrays["churn.pub_slot"]
-        ch = meta.get("churn", {})
-        self._main_batches = int(ch.get("main_batches", self.n_batches))
-        self._delta_refits = int(ch.get("delta_refits", 0))
-        self._n_tombstones = int(ch.get("n_tombstones", 0))
-        return self

@@ -38,7 +38,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.parallel.executor import ChunkedExecutor, default_workers
 from repro.perfmodel.build import BuildModel
 from repro.perfmodel.platforms import GPUPlatform, rt_core_platform
-from repro.rtcore.bvh import readonly_view as _readonly_view
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.ias import InstanceAS
 
@@ -190,9 +189,9 @@ class RTSIndex:
     #: array mapping internal rectangle slots to the stable public ids
     #: the caller knows (``repro.churn.ChurnIndex`` keeps public ids
     #: stable across compactions this way). Declared as a class
-    #: attribute so every construction path (``__init__``, ``fork``,
-    #: ``adopt_state``) inherits the no-remap default; subclasses
-    #: override it with a property.
+    #: attribute so every construction path (``__init__``, ``fork``)
+    #: inherits the no-remap default; subclasses override it with a
+    #: property.
     _remap = None
 
     def __init__(
@@ -481,130 +480,7 @@ class RTSIndex:
             self._shared_gases.discard(b)
         self._ias = InstanceAS.from_gases(self._gases)
 
-    # -- flatten / adopt (shared-memory export) ----------------------------------
-
-    def flatten_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export every traversal-read buffer as flat read-only arrays.
-
-        Returns ``(arrays, meta)`` where ``arrays`` maps dotted names to
-        contiguous NumPy arrays — the global primitive buffers
-        (``mins``/``maxs``/``deleted``/``prefix``) plus each GAS's BVH
-        arrays under a ``gas<i>.`` prefix — and ``meta`` is a
-        JSON-serializable literal carrying the index configuration, the
-        platform constants, the epoch, and per-GAS structure metadata.
-        ``adopt_state`` reconstructs a traversal-equivalent index from
-        exactly these two values, which is how ``repro.serve.shm``
-        publishes an epoch over one shared-memory segment.
-
-        Per-GAS primitive boxes are *not* exported: by construction they
-        are the ``prefix[i]:prefix[i+1]`` slices of the global buffers
-        (insert copies the batch into both, delete/update mutate both in
-        lockstep, rebuild re-seeds both), so the adopting side rebinds
-        each GAS to a slice view and the whole index shares two arrays.
-        """
-        from dataclasses import asdict
-
-        arrays: dict[str, np.ndarray] = {
-            "mins": _readonly_view(self._mins),
-            "maxs": _readonly_view(self._maxs),
-            "deleted": _readonly_view(self._deleted),
-            "prefix": _readonly_view(self._prefix),
-        }
-        gas_metas = []
-        for i, gas in enumerate(self._gases):
-            g_arrays, g_meta = gas.flatten()
-            for name, arr in g_arrays.items():
-                arrays[f"gas{i}.{name}"] = arr
-            gas_metas.append(g_meta)
-        platform_meta = asdict(self.platform)
-        if platform_meta.get("cache_ramp") is not None:
-            platform_meta["cache_ramp"] = list(platform_meta["cache_ramp"])
-        meta = {
-            "ndim": int(self.ndim),
-            "dtype": self.dtype.name,
-            "leaf_size": int(self.leaf_size),
-            "multicast": bool(self.multicast),
-            "w": float(self.w),
-            "sample_size": int(self.sample_size),
-            "builder": self.builder,
-            "epoch": int(self.epoch),
-            "platform": platform_meta,
-            "gases": gas_metas,
-        }
-        return arrays, meta
-
-    @classmethod
-    def adopt_state(cls, arrays: dict[str, np.ndarray], meta: dict) -> "RTSIndex":
-        """Reconstruct a read-only traversal twin from ``flatten_state``
-        output without any BVH build or refit work.
-
-        The adopted index answers queries with bit-identical pairs,
-        counters and simulated times, but it is **read-only**: its
-        buffers are (typically shared-memory) views with the writable
-        flag cleared, so any mutation raises ``ValueError``. Its RNG is
-        a fresh ``default_rng(0)`` — RNG state is deliberately not
-        exported, so callers that depend on the k-prediction stream
-        (Range-Intersects with ``k=None``) must resolve ``k`` on the
-        owning index and pass it explicitly, as ``repro.serve.procpool``
-        does.
-        """
-        self = object.__new__(cls)
-        self.ndim = int(meta["ndim"])
-        self.dtype = np.dtype(meta["dtype"])
-        self.leaf_size = int(meta["leaf_size"])
-        self.multicast = bool(meta["multicast"])
-        self.w = float(meta["w"])
-        self.sample_size = int(meta["sample_size"])
-        self.builder = meta["builder"]
-        platform_meta = dict(meta["platform"])
-        if platform_meta.get("cache_ramp") is not None:
-            platform_meta["cache_ramp"] = tuple(platform_meta["cache_ramp"])
-        self.platform = GPUPlatform(**platform_meta)
-        self.rng = np.random.default_rng(0)
-        self.parallel = False
-        self.n_workers = default_workers()
-        self.tracer = NULL_TRACER
-        self.planner = None
-        self._auto_planner = None
-        self._baseline_cache = {}
-        self.metrics = MetricsRegistry()
-        self._executors = {}
-
-        self._mins = _readonly_view(arrays["mins"])
-        self._maxs = _readonly_view(arrays["maxs"])
-        self._deleted = _readonly_view(arrays["deleted"])
-        self._prefix = _readonly_view(arrays["prefix"])
-        self._gases = []
-        for i, g_meta in enumerate(meta["gases"]):
-            lo, hi = int(self._prefix[i]), int(self._prefix[i + 1])
-            boxes = Boxes(self._mins[lo:hi], self._maxs[lo:hi])
-            prefix = f"gas{i}."
-            g_arrays = {
-                name[len(prefix):]: arr
-                for name, arr in arrays.items()
-                if name.startswith(prefix)
-            }
-            self._gases.append(GeometryAS.adopt(boxes, g_arrays, g_meta))
-        self._ias = InstanceAS.from_gases(self._gases)
-        self._flat_ias_cache = None
-        self.op_log = []
-        self.epoch = int(meta["epoch"])
-        self._shared_gases = set(range(len(self._gases)))
-        self._adopted = True
-        return self
-
     # -- mutation (§4) ---------------------------------------------------------
-
-    def _assert_mutable(self) -> None:
-        """Adopted (shared-memory) indexes are read-only by contract:
-        every buffer is a view over a segment some other process owns.
-        Mutations must go to the owning index, which republishes the
-        epoch."""
-        if getattr(self, "_adopted", False):
-            raise ValueError(
-                "index adopted from a shared-memory snapshot is read-only; "
-                "mutate the owning index and republish the epoch"
-            )
 
     def insert(self, data) -> np.ndarray:
         """Insert a batch of rectangles; returns their global ids.
@@ -612,7 +488,6 @@ class RTSIndex:
         The batch becomes a new GAS; the IAS is rebuilt (cheap — it links
         BVHs without storing geometry) and the prefix-sum array extended.
         """
-        self._assert_mutable()
         batch = _coerce_boxes(data, self.ndim, self.dtype)
         if len(batch) == 0:
             # A true no-op, for parity with empty delete/update: no GAS,
@@ -655,7 +530,6 @@ class RTSIndex:
         refit. Deleting an already-deleted id is a no-op, and an empty
         batch is a true no-op: no refit, no cache invalidation, no
         priced :class:`OpRecord`."""
-        self._assert_mutable()
         ids = np.unique(np.asarray(ids, dtype=np.int64))
         if len(ids) == 0:
             return
@@ -681,7 +555,6 @@ class RTSIndex:
     def update(self, ids, new_data) -> None:
         """Overwrite rectangle coordinates and refit the owning GASes
         (OptiX BVH update, §4.2). Updating a deleted id resurrects it."""
-        self._assert_mutable()
         ids = np.asarray(ids, dtype=np.int64)
         new = _coerce_boxes(new_data, self.ndim, self.dtype)
         if len(new) != len(ids):
@@ -718,7 +591,6 @@ class RTSIndex:
         """Compact every batch into one freshly built GAS (the paper's
         remedy when refit-degraded quality hurts queries, §4.2). Global
         ids are preserved; deleted slots stay degenerate."""
-        self._assert_mutable()
         boxes = Boxes(self._mins.copy(), self._maxs.copy())
         gas = GeometryAS(boxes, leaf_size=self.leaf_size, builder=self.builder)
         self._gases = [gas]

@@ -31,9 +31,8 @@ def make_contains_work(index, q: Boxes, tracer=NULL_TRACER):
 
     Same sharding contract as
     :func:`~repro.core.queries.point.make_point_work`: ``work(idx)`` is
-    row-sliceable, so process-pool workers run it over their shard's
-    rectangles with a local ``arange`` index and produce bit-identical
-    shard results and counters.
+    row-sliceable, so any shard plan produces bit-identical results and
+    counters.
     """
     centers = q.centers()
     rays = Rays.point_rays(np.ascontiguousarray(centers, dtype=index.dtype))

@@ -76,9 +76,9 @@ def resolve_k(index, q: Boxes, live_ids: np.ndarray, k: int | None, tracer=NULL_
 
     Returns ``(k, sim_seconds)``. When ``k`` is ``None`` and multicast is
     on, this consumes ``index.rng`` (the sampled selectivity estimate),
-    which is exactly why the process-pool dispatcher resolves k centrally
-    on the owning snapshot — in admission order — and ships the pinned
-    value to workers instead of letting their RNG streams diverge.
+    so ``k`` is resolved once per batch, on the calling thread, before
+    any shard runs: every shard casts with the same ``k``, and the RNG
+    stream does not depend on the shard plan.
     """
     if k is not None:
         return int(k), 0.0
@@ -107,12 +107,9 @@ class IntersectsContext:
     Owns everything both casting passes need once ``k`` is resolved: the
     casting geometry, the query-side multicast GAS, the forward
     traversable, and the replicated backward rays — plus the two shard
-    kernels ``fwd_work``/``bwd_work``. The in-process path builds one per
-    query; process-pool workers cache one per ``(epoch, digest, k)`` so
-    repeated shards of the same batch skip the S-side BVH build. All
-    preparation is deterministic (no RNG, no counters), so a context
-    built from an adopted shared-memory index yields bit-identical shard
-    results.
+    kernels ``fwd_work``/``bwd_work``. One is built per query. All
+    preparation is deterministic (no RNG, no counters), so every shard
+    of both passes sees the same prepared state.
     """
 
     def __init__(self, index, q: Boxes, k: int, tracer=NULL_TRACER):

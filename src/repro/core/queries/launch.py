@@ -3,10 +3,9 @@
 Each predicate runs as one or two casting launches over a row set: the
 query points, the query-rectangle centers, the query diagonals, or the
 k-replicated backward anti-diagonals. A launch runs its shard kernel
-over a shard plan — serially as one shard, on the thread pool
-(:class:`~repro.parallel.executor.ChunkedExecutor`) or on worker
-processes (:mod:`repro.serve.procpool`) — and every one of those paths
-reduces its shard parts through :func:`merge_launch`: pair arrays
+over a shard plan — serially as one shard or on the thread pool
+(:class:`~repro.parallel.executor.ChunkedExecutor`) — and both paths
+reduce their shard parts through :func:`merge_launch`: pair arrays
 concatenated in shard order, per-ray counters scatter-merged into the
 launch's slots (:func:`~repro.rtcore.stats.merge_shard_stats`), and the
 merged counters priced once against the traversed structure. Pairs,

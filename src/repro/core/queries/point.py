@@ -31,11 +31,10 @@ def make_point_work(index, pts: np.ndarray, tracer=NULL_TRACER):
 
     The returned ``work(idx)`` traverses the rows of ``pts`` selected by
     ``idx`` and returns ``(rect_ids, idx[rows], stats, n_candidates)``
-    with global rectangle ids and per-shard counters. Both the in-process
-    sharded path and the process-pool workers (which receive only their
-    shard's points and call ``work(arange(len(shard)))``) run this exact
-    kernel — row slicing commutes with every operation in it, so shard
-    results and counters are identical either way.
+    with global rectangle ids and per-shard counters. Serial and
+    thread-pool launches run this exact kernel — row slicing commutes
+    with every operation in it, so shard results and counters are
+    identical under any shard plan.
     """
     rays = Rays.point_rays(pts)
     remap = index._remap

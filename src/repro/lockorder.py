@@ -17,7 +17,6 @@ reverse)::
      5  churn.compactor   background-compactor wakeup/decision state
     10  serve.service     admission queue + scheduler condition
     20  serve.snapshot    single-writer publish lock
-    25  serve.procpool    process-pool segment registry + worker table
     30  serve.cache       result-cache LRU
     35  plan.planner      planner EWMA feedback state
     38  churn.state       churn drift EWMAs (traversal baselines)
@@ -50,7 +49,6 @@ RANKS: dict[str, int] = {
     "churn.compactor": 5,
     "serve.service": 10,
     "serve.snapshot": 20,
-    "serve.procpool": 25,
     "serve.cache": 30,
     "plan.planner": 35,
     "churn.state": 38,

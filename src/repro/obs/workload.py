@@ -12,8 +12,7 @@ both builders, 2-D and 3-D, all three predicates, plus a mutation
 sequence — and reports, per case, the emitted pair count, the counter
 totals of every casting launch, and the per-phase simulated times.
 :mod:`repro.bench.gate` commits the direct run to ``BENCH_gate.json``
-and checks the same workload served through the service, with and
-without worker processes, against it.
+and checks the same workload served through the service against it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def _case_record(result) -> dict:
     return rec
 
 
-def run_fixed_workload(via_service: bool = False, workers: int = 0) -> dict:
+def run_fixed_workload(via_service: bool = False) -> dict:
     """Execute the deterministic gate workload and report its counters.
 
     Kept small on purpose (a few thousand rectangles per case) so the
@@ -75,12 +74,6 @@ def run_fixed_workload(via_service: bool = False, workers: int = 0) -> dict:
     forks, batching and scatter must preserve pairs, counters and
     simulated times bit-for-bit — so both modes are compared against the
     *same* committed baseline.
-
-    ``workers`` (service mode only) serves the workload through a
-    shared-memory worker-process pool. Process sharding is bound by the
-    same transparency contract — shard merge and central phase pricing
-    must reproduce the direct-index counters and simulated times exactly
-    — so this mode, too, diffs against the unchanged baseline.
     """
     from repro.core.index import Predicate, RTSIndex
 
@@ -98,10 +91,7 @@ def run_fixed_workload(via_service: bool = False, workers: int = 0) -> dict:
         # batch may legitimately answer on a baseline backend with
         # different (still exact) phase timings.
         # owner: appended to `services`; the finally below closes them.
-        svc = SpatialQueryService(
-            index,
-            ServiceConfig(max_wait=0.0, planner=None, workers=workers),
-        )
+        svc = SpatialQueryService(index, ServiceConfig(max_wait=0.0, planner=None))
         services.append(svc)
         return svc
 

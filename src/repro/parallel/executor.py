@@ -6,7 +6,7 @@ executor shards a batch and maps a shard kernel over the shards on a
 module-level reusable thread pool — NumPy releases the GIL inside its
 kernels, so threads scale. The shard parts are reduced by the caller's
 launch (:func:`repro.core.queries.launch.merge_launch`), the same
-reduction serial and process-pool launches use.
+reduction serial launches use.
 
 Shard sizing is adaptive: large batches are split into ~4 shards per
 worker so the pool can balance uneven per-query work, while batches
@@ -157,62 +157,6 @@ def cost_priced_shards(
         waves = -(-s // n_workers)
         per_shard = -(-n // s) * per_query_s + shard_overhead_s
         t = waves * per_shard + shard_overhead_s  # + final merge
-        if t < best_t:
-            best_s, best_t = s, t
-        s *= 2
-    return best_s
-
-
-#: Minimum rows per process shard: below this the per-task dispatch tax
-#: outweighs any launch-splitting win, so the batch stays whole.
-MIN_PROC_SHARD = 256
-
-
-def process_priced_shards(
-    n: int,
-    n_workers: int,
-    est_cast_s: float,
-    *,
-    launch_overhead_s: float | None = None,
-    dispatch_s: float | None = None,
-    min_shard: int = MIN_PROC_SHARD,
-) -> int:
-    """Shard count minimising modeled *simulated* latency for one launch
-    fanned across ``n_workers`` worker processes.
-
-    Unlike :func:`cost_priced_shards` (which prices host wall time for
-    thread shards), this prices the simulated device time of the
-    process-sharded launch: the cast work divides across shards, but
-    every shard pays the full launch overhead again plus the process
-    dispatch tax. Modeled simulated latency for ``s`` shards is::
-
-        (est_cast - launch_overhead) / s + launch_overhead + dispatch
-
-    (shards run concurrently, one per worker — the makespan is one
-    shard's time). Splitting only pays when the batch's cast work
-    dominates the launch overhead; overhead-bound micro-batches stay at
-    ``s = 1`` and scale through wave dispatch instead. The candidate
-    ladder is powers of two up to ``n_workers``, floored by
-    ``min_shard`` rows per shard; ties go to fewer shards. Results are
-    shard-invariant by the parallel-equivalence contract, so this only
-    moves simulated latency, never answers.
-    """
-    if launch_overhead_s is None or dispatch_s is None:
-        from repro.perfmodel import calibration as C
-
-        if launch_overhead_s is None:
-            launch_overhead_s = C.GPU_LAUNCH_OVERHEAD
-        if dispatch_s is None:
-            dispatch_s = C.PROC_DISPATCH_SIM_S
-    if n <= 1 or n_workers <= 1:
-        return 1
-    work = max(est_cast_s - launch_overhead_s, 0.0)
-    best_s, best_t = 1, work + launch_overhead_s + dispatch_s
-    s = 2
-    while s <= n_workers:
-        if n // s < min_shard:
-            break
-        t = work / s + launch_overhead_s + dispatch_s
         if t < best_t:
             best_s, best_t = s, t
         s *= 2

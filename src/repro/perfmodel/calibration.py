@@ -135,22 +135,6 @@ HOST_PER_QUERY_S = 1.0e-7
 #: pool hand-off, per-shard stats allocation, merge bookkeeping.
 HOST_SHARD_OVERHEAD_S = 2.0e-4
 
-# --- Process-pool dispatch (repro.serve.procpool) ----------------------------
-#
-# The multi-process serving path models one traversal unit per worker
-# process; shared memory makes index state free to share, so the only
-# per-task taxes left are the control message and the (small) query
-# payload crossing the pipe. Both are simulated constants — wall-clock
-# IPC on the host machine never leaks into simulated times.
-
-#: Simulated cost of dispatching one shard task to a worker process and
-#: merging its reply (pipe round-trip + scatter bookkeeping), seconds.
-PROC_DISPATCH_SIM_S = 8.0e-6
-
-#: Simulated serialization cost per payload byte crossing the process
-#: boundary (query coordinates only; index state rides shared memory).
-PROC_PAYLOAD_BYTE_SIM_S = 5.0e-11
-
 # --- Query-cost priors (analytic, pre-feedback) ------------------------------
 #
 # Coarse traversal priors for the planner's closed-form backend pricing

@@ -20,7 +20,7 @@ rays descends as a frontier of ``(ray, node)`` pairs expanded level by
 level — numerically identical to per-ray recursive traversal, but every
 step is one vectorized slab test. Node bounds are read through strided
 per-axis column views of ``node_mins``/``node_maxs``, and node liveness
-is cached once per refit/rebuild/adopt, never per launch. The per-ray
+is cached once per refit/rebuild, never per launch. The per-ray
 node visit counts recorded in :class:`~repro.rtcore.stats.TraversalStats`
 are exactly what each hardware thread would perform under the
 single-ray programming model.
@@ -46,18 +46,6 @@ from repro.rtcore.stats import TraversalStats
 
 def _next_pow2(x: int) -> int:
     return 1 if x <= 1 else 1 << (x - 1).bit_length()
-
-
-def readonly_view(a: np.ndarray) -> np.ndarray:
-    """A non-writable view of ``a`` (zero-copy).
-
-    Flattened structures hand these out so adopted copies in other
-    processes can never scribble on a published epoch — any write
-    through the view raises ``ValueError``.
-    """
-    v = a.view()
-    v.flags.writeable = False
-    return v
 
 
 class BVH:
@@ -163,54 +151,6 @@ class BVH:
         and recompute boxes (restores BVH quality after heavy updates)."""
         self._sort()
         self.refit()
-
-    # -- flatten / adopt ---------------------------------------------------
-
-    def flatten(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export the structure as flat arrays + a pure-literal meta dict.
-
-        The arrays are read-only views over this BVH's buffers (the
-        primitive coordinates are *not* included — the owner exports them
-        once, globally; see ``RTSIndex.flatten_state``). Together with
-        ``adopt`` this is the SoA round-trip that lets another process
-        reconstruct an identical traversal structure without re-sorting
-        or refitting.
-        """
-        arrays = {
-            "node_mins": readonly_view(self.node_mins),
-            "node_maxs": readonly_view(self.node_maxs),
-            "leaf_prims": readonly_view(self.leaf_prims),
-            "order": readonly_view(self.order),
-        }
-        meta = {
-            "kind": "bvh",
-            "leaf_size": int(self.leaf_size),
-            "n_prims": int(self.n_prims),
-            "n_leaves": int(self.n_leaves),
-        }
-        return arrays, meta
-
-    @classmethod
-    def adopt(cls, boxes: Boxes, arrays: dict[str, np.ndarray], meta: dict) -> "BVH":
-        """Reconstruct a BVH from ``flatten()`` output without rebuilding.
-
-        The adopted structure references ``arrays`` directly (typically
-        read-only shared-memory views) and is traversal-only: refit or
-        rebuild on an adopted BVH would write through those views and
-        raise.
-        """
-        self = object.__new__(cls)
-        self.boxes = boxes
-        self.leaf_size = int(meta["leaf_size"])
-        self.n_prims = int(meta["n_prims"])
-        self.n_leaves = int(meta["n_leaves"])
-        self.order = arrays["order"]
-        self.leaf_prims = arrays["leaf_prims"]
-        self.node_mins = arrays["node_mins"]
-        self.node_maxs = arrays["node_maxs"]
-        # A private array: the cache never writes through adopted views.
-        self._live = node_liveness(self.node_mins, self.node_maxs)
-        return self
 
     # -- traversal -----------------------------------------------------------
 

@@ -91,35 +91,6 @@ class GeometryAS:
         self.bvh.rebuild()
         self.refit_count = 0
 
-    # -- flatten / adopt ---------------------------------------------------
-
-    def flatten(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export this GAS as flat arrays + meta (primitive boxes are the
-        owner's to export; see ``RTSIndex.flatten_state``)."""
-        arrays, bvh_meta = self.bvh.flatten()
-        meta = {
-            "builder": self.builder,
-            "refit_count": int(self.refit_count),
-            "bvh": bvh_meta,
-        }
-        return arrays, meta
-
-    @classmethod
-    def adopt(cls, boxes: Boxes, arrays: dict[str, np.ndarray], meta: dict) -> "GeometryAS":
-        """Reconstruct a traversal-only GAS from ``flatten()`` output."""
-        self = object.__new__(cls)
-        self.boxes = boxes
-        self.builder = meta["builder"]
-        bvh_meta = meta["bvh"]
-        if bvh_meta["kind"] == "sah":
-            from repro.rtcore.sah import SAHBVH
-
-            self.bvh = SAHBVH.adopt(boxes, arrays, bvh_meta)
-        else:
-            self.bvh = BVH.adopt(boxes, arrays, bvh_meta)
-        self.refit_count = int(meta["refit_count"])
-        return self
-
     def traverse(
         self,
         origins: np.ndarray,

@@ -94,10 +94,8 @@ class InstanceAS:
     def from_gases(cls, gases: list[GeometryAS]) -> "InstanceAS":
         """The LibRTS scene shape: one identity-transform instance per
         GAS, instance id = batch position. Rebuilding this table is the
-        cheap IAS rebuild of §4.1 — also how an adopted (flattened)
-        index reconstitutes its instance table: the table is fully
-        derived from the GAS list, so it never needs to cross a process
-        boundary itself."""
+        cheap IAS rebuild of §4.1: the table is fully derived from the
+        GAS list."""
         ias = cls()
         for gas in gases:
             ias.add_instance(gas)

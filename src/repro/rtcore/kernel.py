@@ -89,7 +89,7 @@ def _columns(a: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def node_liveness(node_mins: np.ndarray, node_maxs: np.ndarray) -> np.ndarray:
     """Per-node ``all(min <= max)``: the cache structures refresh
-    whenever their node boxes change (refit, rebuild, adopt)."""
+    whenever their node boxes change (refit, rebuild)."""
     return box_live(_columns(node_mins), _columns(node_maxs))
 
 

@@ -19,7 +19,7 @@ parameter. Traversal runs the one frontier kernel of
 :mod:`repro.rtcore.kernel` over an
 :class:`~repro.rtcore.kernel.ExplicitTopology`, reading node bounds
 through strided per-axis column views and a node-liveness array cached
-once per refit/rebuild/adopt.
+once per refit/rebuild.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore import kernel
-from repro.rtcore.bvh import readonly_view
 from repro.rtcore.kernel import Candidates, node_liveness
 from repro.rtcore.stats import TraversalStats
 
@@ -220,60 +219,6 @@ class SAHBVH:
             pending_hi.append(hi_i)
             pending_mid.append(mid)
         return pending_nodes, pending_lo, pending_hi, pending_mid
-
-    # -- flatten / adopt ---------------------------------------------------
-
-    def flatten(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export the explicit topology as flat arrays (see ``BVH.flatten``).
-
-        ``levels`` is ragged, so it ships as one concatenated id array
-        plus per-level sizes; ``adopt`` splits it back into views.
-        """
-        arrays = {
-            "node_mins": readonly_view(self.node_mins),
-            "node_maxs": readonly_view(self.node_maxs),
-            "left": readonly_view(self.left),
-            "right": readonly_view(self.right),
-            "start": readonly_view(self.start),
-            "count": readonly_view(self.count),
-            "perm": readonly_view(self.perm),
-            "levels": readonly_view(
-                np.concatenate(self.levels) if self.levels
-                else np.empty(0, dtype=np.int64)
-            ),
-            "level_sizes": readonly_view(
-                np.array([len(lv) for lv in self.levels], dtype=np.int64)
-            ),
-        }
-        meta = {
-            "kind": "sah",
-            "leaf_size": int(self.leaf_size),
-            "n_bins": int(self.n_bins),
-            "n_prims": int(self.n_prims),
-        }
-        return arrays, meta
-
-    @classmethod
-    def adopt(cls, boxes: Boxes, arrays: dict[str, np.ndarray], meta: dict) -> "SAHBVH":
-        """Reconstruct from ``flatten()`` output without rebuilding;
-        traversal-only (refit would write through read-only views)."""
-        self = object.__new__(cls)
-        self.boxes = boxes
-        self.leaf_size = int(meta["leaf_size"])
-        self.n_bins = int(meta["n_bins"])
-        self.n_prims = int(meta["n_prims"])
-        self.node_mins = arrays["node_mins"]
-        self.node_maxs = arrays["node_maxs"]
-        self.left = arrays["left"]
-        self.right = arrays["right"]
-        self.start = arrays["start"]
-        self.count = arrays["count"]
-        self.perm = arrays["perm"]
-        bounds = np.cumsum(arrays["level_sizes"])[:-1]
-        self.levels = [np.asarray(lv) for lv in np.split(arrays["levels"], bounds)]
-        # A private array: the cache never writes through adopted views.
-        self._live = node_liveness(self.node_mins, self.node_maxs)
-        return self
 
     # -- shared interface -------------------------------------------------------
 

@@ -12,11 +12,6 @@ serve heavy traffic, not just library calls). Four cooperating pieces:
   structure.
 - :mod:`repro.serve.cache` — LRU result cache keyed by
   ``(predicate, query digest, k, epoch)``; epoch bumps invalidate free.
-- :mod:`repro.serve.procpool` + :mod:`repro.serve.shm` — multi-process
-  sharded dispatch: epochs publish as shared-memory segments, N worker
-  processes attach zero-copy, a consistent-hash router fans shard tasks
-  out and the parent merges bit-identical responses
-  (``ServiceConfig.workers``).
 
 The deterministic serving workloads in :mod:`repro.serve.bench` are the
 ``serve`` section of ``python -m repro.bench.gate``; wall-clock serving
@@ -31,9 +26,7 @@ from repro.serve.errors import (
     ServeError,
     ServiceClosed,
     ServiceOverloaded,
-    WorkerFailed,
 )
-from repro.serve.procpool import ProcessPool
 from repro.serve.request import QueryRequest, normalize_payload
 from repro.serve.service import ServiceConfig, SpatialQueryService
 from repro.serve.snapshot import EpochSnapshots
@@ -42,7 +35,6 @@ __all__ = [
     "BatchPolicy",
     "DeadlineExceeded",
     "EpochSnapshots",
-    "ProcessPool",
     "QueryRequest",
     "ResultCache",
     "ServeError",
@@ -50,7 +42,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceOverloaded",
     "SpatialQueryService",
-    "WorkerFailed",
     "normalize_payload",
     "query_digest",
 ]

@@ -27,13 +27,3 @@ class DeadlineExceeded(ServeError):
 class ServiceClosed(ServeError):
     """The service has been closed and accepts no new requests."""
 
-
-class WorkerFailed(ServeError):
-    """A process-pool worker failed executing a shard of this batch.
-
-    Raised per *batch*: either a worker reported an execution error for
-    one of the batch's shard tasks, or the shard's worker slot died
-    repeatedly (``procpool.MAX_TASK_ATTEMPTS`` resubmissions exhausted).
-    Other batches in the same wave are unaffected — the router resubmits
-    a dead worker's shards to a respawned process on the same slot, so a
-    single crash never tears an epoch or a wave."""

@@ -24,19 +24,15 @@ The single scheduler thread is deliberate: it mirrors one GPU executing
 one launch at a time, keeps execution order identical to admission order
 (so a serial client through the service is bit-for-bit the direct-index
 run — the ``obs`` section of ``python -m repro.bench.gate`` enforces
-this), and makes the snapshot read path lock-free. One loop serves both
-execution modes: it collects a wave of batches, pins the snapshot,
-admits each batch and scatters its result. In-process serving
-(``workers=0``) is the one-batch wave; with ``workers=N`` a wave holds
-up to ``2 * N`` batches and executes on the process pool
-(:mod:`repro.serve.procpool`). Only the execute step differs.
+this), and makes the snapshot read path lock-free. Each turn of the
+loop collects one batch, pins the snapshot, admits the batch, executes
+it in-process and scatters its result.
 
 Observability: queue depth and epoch gauges, batch-size and latency
 histograms (p50/p99 via ``Histogram.quantile``), cache hit/miss,
-deadline, wave and batch-error counters on a service-level
+deadline and batch-error counters on a service-level
 :class:`~repro.obs.MetricsRegistry`; when a tracer is installed each
-in-process launch runs under a ``serve.batch`` span and each
-process-pool wave under a ``serve.wave`` span.
+launch runs under a ``serve.batch`` span.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.batcher import BatchPolicy, execute_batch, split_batch, take_compatible
 from repro.serve.cache import ResultCache, query_digest
 from repro.serve.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
-from repro.serve.procpool import ProcessPool
-from repro.serve.request import QueryRequest, concat_payloads, normalize_payload
+from repro.serve.request import QueryRequest, normalize_payload
 from repro.serve.snapshot import EpochSnapshots
 
 
@@ -78,16 +73,8 @@ class ServiceConfig:
     #: Execution planning for served batches: ``"auto"`` (default) lets
     #: the adaptive planner (:mod:`repro.plan`) choose backend and shard
     #: fan-out per launch; ``None`` pins the fixed-config path. Answers
-    #: are planner-invariant; only simulated/wall time moves. Ignored
-    #: with ``workers > 0`` — the process pool prices its own shard
-    #: fan-out per task (:func:`~repro.parallel.executor.process_priced_shards`).
+    #: are planner-invariant; only simulated/wall time moves.
     planner: str | None = "auto"
-    #: Worker processes for sharded dispatch over shared-memory epoch
-    #: snapshots (:mod:`repro.serve.procpool`). 0 (default) serves
-    #: in-process, one batch per scheduler wave; N > 0 fans waves of up
-    #: to ``2 * N`` batches across N processes with bit-identical
-    #: responses.
-    workers: int = 0
     #: High-churn write path: a :class:`~repro.churn.ChurnConfig` wraps
     #: the seed index in a :class:`~repro.churn.ChurnIndex` (writes land
     #: in delta GASes + tombstones; the main structure is never refit)
@@ -105,8 +92,6 @@ class ServiceConfig:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.planner not in (None, "off", "auto"):
             raise ValueError(f'planner must be None, "off" or "auto", got {self.planner!r}')
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.churn is not None:
             # Deferred import: churn is optional and the plan/serve
             # import graph must stay acyclic for churn-free users.
@@ -170,13 +155,6 @@ class SpatialQueryService:
         self.policy = BatchPolicy(self.config.max_batch, self.config.max_wait)
         self.cache = ResultCache(self.config.cache_size)
         self.metrics = MetricsRegistry()
-        # owner: the pool (and every shm segment it publishes) is closed
-        # by SpatialQueryService.close() after the scheduler drains.
-        self.pool: ProcessPool | None = (
-            ProcessPool(self.config.workers) if self.config.workers > 0 else None
-        )
-        if self.pool is not None:
-            self.pool.publish(index)
         self._pending: deque[QueryRequest] = deque()
         # Rank 10: the service lock is the outermost in the documented
         # global order (repro.lockorder.RANKS) — it may be held while
@@ -253,8 +231,6 @@ class SpatialQueryService:
         if last is not None and last is not self.snapshots.current:
             last.close()
         self.snapshots.current.close()
-        if self.pool is not None:
-            self.pool.close()
 
     def __enter__(self) -> "SpatialQueryService":
         return self
@@ -350,13 +326,6 @@ class SpatialQueryService:
             if self._closed:
                 raise ServiceClosed("service is closed")
         out = self.snapshots.apply(op)
-        if self.pool is not None:
-            try:
-                self.pool.publish(self.snapshots.current)
-            except RuntimeError:
-                # Pool closed by a racing close(): the epoch will never
-                # be served, so losing the publication is harmless.
-                pass
         self.metrics.inc("serve.mutations")
         self.metrics.inc(f"serve.mutations.{name}")
         self.metrics.set_gauge("serve.epoch", self.snapshots.epoch)
@@ -378,8 +347,7 @@ class SpatialQueryService:
     def compact(self, reason: str = "manual") -> dict:  # thread: main, repro-churn-compactor
         """Fold the churn delta into a fresh main structure and publish
         the compacted index as a new epoch (churn-enabled services only).
-        Readers keep draining their pinned epoch meanwhile; shm workers
-        adopt the compacted epoch like any other publication."""
+        Readers keep draining their pinned epoch meanwhile."""
         if not hasattr(self.snapshots.current, "compact"):
             raise TypeError(
                 "compact() requires a churn-enabled service "
@@ -389,12 +357,10 @@ class SpatialQueryService:
 
     # -- scheduler ---------------------------------------------------------
 
-    def _collect_wave(self, wave_size: int) -> list[list[QueryRequest]] | None:  # thread: repro-serve-scheduler
-        """Block until a wave of up to ``wave_size`` batches is ready (or
-        the service drains). The first batch is a FIFO-prefix run of
-        compatible requests with a bounded linger for stragglers; the
-        rest drain whatever is already queued, without extra linger — a
-        wave dispatches as soon as there is work to overlap."""
+    def _collect_batch(self) -> list[QueryRequest] | None:  # thread: repro-serve-scheduler
+        """Block until a batch is ready (or the service drains): a
+        FIFO-prefix run of compatible requests with a bounded linger for
+        stragglers."""
         with self._cond:
             while not self._pending and not self._closed:
                 self._cond.wait()
@@ -414,11 +380,8 @@ class SpatialQueryService:
                     if remaining <= 0:
                         break
                     self._cond.wait(remaining)
-            wave = [batch]
-            while len(wave) < wave_size and self._pending:
-                wave.append(take_compatible(self._pending, self.policy.max_batch))
             self.metrics.set_gauge("serve.queue_depth", len(self._pending))
-            return wave
+            return batch
 
     def _complete(self, req: QueryRequest, result: QueryResult) -> None:  # thread: repro-serve-scheduler
         latency_us = (time.monotonic() - req.enqueue_t) * 1e6
@@ -476,19 +439,15 @@ class SpatialQueryService:
             self._complete(req, part)
 
     def _run(self) -> None:  # thread: repro-serve-scheduler
-        """The scheduler loop: collect a wave, pin the published snapshot,
-        admit each batch, execute, then fail or scatter each batch.
-        In-process serving is the one-batch wave; a process pool takes
-        waves of up to ``2 * workers`` batches. Execution follows
-        admission order in both modes (a wave's results merge per batch
-        in admission order), so responses are bit-identical across
-        modes; only the simulated clock reflects the overlap."""
-        wave_size = max(2 * self.config.workers, 1)
+        """The scheduler loop: collect a batch, pin the published
+        snapshot, admit the batch, execute it, then fail or scatter it.
+        Execution follows admission order, so a serial client through
+        the service is bit-for-bit the direct-index run."""
         while True:
-            wave = self._collect_wave(wave_size)
-            if wave is None:
+            batch = self._collect_batch()
+            if batch is None:
                 return
-            snapshot = self.snapshots.current  # epoch pinned for the wave
+            snapshot = self.snapshots.current  # epoch pinned for the batch
             prev = self._last_served
             if prev is not None and prev is not snapshot and not self.snapshots.retain_all:
                 # Superseded epoch: release its executor pool references
@@ -500,63 +459,31 @@ class SpatialQueryService:
                 prev.close()
             self._last_served = snapshot
             epoch = snapshot.epoch
-            now = time.monotonic()
-            lives = [self._admit_batch(batch, epoch, now) for batch in wave]
-            lives = [live for live in lives if live]
-            if not lives:
+            live = self._admit_batch(batch, epoch, time.monotonic())
+            if not live:
                 continue
-            try:
-                results, sim = self._execute(snapshot, lives)
-            except BaseException as err:  # complete, don't kill the scheduler
-                results = [err] * len(lives)
-            else:
-                self.metrics.inc("serve.sim_time", sim)
-                self.metrics.inc("serve.waves")
-            for live, result in zip(lives, results):
-                if isinstance(result, BaseException):
-                    for req, _ in live:
-                        req.future.set_exception(result)
-                    self.metrics.inc("serve.batch_errors")
-                    continue
-                self._finish_batch(result, live, epoch)
-
-    # thread: repro-serve-scheduler
-    def _execute(
-        self, snapshot: RTSIndex, lives: list[list[tuple[QueryRequest, tuple | None]]]
-    ) -> tuple[list, float]:
-        """Execute one admitted wave against ``snapshot``. Returns each
-        batch's :class:`QueryResult` (or its exception) in wave order,
-        and the wave's simulated time."""
-        epoch = snapshot.epoch
-        if self.pool is None:
-            (live,) = lives
             requests = [req for req, _ in live]
-            with self.tracer.span(
-                "serve.batch",
-                epoch=epoch,
-                batch_size=len(requests),
-                predicate=requests[0].predicate.value,
-                n_queries=sum(r.n_queries for r in requests),
-            ):
-                # None in the config means "fixed config": translate to
-                # the explicit "off" so a planner installed on the
-                # snapshot index itself cannot re-enable planning.
-                result = execute_batch(
-                    snapshot, requests, planner=self.config.planner or "off"
-                )
-            return [result], result.sim_time
-        specs = []
-        for live in lives:
-            first = live[0][0]
-            payload = concat_payloads(first.predicate, [req.payload for req, _ in live])
-            specs.append((first.predicate, payload, first.k))
-        with self.tracer.span(
-            "serve.wave",
-            epoch=epoch,
-            n_batches=len(specs),
-            n_queries=sum(req.n_queries for live in lives for req, _ in live),
-        ):
-            return self.pool.dispatch(snapshot, specs)
+            try:
+                with self.tracer.span(
+                    "serve.batch",
+                    epoch=epoch,
+                    batch_size=len(requests),
+                    predicate=requests[0].predicate.value,
+                    n_queries=sum(r.n_queries for r in requests),
+                ):
+                    # None in the config means "fixed config": translate
+                    # to the explicit "off" so a planner installed on the
+                    # snapshot index itself cannot re-enable planning.
+                    result = execute_batch(
+                        snapshot, requests, planner=self.config.planner or "off"
+                    )
+            except BaseException as err:  # complete, don't kill the scheduler
+                for req in requests:
+                    req.future.set_exception(err)
+                self.metrics.inc("serve.batch_errors")
+                continue
+            self.metrics.inc("serve.sim_time", result.sim_time)
+            self._finish_batch(result, live, epoch)
 
     def __repr__(self) -> str:
         return (

@@ -280,24 +280,6 @@ class TestFromIndexAndExport:
         again = ChurnIndex.from_index(ix, churn=cfg)
         assert again is ix and again.churn is cfg
 
-    def test_flatten_adopt_round_trip(self, rng):
-        ix = make_index(rng, 120)
-        ix.insert(random_boxes(rng, 30))
-        ix.delete(np.arange(0, 60, 2))
-        arrays, meta = ix.flatten_state()
-        assert "churn" in meta
-        twin = ChurnIndex.adopt_state(arrays, meta)
-        assert isinstance(twin, ChurnIndex)
-        pts = random_points(rng, 150)
-        a = ix.query_points(pts)
-        b = twin.query_points(pts)
-        assert np.array_equal(a.rect_ids, b.rect_ids)
-        assert np.array_equal(a.query_ids, b.query_ids)
-        with pytest.raises(ValueError):
-            twin.delete([0])
-        with pytest.raises(ValueError):
-            twin.compact()
-
     def test_fork_shares_drift_state(self, rng):
         ix = make_index(rng, 50)
         twin = ix.fork()

@@ -1,6 +1,5 @@
 """Churn through the serving layer: the writer path, atomic epoch
-publication of compactions, the background compactor, and shm workers
-adopting compacted epochs."""
+publication of compactions and the background compactor."""
 
 import time
 
@@ -164,13 +163,13 @@ class TestBackgroundCompactor:
         assert c.poll() is None
 
 
-class TestWorkersAdoptChurn:
-    def test_proc_workers_serve_compacted_epochs(self, rng):
-        """Process-pool workers adopt churn manifests (public-id remap
-        included) and keep serving across a compaction publication."""
+class TestServeAcrossCompaction:
+    def test_pairs_stable_across_compaction(self, rng):
+        """Served answers (public-id remap included) stay the same across
+        a compaction publication."""
         churn = ChurnConfig(delta_ratio_max=1e9, poll_interval=60.0)
         seed = RTSIndex(random_boxes(rng, 250), dtype=np.float64, seed=4)
-        config = ServiceConfig(churn=churn, workers=2, cache_size=0)
+        config = ServiceConfig(churn=churn, cache_size=0)
         with SpatialQueryService(seed, config) as svc:
             svc.insert(random_boxes(rng, 50))
             svc.delete(np.arange(0, 100, 2))
@@ -179,7 +178,37 @@ class TestWorkersAdoptChurn:
             svc.compact()
             after = svc.query_points(pts)
             # Public ids are compaction-invariant, so the two epochs
-            # answer identically through worker processes.
+            # answer identically.
             assert_pairs_equal(before.pairs(), after.pairs(), "across compaction")
             expected = svc.snapshot().query(Predicate.CONTAINS_POINT, pts)
             assert_pairs_equal(after.pairs(), expected.pairs(), "vs owner")
+
+    @pytest.mark.parametrize(
+        "predicate", [Predicate.CONTAINS_POINT, Predicate.RANGE_CONTAINS,
+                      Predicate.RANGE_INTERSECTS]
+    )
+    def test_served_matches_plain_mirror(self, rng, predicate):
+        """The churn write path serves the answers of a plain index that
+        replayed the same writes, before and after a compaction."""
+        churn = ChurnConfig(delta_ratio_max=1e9, poll_interval=60.0)
+        data = random_boxes(rng, 250)
+        mirror = RTSIndex(data, dtype=np.float64, seed=4)
+        seed = RTSIndex(data, dtype=np.float64, seed=4)
+        if predicate is Predicate.CONTAINS_POINT:
+            payload = random_points(rng, 120)
+        else:
+            payload = random_boxes(rng, 40, max_extent=8.0)
+        k = 2 if predicate is Predicate.RANGE_INTERSECTS else None
+        new, moved = random_boxes(rng, 50), random_boxes(rng, 20)
+        with SpatialQueryService(seed, ServiceConfig(churn=churn, cache_size=0)) as svc:
+            for target in (svc, mirror):
+                ids = target.insert(new)
+                target.delete(np.arange(0, 100, 2))
+                target.update(ids[:20], moved)
+            want = mirror.query(predicate, payload, k=k).pairs()
+            before = svc.query(predicate, payload, k=k)
+            assert_pairs_equal(before.pairs(), want, "before compaction")
+            svc.compact()
+            assert svc.snapshot().is_clean
+            after = svc.query(predicate, payload, k=k)
+            assert_pairs_equal(after.pairs(), want, "after compaction")

@@ -3,10 +3,9 @@
 BVH and SAHBVH cache ``all(node_min <= node_max)`` per node whenever
 their node boxes change, and the traversal kernel reads only the cache.
 After every structural step — refit (update), rebuild, delete by
-degeneration, copy-on-write fork, churn tombstones and
-``flatten()``/``adopt()`` over read-only shared memory — the cache must
-equal a fresh computation, and queries must equal those on a freshly
-built structure. The cache must never write through adopted views.
+degeneration, copy-on-write fork and churn tombstones — the cache
+must equal a fresh computation, and queries must equal those on a
+freshly built structure.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.rtcore.bvh import BVH
 from repro.rtcore.kernel import node_liveness
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
-from repro.serve.shm import adopt_index, publish_index
 
 from tests.conftest import assert_pairs_equal, random_boxes, random_points
 
@@ -121,20 +119,26 @@ class TestStructureCache:
         _assert_matches_oracle(clone, clone.boxes, rays)
 
     @pytest.mark.parametrize("cls,leaf_size", STRUCTURES)
-    def test_adopt_never_writes_through_views(self, rng, cls, leaf_size):
+    def test_traversal_never_writes_structure(self, rng, cls, leaf_size):
+        """The kernel only reads node boxes and the cache, and the cache
+        owns its memory: traversal leaves every structure array as built."""
         boxes = random_boxes(rng, 150)
         boxes.degenerate(np.arange(0, 150, 3))
         bvh = cls(boxes, leaf_size=leaf_size)
-        arrays, meta = bvh.flatten()
-        frozen = {k: v.copy() for k, v in arrays.items()}
-        twin = cls.adopt(boxes, arrays, meta)
-        _assert_cache_fresh(twin)
-        for name, arr in arrays.items():
-            assert not arr.flags.writeable, name
-            assert not np.shares_memory(twin._live, arr), name
-            assert np.array_equal(arr, frozen[name]), name
+        arrays = {
+            name: value for name, value in vars(bvh).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert {"node_mins", "node_maxs", "_live"} <= set(arrays)
+        frozen = {name: arr.copy() for name, arr in arrays.items()}
+        assert not np.shares_memory(bvh._live, bvh.node_mins)
+        assert not np.shares_memory(bvh._live, bvh.node_maxs)
         rays = _rays(rng)
-        _assert_matches_oracle(twin, boxes, rays)
+        _assert_matches_oracle(bvh, boxes, rays)
+        _assert_matches_oracle(bvh, boxes, rays)
+        for name, arr in arrays.items():
+            assert np.array_equal(arr, frozen[name]), name
+        _assert_cache_fresh(bvh)
 
 
 def _queries(rng):
@@ -206,6 +210,41 @@ class TestIndexCache:
         for (p, q, k), want in zip(queries, before):
             assert_pairs_equal(idx.query(p, q, k=k).pairs(), want, p.value)
 
+    @pytest.mark.parametrize("builder", ["fast_build", "fast_trace"])
+    def test_served_snapshots_keep_fresh_caches(self, rng, builder):
+        """Every epoch the service publishes (a copy-on-write fork plus
+        one mutation) carries fresh caches and answers like a freshly
+        built index, and earlier retained epochs keep their answers."""
+        from repro.serve import ServiceConfig, SpatialQueryService
+
+        kw = {"leaf_size": 2} if builder == "fast_trace" else {}
+        idx = RTSIndex(
+            random_boxes(rng, 300), dtype=np.float64, seed=1, builder=builder, **kw
+        )
+        queries = _queries(rng)
+        steps = [
+            lambda svc: svc.insert(random_boxes(rng, 40)),
+            lambda svc: svc.delete(np.arange(0, 340, 5)),
+            lambda svc: svc.update(np.arange(10, 40), random_boxes(rng, 30, domain=50.0)),
+        ]
+        with SpatialQueryService(
+            idx, ServiceConfig(max_wait=0.0, planner=None), retain_snapshots=True
+        ) as svc:
+            history = []
+            for step in steps:
+                step(svc)
+                snap = svc.snapshot()
+                for gas in snap._gases:
+                    _assert_cache_fresh(gas.bvh)
+                _assert_same_answers(snap, _Fresh(snap), queries)
+                history.append(
+                    (snap.epoch, [snap.query(p, q, k=k).pairs() for p, q, k in queries])
+                )
+            for epoch, answers in history:
+                snap = svc.snapshot_at(epoch)
+                for (p, q, k), want in zip(queries, answers):
+                    assert_pairs_equal(snap.query(p, q, k=k).pairs(), want, p.value)
+
     def test_churn_tombstones(self, rng):
         """Tombstones rewrite primitive coordinates without a main refit:
         the main GAS's cache must keep describing its (unchanged) node
@@ -229,29 +268,3 @@ class TestIndexCache:
         for gas in churn._gases:
             _assert_cache_fresh(gas.bvh)
         _assert_same_answers(churn, mirror, queries)
-
-    def test_shared_memory_adopt_after_mutation(self, rng):
-        idx = RTSIndex(random_boxes(rng, 300), dtype=np.float64, seed=1)
-        idx.insert(random_boxes(rng, 40))
-        queries = _queries(rng)
-        for n, step in enumerate([
-            lambda: idx.delete(np.arange(0, 340, 5)),
-            lambda: idx.update(np.arange(10, 40), random_boxes(rng, 30, domain=50.0)),
-        ]):
-            step()
-            manifest, shm = publish_index(idx, f"rts-test-live-{n}")
-            try:
-                twin, reader = adopt_index(manifest)
-                try:
-                    for gas in twin._gases:
-                        bvh = gas.bvh
-                        _assert_cache_fresh(bvh)
-                        assert not bvh.node_mins.flags.writeable
-                        assert not np.shares_memory(bvh._live, bvh.node_mins)
-                        assert not np.shares_memory(bvh._live, bvh.node_maxs)
-                    _assert_same_answers(twin, _Fresh(idx), queries)
-                finally:
-                    reader.close()
-            finally:
-                shm.close()
-                shm.unlink()
