@@ -52,7 +52,7 @@ class LBVHIndex(SpatialBaseline):
 
     @property
     def n_nodes(self) -> int:
-        return len(self.bvh.node_mins)
+        return self.bvh.n_nodes
 
     def point_query(self, points: np.ndarray) -> BaselineResult:
         pts = np.ascontiguousarray(points, dtype=self.data.dtype)

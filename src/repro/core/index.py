@@ -309,7 +309,7 @@ class RTSIndex:
     def total_nodes(self) -> int:
         """Total BVH nodes across all GASes (structure size for the
         performance model's memory factor)."""
-        return int(sum(len(g.bvh.node_mins) for g in self._gases))
+        return int(sum(g.bvh.n_nodes for g in self._gases))
 
     def global_ids(self, instance_ids: np.ndarray, local_prims: np.ndarray) -> np.ndarray:
         """The paper's O(1) prefix-sum mapping (§4.1): global rectangle id
@@ -338,19 +338,14 @@ class RTSIndex:
         primitive-buffer blowup, and the shadow IAS duplicates every
         primitive and BVH node)."""
         prim_bytes = int(self._mins.nbytes + self._maxs.nbytes)
-        node_bytes = int(
-            sum(g.bvh.node_mins.nbytes + g.bvh.node_maxs.nbytes for g in self._gases)
-        )
+        node_bytes = int(sum(g.bvh.node_bytes for g in self._gases))
         bookkeeping = int(self._deleted.nbytes + self._prefix.nbytes)
         flat_bytes = 0
         if self._flat_ias_cache is not None:
             for inst in self._flat_ias_cache.instances:
                 g = inst.gas
                 flat_bytes += int(
-                    g.boxes.mins.nbytes
-                    + g.boxes.maxs.nbytes
-                    + g.bvh.node_mins.nbytes
-                    + g.bvh.node_maxs.nbytes
+                    g.boxes.mins.nbytes + g.boxes.maxs.nbytes + g.bvh.node_bytes
                 )
         return {
             "primitives": prim_bytes,

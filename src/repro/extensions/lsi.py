@@ -127,5 +127,5 @@ def segment_join(
         keep = a_ids < b_ids
         a_ids, b_ids = a_ids[keep], b_ids[keep]
     stats.count_results(b_ids)
-    sim = rt_core_platform().query_time(stats, len(bvh.node_mins))
+    sim = rt_core_platform().query_time(stats, bvh.n_nodes)
     return LSIResult(a_ids, b_ids, sim)

@@ -118,7 +118,10 @@ def slab_axes(
     ``exit_fold``; the defaults follow the tie rule of a reduction over
     the coordinate axis, so the results are bit-identical to it. Plain
     ``np.fmax``/``np.fmin`` agree in value (signed zeros aside), which is
-    all a hit test needs.
+    all a hit test needs. Callers run it under
+    ``np.errstate(invalid="ignore", over="ignore")``: overflow to inf in
+    the t products is the correct saturating behaviour for near-parallel
+    rays (the traversal kernel enters that state once per launch).
     """
     t_enter = t_exit = None
     for o, inv, par, lo, hi in zip(origins, invs, parallels, box_mins, box_maxs):
@@ -132,11 +135,8 @@ def slab_axes(
             near = np.where(inside, -np.inf, np.inf)
             far = np.where(inside, np.inf, -np.inf)
         else:
-            # Overflow to inf in the t products is the correct saturating
-            # behaviour for near-parallel rays.
-            with np.errstate(invalid="ignore", over="ignore"):
-                t1 = (lo - o) * inv
-                t2 = (hi - o) * inv
+            t1 = (lo - o) * inv
+            t2 = (hi - o) * inv
             near = np.fmin(t1, t2)
             far = np.fmax(t1, t2)
             if par is not None and par.any():
@@ -153,15 +153,18 @@ def slab_hit(t_enter, t_exit, tmins, tmaxs, live):
 
     ``live`` is the box liveness (``min <= max`` on every axis):
     degenerate boxes produce an empty slab interval and never hit — the
-    per-axis min/max ordering would silently "un-invert" such a box.
+    per-axis min/max ordering would silently "un-invert" such a box. A
+    scalar ``tmins`` (one interval for every ray) folds the
+    ``t_exit >= 0`` test into its own compare.
     """
-    return (
-        live
-        & (t_enter <= t_exit)
-        & (t_exit >= tmins)
-        & (t_enter <= tmaxs)
-        & (t_exit >= 0.0)
-    )
+    if isinstance(tmins, np.ndarray):
+        hit = live & (t_exit >= tmins)
+        hit &= t_exit >= 0.0
+    else:
+        hit = live & (t_exit >= max(tmins, 0.0))
+    hit &= t_enter <= t_exit
+    hit &= t_enter <= tmaxs
+    return hit
 
 
 def box_live(box_mins, box_maxs):
@@ -195,7 +198,8 @@ def ray_aabb_interval(
     o = [origins[..., a] for a in range(d)]
     lo = [box_mins[..., a] for a in range(d)]
     hi = [box_maxs[..., a] for a in range(d)]
-    t_enter, t_exit = slab_axes(o, invs, parallels, lo, hi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        t_enter, t_exit = slab_axes(o, invs, parallels, lo, hi)
     hit = slab_hit(t_enter, t_exit, tmins, tmaxs, box_live(lo, hi))
     return t_enter, t_exit, hit
 

@@ -86,7 +86,7 @@ class RayJoinPIP:
             out_poly.append(uniq[odd] // m)
             out_point.append(uniq[odd] % m)
             stats.count_results(rows)
-            query_time += self.platform.query_time(stats, len(self.bvh.node_mins))
+            query_time += self.platform.query_time(stats, self.bvh.n_nodes)
 
         if out_poly:
             poly_ids = np.concatenate(out_poly)

@@ -9,21 +9,20 @@ with the leaf level padded to a power of two using unhittable degenerate
 boxes so that every level can be constructed and refit with pure
 vectorized reductions.
 
-The build is a per-axis Morton sort + column-wise refit: bounds,
+The build is a per-axis Morton sort + pair-major refit: bounds,
 centroids and codes are computed one axis column at a time into reused
 buffers, :func:`~repro.geometry.morton.morton_order` sorts once, and
-refit reduces each axis column separately — no ``(n, d)`` temporaries.
+refit reduces straight into the kernel's pair-major node storage
+(:class:`~repro.rtcore.kernel.PairMajorNodes`: per bound and axis the
+left children of every inner node, then the right children, and the
+roots last) — the one stored copy, with no ``(n, d)`` temporaries.
 
-Traversal runs the one frontier kernel of :mod:`repro.rtcore.kernel`
-over this tree's :class:`~repro.rtcore.kernel.HeapTopology`: a batch of
-rays descends as a frontier of ``(ray, node)`` pairs expanded level by
-level — numerically identical to per-ray recursive traversal, but every
-step is one vectorized slab test. Node bounds are read through strided
-per-axis column views of ``node_mins``/``node_maxs``, and node liveness
-is cached once per refit/rebuild, never per launch. The per-ray
-node visit counts recorded in :class:`~repro.rtcore.stats.TraversalStats`
-are exactly what each hardware thread would perform under the
-single-ray programming model.
+Traversal runs the one sibling-pair frontier kernel of
+:mod:`repro.rtcore.kernel` over this tree's
+:class:`~repro.rtcore.kernel.HeapTopology`; the per-ray node visit
+counts it records in :class:`~repro.rtcore.stats.TraversalStats` are
+exactly what each hardware thread would perform under the single-ray
+programming model.
 
 Refit (paper §2.4, §4.2) keeps the topology (the sorted order) and
 recomputes node boxes bottom-up; when primitives move far from their
@@ -40,7 +39,7 @@ from repro.geometry.boxes import Boxes
 from repro.geometry.morton import morton_order
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore import kernel
-from repro.rtcore.kernel import Candidates, node_liveness
+from repro.rtcore.kernel import Candidates, PairMajorNodes
 from repro.rtcore.stats import TraversalStats
 
 
@@ -48,7 +47,7 @@ def _next_pow2(x: int) -> int:
     return 1 if x <= 1 else 1 << (x - 1).bit_length()
 
 
-class BVH:
+class BVH(PairMajorNodes):
     """A bounding volume hierarchy over a set of AABB primitives.
 
     Parameters
@@ -87,9 +86,7 @@ class BVH:
         padded = np.full(self.n_leaves * self.leaf_size, -1, dtype=np.int64)
         padded[:n] = self.order
         self.leaf_prims = padded.reshape(self.n_leaves, self.leaf_size)
-        shape = (2 * self.n_leaves - 1, self.boxes.ndim)
-        self.node_mins = np.empty(shape, dtype=self.boxes.dtype)
-        self.node_maxs = np.empty_like(self.node_mins)
+        self._alloc_nodes(2 * self.n_leaves - 1)
 
     def _centroid_columns(self, lo: np.ndarray, hi: np.ndarray):
         """Yield each axis's primitive centroids clipped to ``[lo, hi]``,
@@ -108,43 +105,49 @@ class BVH:
         """Number of levels (root = level 0)."""
         return self.n_leaves.bit_length()
 
-    def root_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """World bounds of the whole structure (the root box)."""
-        return self.node_mins[0].copy(), self.node_maxs[0].copy()
-
     def refit(self) -> None:
         """Recompute all node boxes bottom-up from the current primitive
         coordinates, keeping the topology (OptiX BVH update, §2.4).
 
-        Per axis column: gather into the leaf slots (padding is unhittable
-        ±inf), fold each leaf's slots left to right — the order a row
-        reduction takes, so signed zeros keep their bits — then union
-        sibling pairs level by level on strided column views."""
-        L, k, n = self.n_leaves, self.leaf_size, self.n_prims
+        Per axis: gather into the leaf slots (padding is unhittable ±inf)
+        and fold each leaf's slots left to right — the order a row
+        reduction takes, so signed zeros keep their bits — into the leaf
+        level's pairs (even leaves are left children, odd ones right);
+        then, all axes at once, union each level's sibling pairs into the
+        parents' pair slots, up to the root."""
+        L, k, n, d = self.n_leaves, self.leaf_size, self.n_prims, self.boxes.ndim
         slots = np.empty(L * k, dtype=self.boxes.dtype)
         leaf = slots.reshape(L, k)
-        for prims, nodes, pad, union in (
-            (self.boxes.mins, self.node_mins, np.inf, np.minimum),
-            (self.boxes.maxs, self.node_maxs, -np.inf, np.maximum),
+        for (blocks, top), prims, pad, union in zip(
+            self.bound_views(),
+            (self.boxes.mins, self.boxes.maxs),
+            (np.inf, -np.inf),
+            (np.minimum, np.maximum),
         ):
-            for axis in range(self.boxes.ndim):
+            for axis in range(d):
                 np.take(prims[:, axis], self.order, out=slots[:n], mode="clip")
                 slots[n:] = pad
-                col = nodes[:, axis]
-                level = col[L - 1 :]
-                level[:] = leaf[:, 0]
+                if L == 1:
+                    dst, src = top[axis : axis + 1], leaf
+                else:
+                    # Leaf j is side j & 1 of pair (L - 2 + j) // 2.
+                    dst = blocks[axis, :, L // 2 - 1 :]
+                    src = leaf.reshape(L // 2, 2, k).transpose(1, 0, 2)
+                dst[...] = src[..., 0]
                 for j in range(1, k):
-                    union(level, leaf[:, j], out=level)
-                start = L - 1
-                while start > 0:
-                    parent = (start - 1) // 2
-                    union(
-                        col[start : 2 * start + 1 : 2],
-                        col[start + 1 : 2 * start + 2 : 2],
-                        out=col[parent:start],
-                    )
-                    start = parent
-        self._live = node_liveness(self.node_mins, self.node_maxs)
+                    union(dst, src[..., j], out=dst)
+            # Parents ``start..2*start`` (alternately left and right
+            # children, odd ids first) fill pairs ``up..start-1``.
+            start = L // 2 - 1
+            while start > 0:
+                up = (start - 1) // 2
+                kids = blocks[:, :, start : 2 * start + 1].reshape(d, 2, -1, 2)
+                kids = kids.transpose(0, 1, 3, 2)
+                union(kids[:, 0], kids[:, 1], out=blocks[:, :, up:start])
+                start = up
+            if L > 1:
+                union(blocks[:, 0, 0], blocks[:, 1, 0], out=top)
+        self._refresh_liveness()
 
     def rebuild(self) -> None:
         """Full rebuild: re-sort primitives at their current coordinates

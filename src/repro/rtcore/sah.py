@@ -15,11 +15,12 @@ vectorized for hundreds of thousands of primitives.
 
 The class implements the same traversal/refit interface as ``BVH`` and
 slots into :class:`~repro.rtcore.gas.GeometryAS` via its ``builder``
-parameter. Traversal runs the one frontier kernel of
-:mod:`repro.rtcore.kernel` over an
-:class:`~repro.rtcore.kernel.ExplicitTopology`, reading node bounds
-through strided per-axis column views and a node-liveness array cached
-once per refit/rebuild.
+parameter. Splits append sibling pairs, so node bounds share the heap
+tree's pair-major storage (:class:`~repro.rtcore.kernel.PairMajorNodes`)
+and traversal runs the one frontier kernel of :mod:`repro.rtcore.kernel`
+over an :class:`~repro.rtcore.kernel.ExplicitTopology`, gathering each
+hit node's two children through its ``left`` id; node liveness is
+stored beside the bounds and refreshed once per refit/rebuild.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore import kernel
-from repro.rtcore.kernel import Candidates, node_liveness
+from repro.rtcore.kernel import Candidates, PairMajorNodes
 from repro.rtcore.stats import TraversalStats
 
 
-class SAHBVH:
+class SAHBVH(PairMajorNodes):
     """A BVH with explicit topology built by binned SAH splits.
 
-    Node storage (struct-of-arrays): ``node_mins``/``node_maxs`` boxes,
+    Node storage (struct-of-arrays): ``node_lo``/``node_hi`` boxes in the
+    kernel's pair-major layout (splits append sibling pairs, so node
+    ``left[i]`` is always odd and ``right[i] == left[i] + 1``),
     ``left``/``right`` child ids (-1 marks a leaf), and for leaves the
     ``start``/``count`` range into the primitive permutation ``perm``.
     ``levels`` groups node ids by depth so refit runs bottom-up with one
@@ -68,14 +71,13 @@ class SAHBVH:
         self.levels: list[np.ndarray] = []
 
         if n == 0:
-            self.node_mins = np.full((1, d), np.inf, dtype=self.boxes.dtype)
-            self.node_maxs = np.full((1, d), -np.inf, dtype=self.boxes.dtype)
+            self._alloc_nodes(1)
             self.left = np.array([-1], dtype=np.int64)
             self.right = np.array([-1], dtype=np.int64)
             self.start = np.array([0], dtype=np.int64)
             self.count = np.array([0], dtype=np.int64)
             self.levels = [np.array([0], dtype=np.int64)]
-            self._live = node_liveness(self.node_mins, self.node_maxs)
+            self._store_node_order(np.full((1, d), np.inf), np.full((1, d), -np.inf))
             return
 
         # Deleted (degenerate) primitives get NaN-free sort keys.
@@ -119,8 +121,7 @@ class SAHBVH:
         self.right = np.array(right, dtype=np.int64)
         self.start = np.array(start, dtype=np.int64)
         self.count = np.array(count, dtype=np.int64)
-        self.node_mins = np.empty((len(left), d), dtype=self.boxes.dtype)
-        self.node_maxs = np.empty_like(self.node_mins)
+        self._alloc_nodes(len(left))
         self.refit()
 
     def _split_level(self, centroids, seg_node, seg_lo, seg_hi):
@@ -230,11 +231,10 @@ class SAHBVH:
     def depth(self) -> int:
         return len(self.levels)
 
-    def root_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.node_mins[0].copy(), self.node_maxs[0].copy()
-
     def refit(self) -> None:
         """Bottom-up box recomputation, one vectorized union per level."""
+        mins = np.empty((self.n_nodes, self.boxes.ndim), dtype=self.boxes.dtype)
+        maxs = np.empty_like(mins)
         is_leaf = self.left == -1
         leaves = np.nonzero(is_leaf)[0]
         # Leaf boxes: segmented reductions over each leaf's prim range.
@@ -246,18 +246,18 @@ class SAHBVH:
             sc = np.concatenate([[0], np.cumsum(sizes[:-1])])
             offs = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(sc, sizes)
             prim = self.perm[np.repeat(starts, sizes) + offs]
-            self.node_mins[le] = np.minimum.reduceat(self.boxes.mins[prim], sc, axis=0)
-            self.node_maxs[le] = np.maximum.reduceat(self.boxes.maxs[prim], sc, axis=0)
+            mins[le] = np.minimum.reduceat(self.boxes.mins[prim], sc, axis=0)
+            maxs[le] = np.maximum.reduceat(self.boxes.maxs[prim], sc, axis=0)
         empty = leaves[~nonempty]
-        self.node_mins[empty] = np.inf
-        self.node_maxs[empty] = -np.inf
+        mins[empty] = np.inf
+        maxs[empty] = -np.inf
         for level in reversed(self.levels):
             inner = level[self.left[level] != -1]
             if len(inner):
                 lc, rc = self.left[inner], self.right[inner]
-                self.node_mins[inner] = np.minimum(self.node_mins[lc], self.node_mins[rc])
-                self.node_maxs[inner] = np.maximum(self.node_maxs[lc], self.node_maxs[rc])
-        self._live = node_liveness(self.node_mins, self.node_maxs)
+                mins[inner] = np.minimum(mins[lc], mins[rc])
+                maxs[inner] = np.maximum(maxs[lc], maxs[rc])
+        self._store_node_order(mins, maxs)
 
     def rebuild(self) -> None:
         self._build()

@@ -35,10 +35,15 @@ class TraversalStats:
     def n_rays(self) -> int:
         return len(self.nodes_visited)
 
-    def count_nodes(self, ray_idx: np.ndarray) -> None:
-        """Record one node visit per entry of ``ray_idx`` (repeats allowed)."""
+    def count_nodes(self, ray_idx: np.ndarray, per_entry: int = 1) -> None:
+        """Record ``per_entry`` node visits per entry of ``ray_idx``
+        (repeats allowed); the traversal kernel passes 2 for each tested
+        sibling pair."""
         if len(ray_idx):
-            self.nodes_visited += np.bincount(ray_idx, minlength=self.n_rays)
+            counts = np.bincount(ray_idx, minlength=self.n_rays)
+            if per_entry != 1:
+                counts *= per_entry
+            self.nodes_visited += counts
 
     def count_is(self, ray_idx: np.ndarray) -> None:
         """Record one IS-shader invocation per entry of ``ray_idx``."""

@@ -97,6 +97,27 @@ class TestRealWorld:
         b = load_real_world("USWater", scale=0.01)
         assert np.array_equal(a.mins, b.mins)
 
+    def test_deterministic_across_processes(self):
+        """Seeding must not go through the per-process salted ``hash()``."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import hashlib; from repro.datasets import load_real_world; "
+            "b = load_real_world('USWater', scale=0.01); "
+            "print(hashlib.sha1(b.mins.tobytes() + b.maxs.tobytes()).hexdigest())"
+        )
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(digests) == 1
+
     def test_skewed(self):
         data = load_real_world("OSMParks", scale=0.01)
         c = data.centers()

@@ -75,6 +75,52 @@ class TestConstruction:
         assert canonical(out.rows, out.prims) == [(0, 0)]
 
 
+class TestPairMajorStorage:
+    @pytest.mark.parametrize("d,dtype", [(2, np.float32), (3, np.float64)])
+    @pytest.mark.parametrize("leaf_size", [1, 4])
+    def test_one_stored_copy_of_node_bounds(self, rng, d, dtype, leaf_size):
+        """The float node arrays a BVH holds total exactly one copy of
+        its bounds, after the build and after launches (no cached
+        second layout)."""
+        boxes = random_boxes(rng, 300, d=d, dtype=dtype)
+        bvh = BVH(boxes, leaf_size=leaf_size)
+
+        def float_bytes():
+            return sum(
+                a.nbytes for a in vars(bvh).values()
+                if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+            )
+
+        want = 2 * bvh.n_nodes * d * np.dtype(dtype).itemsize
+        assert float_bytes() == bvh.node_bytes == want
+        rays = Rays.segment_rays(random_points(rng, 50, d=d), random_points(rng, 50, d=d))
+        bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, TraversalStats(50))
+        bvh.traverse_boxes(boxes.mins[:20], boxes.maxs[:20], TraversalStats(20))
+        assert float_bytes() == want
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100])
+    def test_node_order_views_match_pair_blocks(self, rng, n):
+        """``node_mins``/``node_maxs``/``_live`` read the pair-major
+        storage back in node-id order: node ``2j+1``/``2j+2`` is the
+        left/right child of pair *j*, node 0 the root."""
+        bvh = BVH(random_boxes(rng, n), leaf_size=1)
+        (lo_pairs, lo_root), (hi_pairs, hi_root) = bvh.bound_views()
+        assert lo_pairs.shape == hi_pairs.shape == (2, 2, (bvh.n_nodes - 1) // 2)
+        live = bvh.node_live
+        for node in range(bvh.n_nodes):
+            if node == 0:
+                lo, hi, ok = lo_root, hi_root, live[-1]
+            else:
+                side, j = (node - 1) % 2, (node - 1) // 2
+                lo, hi = lo_pairs[:, side, j], hi_pairs[:, side, j]
+                ok = live[side * lo_pairs.shape[-1] + j]
+            assert np.array_equal(bvh.node_mins[node], lo)
+            assert np.array_equal(bvh.node_maxs[node], hi)
+            assert bvh._live[node] == ok == (lo <= hi).all()
+        lo, hi = bvh.root_bounds()
+        assert np.array_equal(lo, bvh.node_mins[0]) and np.array_equal(hi, bvh.node_maxs[0])
+
+
 class TestTraversalOracle:
     @pytest.mark.parametrize("leaf_size", [1, 4])
     def test_point_rays_match_oracle(self, rng, leaf_size):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.geometry.boxes import Boxes
 from repro.geometry.ray import Rays, ray_aabb_interval
+from repro.rtcore import kernel
 from repro.rtcore.bvh import BVH
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
@@ -326,6 +327,26 @@ class TestRayTraversal:
         _check(cand, ref, stats, ref_stats)
 
     @pytest.mark.parametrize("cls,leaf_size", CASES)
+    @pytest.mark.parametrize("kind", ["point", "mixed"])
+    def test_large_launch(self, rng, cls, leaf_size, kind):
+        """Thousands of rays: sibling blocks wide enough for the
+        column-write compaction (small blocks use ``hit.T.nonzero()``)."""
+        boxes = _boxes(rng, 301, 2, np.float32, n_deleted=30)
+        bvh = cls(boxes, leaf_size=leaf_size)
+        parts = [_rays(rng, boxes, kind) for _ in range(40)]
+        rays = Rays(
+            np.concatenate([r.origins for r in parts]),
+            np.concatenate([r.dirs for r in parts]),
+            np.concatenate([r.tmins for r in parts]),
+            np.concatenate([r.tmaxs for r in parts]),
+        )
+        assert len(rays) >= 2 * kernel._SMALL_BLOCK
+        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+        stats, ref_stats = TraversalStats(len(rays)), TraversalStats(len(rays))
+        cand = bvh.traverse(*args, stats)
+        _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
+
+    @pytest.mark.parametrize("cls,leaf_size", CASES)
     def test_stat_ids_remap(self, rng, cls, leaf_size):
         boxes = _boxes(rng, 150, 2, np.float32, n_deleted=10)
         bvh = cls(boxes, leaf_size=leaf_size)
@@ -365,6 +386,81 @@ class TestRayTraversal:
         _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
         assert len(cand) == 0
 
+    @pytest.mark.parametrize("cls,leaf_size", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "interval", ["both-0-1", "both-0.5-0.75", "tmin-only", "tmax-only"]
+    )
+    def test_uniform_intervals(self, rng, cls, leaf_size, dtype, interval):
+        """Launches whose ``tmins`` (or ``tmaxs``) are all equal compare
+        against one broadcast value; mixed intervals keep per-row arrays."""
+        boxes = _boxes(rng, 301, 2, dtype, n_deleted=30)
+        bvh = cls(boxes, leaf_size=leaf_size)
+        rays = _rays(rng, boxes, "mixed")
+        tmins, tmaxs = {
+            "both-0-1": (0.0, 1.0),
+            "both-0.5-0.75": (0.5, 0.75),
+            "tmin-only": (0.25, rng.random(len(rays)) + 0.5),
+            "tmax-only": (rng.random(len(rays)) * 0.5, 2.0),
+        }[interval]
+        rays = Rays(rays.origins, rays.dirs, tmins=tmins, tmaxs=tmaxs)
+        slab = kernel.RaySlab(rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+        assert isinstance(slab.tmins, np.ndarray) == (interval == "tmax-only")
+        assert isinstance(slab.tmaxs, np.ndarray) == (interval == "tmin-only")
+        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+        stats, ref_stats = TraversalStats(len(rays)), TraversalStats(len(rays))
+        cand = bvh.traverse(*args, stats)
+        assert len(cand) > 0
+        _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
+
+    @pytest.mark.parametrize("cls,leaf_size", CASES)
+    @pytest.mark.parametrize("kind", ["point", "segment", "mixed"])
+    def test_root_is_the_leaf(self, rng, cls, leaf_size, kind):
+        """One primitive: the root is the only node and the only leaf."""
+        boxes = _boxes(rng, 1, 2, np.float64, n_deleted=0)
+        bvh = cls(boxes, leaf_size=leaf_size)
+        assert bvh.n_nodes == 1
+        rays = _rays(rng, boxes, kind)
+        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+        stats, ref_stats = TraversalStats(len(rays)), TraversalStats(len(rays))
+        cand = bvh.traverse(*args, stats)
+        if kind == "point":
+            assert len(cand) > 0
+        _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
+        assert (stats.nodes_visited == 1).all()
+
+    @pytest.mark.parametrize("cls,leaf_size", CASES)
+    def test_live_parent_of_two_dead_children(self, rng, cls, leaf_size):
+        """Each primitive is inverted on a different axis, so both are
+        dead while their union (the root) is live: hit parents whose
+        sibling pair is all dead end the descent with no candidate."""
+        boxes = Boxes([[0.0, 5.0], [5.0, 0.0]], [[1.0, 4.0], [4.0, 1.0]])
+        bvh = cls(boxes, leaf_size=leaf_size)
+        assert bvh._live[0] and not (boxes.mins <= boxes.maxs).all(axis=1).any()
+        pts = np.concatenate([rng.random((30, 2)) * 4.0, rng.random((10, 2)) * 4.0 + 6.0])
+        rays = Rays.point_rays(pts)
+        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+        stats, ref_stats = TraversalStats(len(rays)), TraversalStats(len(rays))
+        cand = bvh.traverse(*args, stats)
+        _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
+        assert not cand.aabb_hit.any()
+        # Inside the root: one visit, plus the dead pair when the root is
+        # inner (with a leaf root both primitives become IS candidates).
+        inside = 3 if bvh.n_nodes > 1 else 1
+        assert (stats.nodes_visited[:30] == inside).all()
+        assert (stats.nodes_visited[30:] == 1).all()
+
+    @pytest.mark.parametrize("cls,leaf_size", CASES)
+    def test_every_ray_misses_the_root(self, rng, cls, leaf_size):
+        """The frontier empties after the root test: one visit per ray."""
+        bvh = cls(_boxes(rng, 60, 2, np.float64, n_deleted=5), leaf_size=leaf_size)
+        rays = Rays.segment_rays(rng.random((25, 2)) + 500.0, rng.random((25, 2)) + 600.0)
+        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+        stats, ref_stats = TraversalStats(len(rays)), TraversalStats(len(rays))
+        cand = bvh.traverse(*args, stats)
+        _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
+        assert len(cand) == 0 and (stats.nodes_visited == 1).all()
+
 
 class TestBoxTraversal:
     @pytest.mark.parametrize("leaf_size", [1, 4])
@@ -393,3 +489,28 @@ class TestBoxTraversal:
         e = np.empty((0, 2))
         rows, prims = bvh.traverse_boxes(e, e, TraversalStats(0))
         assert len(rows) == len(prims) == 0 and rows.dtype == np.int64
+
+    @pytest.mark.parametrize("leaf_size", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_fully_deleted_tree(self, rng, leaf_size, n):
+        bvh = BVH(_boxes(rng, n, 2, np.float32, n_deleted=n), leaf_size=leaf_size)
+        assert not bvh.node_live.any()
+        q = _boxes(rng, 40, 2, np.float32, n_deleted=0)
+        stats, ref_stats = TraversalStats(len(q)), TraversalStats(len(q))
+        rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats)
+        r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats)
+        assert len(rows) == len(r_rows) == 0 and len(prims) == len(r_prims) == 0
+        assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
+        assert (stats.nodes_visited == 1).all()
+
+    @pytest.mark.parametrize("leaf_size", [1, 4])
+    def test_live_parent_of_two_dead_children(self, leaf_size):
+        boxes = Boxes([[0.0, 5.0], [5.0, 0.0]], [[1.0, 4.0], [4.0, 1.0]])
+        bvh = BVH(boxes, leaf_size=leaf_size)
+        q = Boxes([[0.5, 0.5], [2.0, 2.0], [9.0, 9.0]], [[3.5, 3.5], [2.5, 2.5], [9.5, 9.5]])
+        stats, ref_stats = TraversalStats(len(q)), TraversalStats(len(q))
+        rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats)
+        r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats)
+        assert len(rows) == len(r_rows) == 0
+        assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
+        assert np.array_equal(stats.is_invocations, ref_stats.is_invocations)

@@ -20,7 +20,6 @@ from repro.core.index import Predicate, RTSIndex
 from repro.geometry.boxes import Boxes
 from repro.geometry.ray import Rays, ray_aabb_hit
 from repro.rtcore.bvh import BVH
-from repro.rtcore.kernel import node_liveness
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
 
@@ -34,7 +33,8 @@ STRUCTURES = [
 
 
 def _assert_cache_fresh(bvh):
-    assert np.array_equal(bvh._live, node_liveness(bvh.node_mins, bvh.node_maxs))
+    fresh = (bvh.node_mins <= bvh.node_maxs).all(axis=1)
+    assert np.array_equal(bvh._live, fresh)
 
 
 def _hit_pairs(bvh, rays):
@@ -129,10 +129,10 @@ class TestStructureCache:
             name: value for name, value in vars(bvh).items()
             if isinstance(value, np.ndarray)
         }
-        assert {"node_mins", "node_maxs", "_live"} <= set(arrays)
+        assert {"node_lo", "node_hi", "node_live"} <= set(arrays)
         frozen = {name: arr.copy() for name, arr in arrays.items()}
-        assert not np.shares_memory(bvh._live, bvh.node_mins)
-        assert not np.shares_memory(bvh._live, bvh.node_maxs)
+        assert not np.shares_memory(bvh.node_live, bvh.node_lo)
+        assert not np.shares_memory(bvh.node_live, bvh.node_hi)
         rays = _rays(rng)
         _assert_matches_oracle(bvh, boxes, rays)
         _assert_matches_oracle(bvh, boxes, rays)

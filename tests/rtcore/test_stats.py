@@ -46,3 +46,13 @@ def test_totals_and_repr():
         "results_emitted": 3,
     }
     assert "results=3" in repr(s)
+
+
+def test_count_nodes_per_entry():
+    """The kernel counts each tested sibling pair as two node visits."""
+    s = TraversalStats(4)
+    s.count_nodes(np.array([0, 2, 2]), per_entry=2)
+    s.count_nodes(np.array([2, 3]))
+    assert s.nodes_visited.tolist() == [2, 0, 5, 1]
+    s.count_nodes(np.empty(0, dtype=np.int64), per_entry=2)
+    assert s.nodes_visited.tolist() == [2, 0, 5, 1]
