@@ -2,12 +2,13 @@
 
 Nine rules (RTS001–RTS009) encode the cross-cutting invariants the test
 suite can't economically cover: shader purity, dtype discipline,
-canonical pair order, lock hygiene, resource pairing, bench determinism,
-and — backed by the interprocedural engine in
-:mod:`repro.analysis.dataflow` — guard consistency, snapshot escape, and
-thread-identity discipline. Run ``python -m repro.analysis --check`` (CI
-does); see ``docs/ANALYSIS.md`` for the rule catalog and ``REPRO_TSAN=1``
-for the matching runtime race sanitizer (:mod:`repro.tsan`).
+canonical pair order, resource pairing, bench determinism, and — backed
+by the interprocedural engine in :mod:`repro.analysis.dataflow` — lock
+hygiene, guard consistency, snapshot escape, and thread-identity
+discipline. Run ``python -m repro.analysis --check`` (CI does); see
+``docs/ANALYSIS.md`` for the rule catalog and ``REPRO_TSAN=1`` for the
+matching runtime checks (lock-order assertions in :mod:`repro.lockorder`
+and the race sanitizer in :mod:`repro.tsan`).
 """
 
 from repro.analysis.checkers import ALL_CHECKERS, default_checkers

@@ -13,13 +13,6 @@ construction must be visibly paired with a release:
 - stored on ``self``/a container (owned by the enclosing object, which
   is itself subject to this rule); or
 - annotated with an ``# owner:`` comment naming who releases it.
-
-PR 7 extends the rule to ``multiprocessing.shared_memory.SharedMemory``:
-a created segment persists in ``/dev/shm`` until ``unlink()`` (process
-exit does *not* reclaim it), and an attached one holds a mapping until
-``close()``. Both the create and the attach side must therefore show the
-same visible release evidence; ``unlink`` counts as a releaser alongside
-``close``/``shutdown``.
 """
 
 from __future__ import annotations
@@ -30,13 +23,10 @@ from repro.analysis.checkers.common import attr_chain
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, FileContext
 
-#: Classes whose instances pin threads / pool references — or, for
-#: SharedMemory, a kernel object that outlives the process.
-CLOSEABLE = frozenset(
-    {"RTSIndex", "ChunkedExecutor", "SpatialQueryService", "SharedMemory"}
-)
+#: Classes whose instances pin threads / pool references.
+CLOSEABLE = frozenset({"RTSIndex", "ChunkedExecutor", "SpatialQueryService"})
 
-_RELEASERS = frozenset({"close", "shutdown", "unlink"})
+_RELEASERS = frozenset({"close", "shutdown"})
 
 
 class ResourcePairing(Checker):
@@ -50,8 +40,7 @@ class ResourcePairing(Checker):
         "attribute), or carry an '# owner:' comment naming the releaser. "
         "PR 3's bench harness leaked a pool per run exactly this way, "
         "and this PR's serve layer leaked retired epoch snapshots until "
-        "the scheduler learned to close them. SharedMemory is stricter "
-        "still: a created segment outlives the process until unlink()."
+        "the scheduler learned to close them."
     )
     scope = None
     node_types = (ast.Call,)

@@ -1,20 +1,18 @@
 """RTS008 — snapshot escape: published buffers are never written.
 
-Epoch correctness rests on copy-on-write publication: the arrays behind
-``flatten_state()`` / ``attach_segment()`` exports and the snapshot
-indexes handed out by ``EpochSnapshots`` / ``service.snapshot()`` are
-shared by every concurrent reader (and, for shm segments, by every
-worker process). One in-place write tears responses at *other* epochs
-with no exception anywhere — the worst failure mode in the repo. The
-runtime guard (read-only ndarray views) covers the common paths; this
-rule covers the rest at review time by dataflow:
+Epoch correctness rests on copy-on-write publication: the snapshot
+indexes handed out by ``EpochSnapshots`` / ``service.snapshot()`` and
+the arrays behind them are shared by every concurrent reader. One
+in-place write tears responses at *other* epochs with no exception
+anywhere — the worst failure mode in the repo. The runtime guard
+(read-only ndarray views) covers the common paths; this rule covers the
+rest at review time by dataflow:
 
-**Sources** — calls to ``flatten_state()`` / ``attach_segment()`` /
-``snapshot()`` and loads of ``<snapshots>.current`` (tuple unpacking
-included). **Taint** flows through assignments of attribute/subscript
-chains; it is *killed* by any other call (``fork()``/``copy()``/
-``dict(...)`` produce private data). **Sinks** — subscript stores and
-``+=`` on tainted roots, mutating ndarray methods (``fill``/``sort``/
+**Sources** — calls to ``snapshot()`` and loads of
+``<snapshots>.current`` (tuple unpacking included). **Taint** flows
+through assignments of attribute/subscript chains; it is *killed* by
+any other call (``fork()``/``copy()``/``dict(...)`` produce private
+data). **Sinks** — subscript stores and ``+=`` on tainted roots, mutating ndarray methods (``fill``/``sort``/
 ``put``/...), index mutators (``insert``/``rebuild``/``compact``/...),
 ``np.copyto``-family calls and ``out=`` kwargs targeting tainted
 buffers, attribute stores on tainted objects, and ``.flags.writeable``
@@ -33,7 +31,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, FileContext
 
 #: Method calls whose return value is a published (shared, frozen) object.
-SOURCE_CALLS = frozenset({"flatten_state", "attach_segment", "snapshot"})
+SOURCE_CALLS = frozenset({"snapshot"})
 
 #: In-place ndarray mutators.
 _NDARRAY_MUTATORS = frozenset(
@@ -70,11 +68,10 @@ def _is_source_attr(node: ast.Attribute) -> bool:
 
 class SnapshotEscape(Checker):
     rule_id = "RTS008"
-    title = "published snapshot/flatten buffers never flow to in-place writes"
+    title = "published snapshot buffers never flow to in-place writes"
     rationale = (
-        "flatten_state()/attach_segment() arrays back live queries in "
-        "every worker process, and EpochSnapshots indexes back concurrent "
-        "readers at pinned epochs; writing any of them in place silently "
+        "EpochSnapshots indexes and their arrays back concurrent readers "
+        "at pinned epochs; writing any of them in place silently "
         "corrupts other requests' results (bit-replay is the product "
         "contract). The ndarray writeable flag catches direct stores at "
         "runtime, but .flags.writeable=True flips, np out= targets and "
@@ -171,7 +168,7 @@ class SnapshotEscape(Checker):
                         unit.rel,
                         line,
                         f"{what} on a published buffer (source at "
-                        f"{unit.rel}:{origin[1]}); snapshot/flatten state is "
+                        f"{unit.rel}:{origin[1]}); snapshot state is "
                         "shared by concurrent readers and must stay frozen",
                     ))
                 else:

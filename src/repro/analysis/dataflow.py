@@ -1,8 +1,8 @@
-"""Interprocedural dataflow engine behind RTS007–RTS009.
+"""Interprocedural dataflow engine behind RTS004 and RTS007–RTS009.
 
 One engine instance is built per analyzer run from the parsed trees of
-every in-scope file (memoized on tree identity so the three race rules
-share it). It computes, whole-program:
+every in-scope file (memoized on tree identity so the four concurrency
+rules share it). It computes, whole-program:
 
 - a **call graph** over module functions, methods, nested functions and
   property getters, with receivers typed through ``self.attr = Cls(...)``
@@ -16,10 +16,12 @@ share it). It computes, whole-program:
   the implicit ``main`` root seeded at every public entry point (public or
   dunder methods and module functions that are not thread targets);
 - **root reachability**: which thread labels can reach each unit;
-- **must-hold lockset contexts**: the set of ranked locks (recognised at
-  ``make_lock`` definition sites, with ``threading.Condition(self.x)``
-  aliasing the wrapped lock, exactly as RTS004 does) guaranteed held on
-  *every* call path from a root to the unit — an optimistic shrinking
+- **locks and acquisitions**: lock definitions are recognised at
+  ``make_lock`` sites (with ``threading.Condition(self.x)`` aliasing the
+  wrapped lock), and every ``with``-block or ``.acquire()`` of one is
+  recorded per unit with the locks already held there;
+- **must-hold lockset contexts**: the set of ranked locks guaranteed held
+  on *every* call path from a root to the unit — an optimistic shrinking
   fixpoint with intersection meet over call edges;
 - **field access summaries**: every ``self._x`` / typed-receiver attribute
   read and write, annotated with the effective lockset (locally-held
@@ -27,9 +29,10 @@ share it). It computes, whole-program:
   ``x[...] =`` subscript stores and mutating container-method calls
   (``append``/``pop``/``update``/...) on the field count as writes.
 
-RTS007 consumes the field summaries (Eraser-style guard inference),
-RTS009 the root reachability plus ``# thread:`` affinity comments, and
-RTS008 the units/call resolution for its source→sink taint walk.
+RTS004 consumes the acquisitions and resolved calls (lock-order graph),
+RTS007 the field summaries (Eraser-style guard inference), RTS009 the
+root reachability plus ``# thread:`` affinity comments, and RTS008 the
+units/call resolution for its source→sink taint walk.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.lockorder import RANKS
 #: The pseudo thread-root for code reachable from public entry points.
 MAIN_ROOT = "main"
 
-#: Packages the engine scans (shared scope of RTS007–RTS009).
+#: Packages the engine scans (shared scope of RTS004 and RTS007–RTS009).
 ENGINE_SCOPE = (
     "repro.serve",
     "repro.churn",
@@ -96,7 +99,7 @@ class Unit:
     """One function-like scope: module fn, method, or nested function."""
 
     __slots__ = ("key", "rel", "package", "cls", "name", "node", "lineno",
-                 "self_name", "calls", "spawn_targets")
+                 "self_name", "calls", "acquires", "spawn_targets")
 
     def __init__(self, key, rel, package, cls, name, node):
         self.key = key
@@ -109,6 +112,8 @@ class Unit:
         self.self_name: str | None = None
         #: [(descriptor, held frozenset, lineno)]
         self.calls: list[tuple] = []
+        #: [(lock key, held frozenset, lineno)] — with/.acquire() sites
+        self.acquires: list[tuple] = []
         #: [(descriptor, label or None, lineno)] — threading.Thread targets
         self.spawn_targets: list[tuple] = []
 
@@ -132,6 +137,9 @@ class Engine:
         self.aliases: dict[tuple, tuple] = {}      # Condition alias -> wrapped
         self.lock_names: dict[tuple, str] = {}     # lock key -> display
         self.lock_ranks: dict[tuple, int | None] = {}
+        self.lock_sites: dict[tuple, tuple] = {}   # lock key -> (rel, line)
+        #: [(rel, cls, wrapped expr, lineno)] per threading.Condition(x)
+        self.conditions: list[tuple] = []
         self.attr_types: dict[tuple, str] = {}     # (cls, attr) -> class name
 
         self.units: dict[tuple, Unit] = {}
@@ -241,19 +249,21 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _collect_locks_and_types(self) -> None:
-        def register(key, display, call):
-            self.lock_names[key] = display
+        def register(key, display, call, rel):
             rank = None
             if call.args and isinstance(call.args[0], ast.Constant):
                 display = repr(call.args[0].value)
-                self.lock_names[key] = display
                 rank = RANKS.get(call.args[0].value)
+            self.lock_names[key] = display
             self.lock_ranks[key] = rank
+            self.lock_sites[key] = (rel, call.lineno)
 
         for rel, package, tree, _lines in self.files:
             for cls, fn, target, value in _assignments(tree):
                 call = value if isinstance(value, ast.Call) else None
                 chain = attr_chain(call.func) if call is not None else None
+                if chain and chain[-1] == "Condition" and call.args:
+                    self.conditions.append((rel, cls, call.args[0], call.lineno))
                 if (
                     isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
@@ -263,7 +273,7 @@ class Engine:
                     if chain and chain[-1] == "make_lock":
                         key = ("attr", cls, target.attr)
                         self.attr_locks[(cls, target.attr)] = key
-                        register(key, f"{cls}.{target.attr}", call)
+                        register(key, f"{cls}.{target.attr}", call, rel)
                     elif chain and chain[-1] == "Condition" and call.args:
                         wrapped = call.args[0]
                         if (
@@ -281,7 +291,7 @@ class Engine:
                 elif isinstance(target, ast.Name) and chain and chain[-1] == "make_lock":
                     key = ("mod", rel, target.id)
                     self.module_locks[(rel, target.id)] = key
-                    register(key, f"{rel}:{target.id}", call)
+                    register(key, f"{rel}:{target.id}", call, rel)
 
             # annotated self-attribute assignments (AnnAssign)
             for node in ast.walk(tree):
@@ -366,23 +376,6 @@ class Engine:
                 return chain_type(chain)
             return None
 
-        def resolve_lock(expr):
-            if (
-                isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-                and cls is not None
-            ):
-                attr = (cls, expr.attr)
-                seen = set()
-                while attr in self.aliases and attr not in seen:
-                    seen.add(attr)
-                    attr = self.aliases[attr]
-                return self.attr_locks.get(attr)
-            if isinstance(expr, ast.Name):
-                return self.module_locks.get((rel, expr.id))
-            return None
-
         def is_lock_attr(owner: str, field: str) -> bool:
             for c in self.mro(owner):
                 if (c, field) in self.attr_locks or (c, field) in self.aliases:
@@ -444,9 +437,10 @@ class Engine:
                     unit.spawn_targets.append((desc, label, call.lineno))
                 return
             if isinstance(call.func, ast.Attribute) and call.func.attr == "acquire":
-                lock = resolve_lock(call.func.value)
+                lock = self.lock_of(call.func.value, rel, cls)
                 if lock is not None:
-                    return  # runtime acquisition; RTS004 audits ordering
+                    unit.acquires.append((lock, frozenset(held), call.lineno))
+                    return
             desc = callee_desc(call)
             if desc is not None:
                 unit.calls.append((desc, frozenset(held), call.lineno))
@@ -531,8 +525,12 @@ class Engine:
                     acquired = []
                     for item in stmt.items:
                         walk_expr(item.context_expr, held + tuple(acquired))
-                        lock = resolve_lock(item.context_expr)
+                        lock = self.lock_of(item.context_expr, rel, cls)
                         if lock is not None:
+                            unit.acquires.append((
+                                lock, frozenset(held + tuple(acquired)),
+                                item.context_expr.lineno,
+                            ))
                             acquired.append(lock)
                     walk_stmts(stmt.body, held + tuple(acquired))
                     continue
@@ -653,6 +651,25 @@ class Engine:
     # helpers for the rules
     # ------------------------------------------------------------------
 
+    def lock_of(self, expr, rel: str, cls: str | None):
+        """Lock key named by ``self.x`` (through Condition aliases) or a
+        module-level name, or None when ``expr`` is not a known lock."""
+        if (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+            and cls is not None
+        ):
+            attr = (cls, expr.attr)
+            seen = set()
+            while attr in self.aliases and attr not in seen:
+                seen.add(attr)
+                attr = self.aliases[attr]
+            return self.attr_locks.get(attr)
+        if isinstance(expr, ast.Name):
+            return self.module_locks.get((rel, expr.id))
+        return None
+
     def lock_display(self, key) -> str:
         return self.lock_names.get(key, str(key))
 
@@ -729,8 +746,8 @@ _ENGINE_CACHE: dict[tuple, Engine] = {}
 
 def engine_for(files) -> Engine:
     """Build (or reuse) the engine for a list of (rel, package, tree,
-    lines) tuples. Memoized on tree identity: the three race rules stash
-    the same FileContext trees, so one engine serves all of them."""
+    lines) tuples. Memoized on tree identity: the four concurrency rules
+    stash the same FileContext trees, so one engine serves all of them."""
     key = tuple(id(tree) for _rel, _pkg, tree, _lines in files)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:

@@ -5,11 +5,12 @@ one global lock order, documented here and enforced two ways:
 
 - **statically** — checker RTS004 (``repro.analysis``) builds the
   lock-acquisition graph and flags nesting that contradicts the ranks;
-- **at runtime** — with ``REPRO_LOCK_ORDER=1`` in the environment,
-  :func:`make_lock` returns an :class:`OrderedLock` that raises
-  :class:`LockOrderViolation` the moment a thread acquires a lock whose
-  rank is below the highest rank it already holds. The serve stress
-  suite runs under this mode.
+- **at runtime** — with ``REPRO_TSAN=1`` in the environment (the one
+  runtime concurrency switch, shared with the :mod:`repro.tsan` race
+  sanitizer), :func:`make_lock` returns an :class:`OrderedLock` that
+  raises :class:`LockOrderViolation` the moment a thread acquires a lock
+  whose rank is below the highest rank it already holds. The serve and
+  churn stress suites run under this mode.
 
 The global order (lower rank may hold while acquiring higher, never the
 reverse)::
@@ -33,7 +34,7 @@ locks.
 
 Leaf subsystems (metrics, tracer, pools) sit at high ranks: anything may
 record a metric while holding its own lock, but a metrics callback must
-never call back into the service. Without the env toggle
+never call back into the service. Without ``REPRO_TSAN=1``
 :func:`make_lock` returns a plain ``threading.Lock`` — zero overhead on
 the hot path.
 """
@@ -145,30 +146,24 @@ class OrderedLock:
         return f"OrderedLock({self.name!r}, rank={self.rank})"
 
 
-def enabled() -> bool:
-    """True when runtime lock-order assertions are switched on."""
-    return os.environ.get("REPRO_LOCK_ORDER", "") == "1"
-
-
 def tsan_enabled() -> bool:
-    """True when the :mod:`repro.tsan` runtime race sanitizer is on."""
+    """True when the runtime concurrency checks (lock-order assertions
+    and the :mod:`repro.tsan` race sanitizer) are switched on."""
     return os.environ.get("REPRO_TSAN", "") == "1"
 
 
 def make_lock(name: str, rank: int | None = None):
     """A lock participating in the global order.
 
-    Returns a plain ``threading.Lock`` normally; under
-    ``REPRO_LOCK_ORDER=1`` (checked at construction time, so tests can
-    flip the env var before building a service) returns an
-    :class:`OrderedLock` asserting the order. ``REPRO_TSAN=1`` also
-    selects :class:`OrderedLock` — the sanitizer needs the per-thread
-    held-lock bookkeeping to compute locksets (and gets the order
-    assertion for free). ``rank`` defaults to the :data:`RANKS` entry
-    for ``name``; unknown names must pass one.
+    Returns a plain ``threading.Lock`` normally; under ``REPRO_TSAN=1``
+    (checked at construction time, so tests can flip the env var before
+    building a service) returns an :class:`OrderedLock`, which asserts
+    the order and keeps the per-thread held-lock bookkeeping the
+    sanitizer computes locksets from. ``rank`` defaults to the
+    :data:`RANKS` entry for ``name``; unknown names must pass one.
     """
     if rank is None:
         rank = RANKS[name]
-    if enabled() or tsan_enabled():
+    if tsan_enabled():
         return OrderedLock(name, rank)
     return threading.Lock()

@@ -38,7 +38,7 @@ _pools: dict[int, ThreadPoolExecutor] = {}
 _pool_refs: dict[int, int] = {}
 # Rank 60 (leaf): pool bookkeeping may run under any other subsystem's
 # lock but never calls back out while held. Created at import time, so
-# REPRO_LOCK_ORDER only covers it when set before the first import.
+# REPRO_TSAN only covers it when set before the first import.
 _pools_lock = make_lock("parallel.pools")
 
 

@@ -63,3 +63,21 @@ def locking_shader(ray):
 
 
 programs = ShaderPrograms(intersection=locking_shader)  # noqa: F821
+
+
+class Low:
+    def __init__(self):
+        self._lock = make_lock("serve.snapshot")  # rank 20
+
+    def grab(self):
+        with self._lock:
+            pass
+
+
+class TypedParam:
+    def __init__(self):
+        self._lock = make_lock("obs.metrics")     # rank 40
+
+    def push(self, low: Low):
+        with self._lock:
+            low.grab()                      # RTS004: descends via typed param

@@ -16,12 +16,3 @@ def leak_service(index):
     svc = SpatialQueryService(index)    # noqa: F821  # RTS005: no release
     svc.submit(np.zeros((1, 4)))
 
-
-def leak_segment():
-    shm = SharedMemory(create=True, size=64)  # noqa: F821  # RTS005: never unlinked
-    shm.buf[:4] = b"abcd"
-
-
-def leak_attachment(name):
-    shm = SharedMemory(name=name)       # noqa: F821  # RTS005: never closed
-    return bytes(shm.buf[:4])

@@ -35,26 +35,3 @@ class Holder:
     def close(self):
         self.idx.close()
 
-
-def segment_try_finally(payload):
-    shm = SharedMemory(create=True, size=len(payload))  # noqa: F821
-    try:
-        shm.buf[: len(payload)] = payload
-    finally:
-        shm.close()
-        shm.unlink()
-
-
-def attachment_with_owner_tag(name):
-    # owner: reader handle; the caller closes it when done with the views
-    shm = SharedMemory(name=name)       # noqa: F821
-    return shm
-
-
-class SegmentHolder:
-    def __init__(self, name, size):
-        self.shm = SharedMemory(create=True, size=size, name=name)  # noqa: F821
-
-    def close(self):
-        self.shm.close()
-        self.shm.unlink()

@@ -3,20 +3,21 @@
 import numpy as np
 
 
-def clamp(index):
-    mins, maxs = index.flatten_state()
+def clamp(service):
+    snap = service.snapshot()
+    mins, maxs = snap._mins, snap._maxs
     mins[0] = 0.0                       # RTS008: subscript store on source
     return mins, maxs
 
 
-def thaw(index):
-    state, _ = index.flatten_state()
+def thaw(service):
+    state = service.snapshot()._mins
     state.flags.writeable = True        # RTS008: un-freezing a shared buffer
     return state
 
 
-def overwrite(index, fresh):
-    mins, _ = index.flatten_state()
+def overwrite(snapshots, fresh):
+    mins = snapshots.current._mins
     np.copyto(mins, fresh)              # RTS008: np in-place family
 
 
@@ -24,8 +25,8 @@ def _zero(buf):
     buf.fill(0)
 
 
-def reset(index):
-    mins, _ = index.flatten_state()
+def reset(service):
+    mins, _ = service.snapshot()._mins, None
     _zero(mins)                         # RTS008: helper mutates its argument
 
 

@@ -3,15 +3,17 @@
 import numpy as np
 
 
-def widen(index):
-    mins, maxs = index.flatten_state()
+def widen(service):
+    snap = service.snapshot()
+    mins, maxs = snap._mins, snap._maxs
     lo = np.array(mins)                 # private copy: taint is killed
     lo[0] = -1.0
     return lo, maxs
 
 
-def freeze(index):
-    mins, maxs = index.flatten_state()
+def freeze(snapshots):
+    snap = snapshots.current
+    mins, maxs = snap._mins, snap._maxs
     mins.setflags(write=False)          # freezing a published buffer is fine
     maxs.flags.writeable = False
     return mins, maxs

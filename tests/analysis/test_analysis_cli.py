@@ -60,7 +60,7 @@ def test_explain_known_rule(capsys):
     out = capsys.readouterr().out
     assert "RTS004" in out
     assert "scope:" in out
-    assert "REPRO_LOCK_ORDER" in out
+    assert "REPRO_TSAN=1" in out
 
 
 def test_explain_unknown_rule(capsys):

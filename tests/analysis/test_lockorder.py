@@ -1,4 +1,4 @@
-"""Runtime lock-order assertions (the REPRO_LOCK_ORDER=1 mode)."""
+"""Runtime lock-order assertions (the REPRO_TSAN=1 mode)."""
 
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from repro.lockorder import (
 
 @pytest.fixture
 def ordered(monkeypatch):
-    monkeypatch.setenv("REPRO_LOCK_ORDER", "1")
+    monkeypatch.setenv("REPRO_TSAN", "1")
 
 
 def test_make_lock_plain_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_LOCK_ORDER", raising=False)
+    monkeypatch.delenv("REPRO_TSAN", raising=False)
     lock = make_lock("serve.service")
     assert not isinstance(lock, OrderedLock)
     with lock:

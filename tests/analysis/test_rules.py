@@ -55,6 +55,21 @@ def test_rts004_catches_every_hygiene_mode():
     assert any("Condition must wrap a make_lock-ranked lock" in m for m in messages)
 
 
+def test_rts004_follows_typed_parameter_calls():
+    # ``low: Low`` types the receiver, so ``low.grab()`` made while holding
+    # obs.metrics (rank 40) contributes Low's serve.snapshot (rank 20).
+    source = (FIXTURES / "rts004_bad.py").read_text().splitlines()
+    line = next(i for i, ln in enumerate(source, 1) if "low.grab()" in ln)
+    descending = [
+        f for f in _findings("rts004_bad.py")
+        if f.rule_id == "RTS004" and f.line == line
+    ]
+    assert [f.message for f in descending] == [
+        "acquires 'serve.snapshot' (rank 20) while holding 'obs.metrics' "
+        "(rank 40); the global order in repro.lockorder.RANKS only descends"
+    ]
+
+
 def test_rts005_accepts_each_pairing_form():
     # The good fixture holds one construction per accepted form; a single
     # miss in the heuristic would produce a finding and fail the clean test,
@@ -63,18 +78,6 @@ def test_rts005_accepts_each_pairing_form():
     for form in ("with RTSIndex", "finally:", "# owner:", "adopt(RTSIndex",
                  "return RTSIndex", "self.idx = RTSIndex"):
         assert form in source
-
-
-def test_rts005_covers_shared_memory_create_and_attach():
-    # Both sides of the shm lifecycle must show release evidence: the
-    # creator's unlink() and the attacher's close().
-    findings = _findings("rts005_bad.py")
-    lines = {f.line for f in findings if f.rule_id == "RTS005"}
-    source = (FIXTURES / "rts005_bad.py").read_text().splitlines()
-    shm_lines = {
-        i for i, ln in enumerate(source, 1) if "SharedMemory(" in ln
-    }
-    assert shm_lines <= lines, (shm_lines, lines)
 
 
 def test_rts007_catches_lockfree_read_and_disjoint_guards():

@@ -1,4 +1,4 @@
-"""Compaction-under-concurrent-readers stress under REPRO_LOCK_ORDER=1.
+"""Compaction-under-concurrent-readers stress under REPRO_TSAN=1.
 
 The churn variant of tests/serve/test_stress_lockorder.py: readers and a
 mutating writer run against a churn-enabled service while the
@@ -36,7 +36,7 @@ N_WRITES = 8
 
 @pytest.mark.slow
 def test_compaction_stress_under_lock_order_assertions(monkeypatch):
-    monkeypatch.setenv("REPRO_LOCK_ORDER", "1")
+    monkeypatch.setenv("REPRO_TSAN", "1")
     rng = np.random.default_rng(79)
     index = RTSIndex(random_boxes(rng, 300), dtype=np.float64, seed=7)
     # Triggers tuned so the background thread actually compacts during

@@ -1,4 +1,4 @@
-"""Concurrency stress under REPRO_LOCK_ORDER=1.
+"""Concurrency stress under REPRO_TSAN=1 lock-order assertions.
 
 Same reader/writer shape as test_stress.py, but every lock built by
 :func:`repro.lockorder.make_lock` is an :class:`OrderedLock` that raises
@@ -32,7 +32,7 @@ N_WRITES = 6
 
 @pytest.mark.slow
 def test_stress_under_lock_order_assertions(monkeypatch):
-    monkeypatch.setenv("REPRO_LOCK_ORDER", "1")
+    monkeypatch.setenv("REPRO_TSAN", "1")
     rng = np.random.default_rng(77)
     index = RTSIndex(random_boxes(rng, 300), dtype=np.float64, seed=7)
     config = ServiceConfig(max_queue_depth=128, max_batch=8, max_wait=0.001,
