@@ -120,8 +120,9 @@ class ChurnState:
     raises raw nodes/ray directly, while tombstones leave raw traversal
     flat but shrink the live set a clean structure would be built over —
     normalizing by the ideal depth registers both as drift. A per-query
-    cast-time EWMA feeds the priced decision and the planner's fan-out
-    pricing.
+    cast-time EWMA feeds the priced compaction decision
+    (:meth:`ChurnIndex.compaction_due`); the planner reads only the
+    drift factor.
     """
 
     def __init__(self, alpha: float = 0.3):

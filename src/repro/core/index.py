@@ -162,7 +162,10 @@ class RTSIndex:
         Run query batches sharded over a multicore thread pool (the
         paper's embarrassingly-parallel query distribution, §6.1).
         Results, per-query counters and simulated times are identical to
-        serial execution; only wall-clock time changes.
+        serial execution; only wall-clock time changes. Fixed for the
+        life of the index: every launch, planned or not, runs on the
+        index's one executor, sharded by
+        :func:`~repro.parallel.executor.plan_shards`.
     n_workers:
         Worker threads for parallel execution (default: all cores).
         ``n_workers=1`` is always serial; ``n_workers < 1`` is rejected
@@ -177,8 +180,8 @@ class RTSIndex:
     planner:
         Default execution planner for :meth:`query`: ``None``/``"off"``
         (no planning — the historical fixed-config path), ``"auto"``
-        (an adaptive :class:`~repro.plan.QueryPlanner` choosing backend
-        and shard fan-out per batch, shared with forks), or a
+        (an adaptive :class:`~repro.plan.QueryPlanner` choosing the
+        backend per batch, shared with forks), or a
         :class:`~repro.plan.QueryPlanner` instance. Planning never
         changes answers — planned queries return bit-identical pairs to
         the equivalent fixed-config run (see :mod:`repro.plan`).
@@ -246,13 +249,9 @@ class RTSIndex:
         #: Session-level metrics (counters, gauges, per-ray work
         #: histograms), accumulated across every query on this index.
         self.metrics = MetricsRegistry()
-        #: Executors cached per worker count (plain int key) or costed
-        #: shard plan + worker count (``("costed", nw)``), so per-call
-        #: overrides reuse one executor (and its pool reference) instead
-        #: of minting a throwaway per query; :meth:`close` releases them.
-        self._executors: dict[int | tuple, ChunkedExecutor] = {}
-        if self.parallel and self.n_workers > 1:
-            self._executors[self.n_workers] = ChunkedExecutor(self.n_workers)
+        #: The index's one executor, used by every launch (planned or
+        #: not); :meth:`close` releases it.
+        self._executor = self._new_executor()
 
         self._gases: list[GeometryAS] = []
         self._ias = InstanceAS()
@@ -385,14 +384,15 @@ class RTSIndex:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release execution resources (thread-pool references). Idempotent,
-        and the index stays usable: a later parallel query simply
-        re-acquires a pool. Long-lived callers that sweep ``n_workers``
-        (bench runs, the serving layer) should close indexes they own so
-        replaced pool widths are shut down instead of idling forever."""
-        executors, self._executors = self._executors, {}
-        for ex in executors.values():
-            ex.close()
+        """Release execution resources (the executor's thread-pool
+        reference). Idempotent, and the index stays usable: a later
+        parallel query simply re-acquires a pool. Long-lived callers that
+        sweep ``n_workers`` (bench runs, the serving layer) should close
+        indexes they own so replaced pool widths are shut down instead of
+        idling forever."""
+        executor, self._executor = self._executor, self._new_executor()
+        if executor is not None:
+            executor.close()
 
     def __enter__(self) -> "RTSIndex":
         return self
@@ -417,7 +417,7 @@ class RTSIndex:
 
         The fork clones the RNG state (deterministic k prediction
         continues exactly where the parent left off) and starts with no
-        executors of its own; ``metrics``, ``tracer`` and the planner
+        executor of its own; ``metrics``, ``tracer`` and the planner
         (with its learned feedback state) are shared so session-level
         observability and planning span epochs. The baseline-structure
         cache is *not* shared: entries are epoch-validated, and a fresh
@@ -436,7 +436,7 @@ class RTSIndex:
         ):
             setattr(new, attr, getattr(self, attr))
         new.rng = copy.deepcopy(self.rng)
-        new._executors = {}
+        new._executor = new._new_executor()
         new._baseline_cache = {}
         new._gases = list(self._gases)
         new._ias = InstanceAS.from_gases(new._gases)
@@ -601,37 +601,13 @@ class RTSIndex:
 
     # -- query dispatch ---------------------------------------------------------
 
-    def _resolve_executor(
-        self,
-        parallel: bool | None,
-        n_workers: int | None,
-        shard_plan=None,
-    ) -> ChunkedExecutor | None:
-        """Pick the executor for one query call.
-
-        Per-call ``parallel`` / ``n_workers`` override the index-level
-        defaults; ``n_workers`` alone implies ``parallel=True``; a
-        resolved worker count of 1 always means serial execution, and
-        ``n_workers < 1`` is rejected (0 must not silently mean "all
-        cores"). ``shard_plan`` requests a cost-priced executor (the
-        planner's fan-out), cached separately from the static ones.
-        """
-        if n_workers is not None and int(n_workers) < 1:
-            raise ValueError(
-                f"n_workers must be >= 1, got {n_workers} (use None for all cores)"
-            )
-        if parallel is None:
-            parallel = self.parallel if n_workers is None else True
-        if not parallel:
-            return None
-        nw = int(n_workers) if n_workers is not None else self.n_workers
-        if nw <= 1:
-            return None
-        key = nw if shard_plan is None else ("costed", nw)
-        ex = self._executors.get(key)
-        if ex is None:
-            ex = self._executors[key] = ChunkedExecutor(nw, shard_plan=shard_plan)
-        return ex
+    def _new_executor(self) -> ChunkedExecutor | None:
+        """A fresh executor for this index: ``None`` (serial) unless it
+        was built with ``parallel=True`` and ``n_workers > 1``. Creating
+        one is cheap; it acquires a pool on its first sharded launch."""
+        if self.parallel and self.n_workers > 1:
+            return ChunkedExecutor(self.n_workers)
+        return None
 
     def _resolve_planner(self, planner):
         """Resolve the per-call ``planner=`` against the index default.
@@ -661,8 +637,6 @@ class RTSIndex:
         queries,
         handler: Handler | None = None,
         k: int | None = None,
-        parallel: bool | None = None,
-        n_workers: int | None = None,
         planner=None,
     ) -> QueryResult:
         """Run a spatial query (Algorithm 2's ``Query``).
@@ -671,8 +645,6 @@ class RTSIndex:
         :attr:`Predicate.CONTAINS_POINT` and a rectangle set (Boxes /
         interleaved array / (mins, maxs)) for the range predicates.
         ``k`` pins the Ray Multicast parameter (None = cost model).
-        ``parallel`` / ``n_workers`` override the index-level execution
-        mode for this call; results and simulated times are invariant.
         ``planner`` overrides the index-level planner for this call
         (``"auto"`` / ``"off"`` / a :class:`~repro.plan.QueryPlanner`);
         a planned call may answer on an in-tree baseline backend when
@@ -702,7 +674,7 @@ class RTSIndex:
                 n_q = len(payload)
             else:
                 n_q = int(payload.shape[0]) if payload.ndim else 0
-            plan = active.plan(self, predicate, n_q, k=k, n_workers=n_workers)
+            plan = active.plan(self, predicate, n_q, k=k)
 
         if plan is not None and plan.backend != "rt":
             from repro.plan.backends import execute_baseline
@@ -723,18 +695,7 @@ class RTSIndex:
             active.observe(plan, result)
             return result
 
-        if plan is not None and parallel is None and n_workers is None:
-            # The planner priced the shard fan-out; results are
-            # shard-invariant so this only moves wall-clock time.
-            from repro.parallel.executor import cost_priced_shards
-
-            executor = (
-                self._resolve_executor(True, plan.n_workers, shard_plan=cost_priced_shards)
-                if plan.parallel
-                else None
-            )
-        else:
-            executor = self._resolve_executor(parallel, n_workers)
+        executor = self._executor
         with self.tracer.span("query", predicate=predicate.value) as q_sp:
             if predicate is Predicate.CONTAINS_POINT:
                 r, q, phases, meta = run_point_query(
@@ -788,17 +749,17 @@ class RTSIndex:
             m.observe(f"query.{pred}{label}.nodes_per_ray", stats.nodes_visited)
             m.observe(f"query.{pred}{label}.is_per_ray", stats.is_invocations)
 
-    def query_points(self, points, handler=None, **exec_kwargs) -> QueryResult:
+    def query_points(self, points, handler=None, planner=None) -> QueryResult:
         """Convenience alias for the point query."""
-        return self.query(Predicate.CONTAINS_POINT, points, handler, **exec_kwargs)
+        return self.query(Predicate.CONTAINS_POINT, points, handler, planner=planner)
 
-    def query_contains(self, rects, handler=None, **exec_kwargs) -> QueryResult:
+    def query_contains(self, rects, handler=None, planner=None) -> QueryResult:
         """Convenience alias for Range-Contains."""
-        return self.query(Predicate.RANGE_CONTAINS, rects, handler, **exec_kwargs)
+        return self.query(Predicate.RANGE_CONTAINS, rects, handler, planner=planner)
 
-    def query_intersects(self, rects, handler=None, k=None, **exec_kwargs) -> QueryResult:
+    def query_intersects(self, rects, handler=None, k=None, planner=None) -> QueryResult:
         """Convenience alias for Range-Intersects."""
-        return self.query(Predicate.RANGE_INTERSECTS, rects, handler, k=k, **exec_kwargs)
+        return self.query(Predicate.RANGE_INTERSECTS, rects, handler, k=k, planner=planner)
 
     # -- substrate access (used by the query modules) ----------------------------
 

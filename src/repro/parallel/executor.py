@@ -8,11 +8,12 @@ kernels, so threads scale. The shard parts are reduced by the caller's
 launch (:func:`repro.core.queries.launch.merge_launch`), the same
 reduction serial launches use.
 
-Shard sizing is adaptive: large batches are split into ~4 shards per
-worker so the pool can balance uneven per-query work, while batches
-below a minimum size stay serial (sharding overhead would dominate).
-Pools are keyed by worker count and reused across queries; constructing
-a :class:`ChunkedExecutor` is cheap and never spawns threads by itself.
+Shard sizing is one static rule (:func:`plan_shards`): large batches
+are split into ~4 shards per worker so the pool can balance uneven
+per-query work, while batches below a minimum size stay serial
+(sharding overhead would dominate). Pools are keyed by worker count and
+reused across queries; constructing a :class:`ChunkedExecutor` is cheap
+and never spawns threads by itself.
 """
 
 from __future__ import annotations
@@ -97,99 +98,35 @@ def shard_queries(n: int, n_shards: int) -> list[np.ndarray]:
     return [s for s in np.array_split(np.arange(n, dtype=np.int64), n_shards) if len(s)]
 
 
-def plan_shards(
-    n: int,
-    n_workers: int,
-    *,
-    shards_per_worker: int = SHARDS_PER_WORKER,
-    min_shard_size: int = MIN_SHARD_SIZE,
-) -> list[np.ndarray]:
-    """Static shard plan for a batch of ``n`` queries (rule-of-thumb).
+def plan_shards(n: int, n_workers: int) -> list[np.ndarray]:
+    """The shard plan for a batch of ``n`` queries over ``n_workers``.
 
-    Targets ``shards_per_worker`` shards per worker for load balance, but
-    never cuts shards below ``min_shard_size`` queries; batches too small
-    to fill two minimum shards run serially as a single shard. The
-    adaptive planner (:mod:`repro.plan`) replaces this heuristic with the
-    cost-priced :func:`cost_priced_shards` on planned queries.
+    Targets :data:`SHARDS_PER_WORKER` shards per worker for load
+    balance, but never cuts shards below :data:`MIN_SHARD_SIZE` queries;
+    batches too small to fill two minimum shards run serially as a
+    single shard. This is the one fan-out rule: every sharded launch,
+    planned or not, uses it.
     """
-    if n_workers <= 1 or n < 2 * min_shard_size:
+    if n_workers <= 1 or n < 2 * MIN_SHARD_SIZE:
         return shard_queries(n, 1)
-    n_shards = min(n_workers * shards_per_worker, n // min_shard_size)
+    n_shards = min(n_workers * SHARDS_PER_WORKER, n // MIN_SHARD_SIZE)
     return shard_queries(n, max(1, n_shards))
-
-
-def cost_priced_shards(
-    n: int,
-    n_workers: int,
-    *,
-    per_query_s: float | None = None,
-    shard_overhead_s: float | None = None,
-    max_shards_per_worker: int = 8,
-) -> int:
-    """Shard count minimising modeled host wall time for ``n`` queries.
-
-    The model prices exactly what sharding trades: per-query host work
-    parallelises across ``n_workers`` (NumPy drops the GIL in its
-    kernels), while every shard pays a fixed dispatch-and-merge overhead.
-    Modeled wall time for ``s`` shards is::
-
-        ceil(s / workers) * (ceil(n / s) * per_query + overhead) + merge
-
-    evaluated over the candidate ladder {1, w, 2w, 4w, 8w}; the cheapest
-    wins, ties to fewer shards. Results are shard-invariant by the
-    parallel-equivalence contract, so this only moves wall-clock time.
-    """
-    if per_query_s is None:
-        from repro.perfmodel import calibration as C
-
-        per_query_s = C.HOST_PER_QUERY_S
-    if shard_overhead_s is None:
-        from repro.perfmodel import calibration as C
-
-        shard_overhead_s = C.HOST_SHARD_OVERHEAD_S
-    if n <= 1 or n_workers <= 1:
-        return 1
-    best_s, best_t = 1, float(n) * per_query_s
-    s = n_workers
-    while s <= n_workers * max_shards_per_worker:
-        if s > n:
-            break
-        waves = -(-s // n_workers)
-        per_shard = -(-n // s) * per_query_s + shard_overhead_s
-        t = waves * per_shard + shard_overhead_s  # + final merge
-        if t < best_t:
-            best_s, best_t = s, t
-        s *= 2
-    return best_s
 
 
 class ChunkedExecutor:
     """Run query work over shards of a batch on the shared thread pool.
 
-    The executor carries only a worker count and the shard-sizing knobs;
-    the pool itself is module-level and shared, so instances are cheap to
-    create per index or per call.
+    The executor carries only a worker count; shard sizing is
+    :func:`plan_shards` and the pool itself is module-level and shared,
+    so instances are cheap to create.
     """
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        shards_per_worker: int = SHARDS_PER_WORKER,
-        min_shard_size: int = MIN_SHARD_SIZE,
-        shard_plan: Callable[[int, int], int] | None = None,
-    ):
+    def __init__(self, n_workers: int | None = None):
         if n_workers is not None and int(n_workers) < 1:
             raise ValueError(
                 f"n_workers must be >= 1, got {n_workers} (use None for all cores)"
             )
         self.n_workers = int(n_workers) if n_workers is not None else default_workers()
-        self.shards_per_worker = int(shards_per_worker)
-        self.min_shard_size = int(min_shard_size)
-        #: Optional cost-priced override: ``shard_plan(n, n_workers)``
-        #: returns a shard count, replacing the static heuristic (used by
-        #: repro.plan; results are shard-invariant either way).
-        self.shard_plan = shard_plan
         self._owns_pool = False
         self._closed = False
 
@@ -207,9 +144,9 @@ class ChunkedExecutor:
         """Release this executor's pool reference (idempotent).
 
         The last owner of a width shuts its pool down and removes it from
-        the module registry, so sweeping worker counts (a bench run, an
-        index whose ``n_workers`` changes mid-session) does not strand one
-        idle thread pool per width for the life of the process.
+        the module registry, so sweeping worker counts (a bench run over
+        indexes of different widths) does not strand one idle thread pool
+        per width for the life of the process.
         """
         if self._closed:
             return
@@ -226,14 +163,7 @@ class ChunkedExecutor:
 
     def plan(self, n: int) -> list[np.ndarray]:
         """The shard plan (global query-index arrays) for ``n`` queries."""
-        if self.shard_plan is not None:
-            return shard_queries(n, max(1, int(self.shard_plan(n, self.n_workers))))
-        return plan_shards(
-            n,
-            self.n_workers,
-            shards_per_worker=self.shards_per_worker,
-            min_shard_size=self.min_shard_size,
-        )
+        return plan_shards(n, self.n_workers)
 
     def map(
         self,

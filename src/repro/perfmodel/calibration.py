@@ -120,21 +120,6 @@ KDTREE_BUILD_PER_PRIM_LOG = 2.5e-8
 OCTREE_BUILD_FIXED = 2.0e-4
 OCTREE_BUILD_PER_PRIM_LOG = 6.0e-10
 
-# --- Host-side dispatch (wall-clock, drives the shard planner) ---------------
-#
-# These price the *host* mechanics of sharded execution — Python-level
-# dispatch and merge around the NumPy kernels — not simulated hardware.
-# The adaptive planner (repro.plan) uses them to decide when fanning a
-# batch over the thread pool is worth the per-shard overhead; they never
-# enter simulated times, so shard plans stay result- and sim-invariant.
-
-#: Amortized per-query host work inside a vectorized shard (seconds).
-HOST_PER_QUERY_S = 1.0e-7
-
-#: Fixed host cost of dispatching and merging one extra shard (seconds):
-#: pool hand-off, per-shard stats allocation, merge bookkeeping.
-HOST_SHARD_OVERHEAD_S = 2.0e-4
-
 # --- Query-cost priors (analytic, pre-feedback) ------------------------------
 #
 # Coarse traversal priors for the planner's closed-form backend pricing

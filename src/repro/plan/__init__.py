@@ -1,11 +1,13 @@
 """Adaptive execution planning for query batches.
 
 ``repro.plan`` prices every candidate way of answering a query batch —
-the simulated RT-core pipeline (with a cost-priced shard fan-out and the
-paper's predicted-k multicast economics) against the in-tree CPU R-tree
-and software-GPU LBVH baselines — and routes the batch to the cheapest,
-self-calibrating its estimates from observed simulated times via an
-EWMA feedback loop keyed by workload signature.
+the simulated RT-core pipeline (with the paper's predicted-k multicast
+economics) against the in-tree CPU R-tree and software-GPU LBVH
+baselines — and routes the batch to the cheapest, self-calibrating its
+estimates from observed simulated times via an EWMA feedback loop keyed
+by workload signature. The planner picks only the backend; how an RT
+batch is sharded is fixed by the index (its one executor and the static
+:func:`~repro.parallel.executor.plan_shards` rule).
 
 Entry points:
 

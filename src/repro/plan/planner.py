@@ -5,10 +5,10 @@ the analytic estimates of :mod:`repro.plan.cost`, corrects them with a
 per-(workload signature, backend) EWMA learned from observed simulated
 times, and picks the cheapest — with hysteresis in favour of the native
 RT pipeline, so a baseline must beat it *decisively* before the planner
-routes traffic away from the hardware path. For batches that stay on
-the RT pipeline it also prices the host-side shard fan-out
-(:func:`~repro.parallel.executor.cost_priced_shards`) instead of the
-static shards-per-worker rule.
+routes traffic away from the hardware path. The planner picks only the
+backend: a batch that stays on the RT pipeline runs on the index's own
+executor, sharded by the same static rule
+(:func:`~repro.parallel.executor.plan_shards`) as an unplanned batch.
 
 Correctness is planner-independent by construction: every candidate
 backend implements the exact closed-box predicate semantics, sharding
@@ -26,11 +26,10 @@ its parent's learned corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.index import Predicate
 from repro.lockorder import make_lock
-from repro.parallel.executor import cost_priced_shards
 from repro.plan.cost import (
     BASELINE_BACKENDS,
     RT,
@@ -59,29 +58,20 @@ CORRECTION_BAND = (0.05, 20.0)
 
 @dataclass
 class QueryPlan:
-    """One batch's chosen execution configuration, with its pricing."""
+    """One batch's chosen backend, with its pricing."""
 
     signature: WorkloadSignature
     backend: str
     estimates: dict[str, BackendEstimate]
     n_queries: int
     n_live: int
-    n_workers: int = 1
-    n_shards: int = 1
     forced: str | None = None
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def parallel(self) -> bool:
-        return self.backend == RT and self.n_shards > 1
 
     def to_meta(self) -> dict:
         """JSON-ready decision record attached to the result meta."""
         out = {
             "backend": self.backend,
             "signature": self.signature.as_tag(),
-            "n_shards": int(self.n_shards),
-            "n_workers": int(self.n_workers),
             "costs": {b: e.to_meta() for b, e in self.estimates.items()},
         }
         if self.forced:
@@ -93,27 +83,14 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Chooses backend and execution shape per query batch, and learns.
+    """Chooses a backend per query batch, and learns.
 
     One planner instance may be shared across an index and all its forks
     (``repro.serve`` snapshots); its state is only the EWMA feedback
     dictionaries, guarded by the ``plan.planner`` lock.
     """
 
-    def __init__(
-        self,
-        *,
-        hysteresis: float = HYSTERESIS,
-        build_amortization: int = BUILD_AMORTIZATION,
-        alpha: float = EWMA_ALPHA,
-    ):
-        if not 0.0 < hysteresis <= 1.0:
-            raise ValueError(f"hysteresis must be in (0, 1], got {hysteresis}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.hysteresis = float(hysteresis)
-        self.build_amortization = max(1, int(build_amortization))
-        self.alpha = float(alpha)
+    def __init__(self):
         self._lock = make_lock("plan.planner")
         #: (signature, backend) -> EWMA of observed/estimated cost ratio.
         self._corrections: dict[tuple[WorkloadSignature, str], float] = {}
@@ -143,9 +120,8 @@ class QueryPlanner:
         n_queries: int,
         *,
         k: int | None = None,
-        n_workers: int | None = None,
     ) -> QueryPlan:
-        """Price the candidates and choose a backend + execution shape.
+        """Price the candidates and choose a backend.
 
         ``k`` is the user's pinned multicast parameter: pinning k is an
         explicit request for the RT pipeline's knob, so the plan is
@@ -193,18 +169,14 @@ class QueryPlanner:
                 (estimates[b] for b in BASELINE_BACKENDS), key=lambda e: e.total_s
             )
             rt_total = estimates[RT].total_s
-            backend = best.backend if best.total_s < self.hysteresis * rt_total else RT
+            backend = best.backend if best.total_s < HYSTERESIS * rt_total else RT
 
-        nw = int(n_workers) if n_workers is not None else index.n_workers
-        n_shards = cost_priced_shards(n_queries, nw) if backend == RT else 1
         plan = QueryPlan(
             signature=sig,
             backend=backend,
             estimates=estimates,
             n_queries=n_queries,
             n_live=n_live,
-            n_workers=nw,
-            n_shards=n_shards,
             forced=forced,
         )
         with self._lock:
@@ -221,7 +193,7 @@ class QueryPlanner:
         cached = index._baseline_cache.get(backend)
         if cached is not None and cached.epoch == index.epoch:
             return 0.0
-        return backend_build_cost(backend, n_live) / self.build_amortization
+        return backend_build_cost(backend, n_live) / BUILD_AMORTIZATION
 
     def _emit(self, index, plan: QueryPlan) -> None:
         """Record the decision as an obs span + metrics (observation
@@ -237,8 +209,6 @@ class QueryPlanner:
                 signature=plan.signature.as_tag(),
                 n_queries=plan.n_queries,
                 n_live=plan.n_live,
-                n_shards=plan.n_shards,
-                n_workers=plan.n_workers,
                 forced=plan.forced,
                 **{f"cost_{b}": e.total_s for b, e in est.items()},
             ):
@@ -271,9 +241,9 @@ class QueryPlanner:
             for sig, backend, ratio in updates:
                 key = (sig, backend)
                 prev = self._corrections.get(key, 1.0)
-                self._corrections[key] = (1.0 - self.alpha) * prev + self.alpha * ratio
+                self._corrections[key] = (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * ratio
             if sel is not None:
                 prev = self._selectivity.get(plan.signature, sel)
                 self._selectivity[plan.signature] = (
-                    1.0 - self.alpha
-                ) * prev + self.alpha * sel
+                    1.0 - EWMA_ALPHA
+                ) * prev + EWMA_ALPHA * sel

@@ -71,9 +71,9 @@ class ServiceConfig:
     #: Default per-request deadline in seconds (None = no deadline).
     default_timeout: float | None = None
     #: Execution planning for served batches: ``"auto"`` (default) lets
-    #: the adaptive planner (:mod:`repro.plan`) choose backend and shard
-    #: fan-out per launch; ``None`` pins the fixed-config path. Answers
-    #: are planner-invariant; only simulated/wall time moves.
+    #: the adaptive planner (:mod:`repro.plan`) choose the backend per
+    #: launch; ``None`` pins the fixed-config path. Answers are
+    #: planner-invariant; only simulated/wall time moves.
     planner: str | None = "auto"
     #: High-churn write path: a :class:`~repro.churn.ChurnConfig` wraps
     #: the seed index in a :class:`~repro.churn.ChurnIndex` (writes land
@@ -120,9 +120,7 @@ class SpatialQueryService:
     retain_snapshots:
         ``True`` keeps every published epoch queryable via
         :meth:`snapshot_at` (memory grows per mutation; meant for
-        correctness tests). An ``int K`` keeps only the last K epochs —
-        evicted snapshots are closed and :meth:`snapshot_at` raises a
-        clear error for them.
+        correctness tests).
     autostart:
         Start the scheduler thread immediately. Tests pass False to
         stage requests deterministically, then call :meth:`start`.
@@ -134,7 +132,7 @@ class SpatialQueryService:
         config: ServiceConfig | None = None,
         *,
         tracer=None,
-        retain_snapshots: bool | int = False,
+        retain_snapshots: bool = False,
         autostart: bool = True,
     ):
         self.config = config or ServiceConfig()
@@ -148,10 +146,7 @@ class SpatialQueryService:
             # copy-on-write, so the caller's index is untouched and its
             # current global ids become the service's public ids.
             index = ChurnIndex.from_index(index, churn=self.config.churn)
-        if isinstance(retain_snapshots, bool):
-            self.snapshots = EpochSnapshots(index, retain_all=retain_snapshots)
-        else:
-            self.snapshots = EpochSnapshots(index, retain_last=int(retain_snapshots))
+        self.snapshots = EpochSnapshots(index, retain_all=retain_snapshots)
         self.policy = BatchPolicy(self.config.max_batch, self.config.max_wait)
         self.cache = ResultCache(self.config.cache_size)
         self.metrics = MetricsRegistry()

@@ -23,7 +23,7 @@ from repro.core.index import RTSIndex
 from repro.lockorder import make_lock
 
 
-@tsan.instrument(containers=("_history", "_evicted"), atomic=("_current",))
+@tsan.instrument(containers=("_history",), atomic=("_current",))
 class EpochSnapshots:
     """Serializes writers and publishes immutable per-epoch snapshots.
 
@@ -38,34 +38,18 @@ class EpochSnapshots:
         :meth:`at`. Off by default (it pins every epoch's copied
         bookkeeping arrays in memory); the concurrency tests switch it
         on to replay served responses against their exact epoch.
-    retain_last:
-        Keep only the ``K`` most recent published snapshots queryable
-        via :meth:`at` (implies retention). Evicted snapshots are
-        explicitly closed — their executor-pool references are released
-        at eviction time, not at manager teardown — and :meth:`at`
-        raises a clear error naming the eviction policy for them.
-        ``retain_all=True`` with ``retain_last`` set keeps the cap.
     """
 
-    def __init__(
-        self,
-        index: RTSIndex,
-        retain_all: bool = False,
-        retain_last: int | None = None,
-    ):
-        if retain_last is not None and retain_last < 1:
-            raise ValueError(f"retain_last must be >= 1, got {retain_last}")
+    def __init__(self, index: RTSIndex, retain_all: bool = False):
         self._current = index
         # Rank 20: held only across fork+apply+publish; the service lock
         # (rank 10) is never held at that point, and op() reaches at
         # most the metrics/pool leaf locks.
         self._write_lock = make_lock("serve.snapshot")
-        self.retain_all = bool(retain_all) or retain_last is not None
-        self.retain_last = retain_last
+        self.retain_all = bool(retain_all)
         self._history: dict[int, RTSIndex] = (
             {index.epoch: index} if self.retain_all else {}
         )
-        self._evicted: set[int] = set()
 
     @property
     def current(self) -> RTSIndex:
@@ -88,40 +72,25 @@ class EpochSnapshots:
         snapshot and publish the fork. Writers are serialized by a lock;
         the fork is published only if ``op`` succeeds, so a failed
         mutation (bad ids, degenerate rectangles) leaves the published
-        snapshot untouched. With ``retain_last`` set, snapshots evicted
-        by the cap are closed here, under the write lock."""
+        snapshot untouched."""
         with self._write_lock:
             fork = self._current.fork()
             out = op(fork)
             self._current = fork
             if self.retain_all:
                 self._history[fork.epoch] = fork
-                if self.retain_last is not None:
-                    while len(self._history) > self.retain_last:
-                        oldest = min(self._history)
-                        evicted = self._history.pop(oldest)
-                        self._evicted.add(oldest)
-                        evicted.close()
             return out
 
     def at(self, epoch: int) -> RTSIndex:
         """The retained snapshot published under ``epoch``.
 
-        Requires retention (``retain_all`` or ``retain_last``). An epoch
-        that fell off a ``retain_last`` window raises a ``KeyError``
-        naming the policy and the epochs still retained, so callers can
-        tell "evicted" apart from "never published"."""
+        Requires ``retain_all``; an epoch never published raises
+        ``KeyError``."""
         if not self.retain_all:
             raise RuntimeError("snapshot history not retained; pass retain_all=True")
-        # Under the write lock: apply() mutates _history/_evicted while
-        # publishing, and an unlocked read could see the new epoch in
-        # _evicted before the pop lands in _history (or vice versa).
+        # Under the write lock: apply() inserts into _history while
+        # publishing.
         with self._write_lock:
-            if epoch in self._evicted:
-                raise KeyError(
-                    f"epoch {epoch} was evicted by retain_last={self.retain_last}; "
-                    f"retained epochs: {sorted(self._history)}"
-                )
             return self._history[epoch]
 
     def __repr__(self) -> str:

@@ -164,16 +164,25 @@ def test_equivalence_grid(predicate, mix, ndim):
     assert max(surpluses) > 0, f"{predicate.value}/{mix}/{ndim}d never drifted"
 
 
-def test_parallel_execution_matches_serial(rng):
+def test_parallel_execution_matches_serial(rng, monkeypatch):
     """Sharded execution over a churn index: same pairs, same merged
     counters — the 'counters summed exactly like shard merges' half of
     the contract, exercised through the actual shard merge path."""
-    ix = ChurnIndex(random_boxes(rng, 400), dtype=np.float64, seed=3)
-    ix.insert(random_boxes(rng, 60))
-    ix.delete(np.arange(0, 200, 2))
-    q = random_boxes(rng, 50)
-    serial = ix.query_intersects(q, k=4)
-    sharded = ix.query_intersects(q, k=4, parallel=True, n_workers=4)
+    from repro.parallel import executor
+
+    monkeypatch.setattr(executor, "MIN_SHARD_SIZE", 8)
+    seed, extra, q = random_boxes(rng, 400), random_boxes(rng, 60), random_boxes(rng, 50)
+
+    def churned(**kw):
+        ix = ChurnIndex(seed, dtype=np.float64, seed=3, **kw)
+        ix.insert(extra)
+        ix.delete(np.arange(0, 200, 2))
+        return ix
+
+    serial = churned().query_intersects(q, k=4)
+    with churned(parallel=True, n_workers=4) as twin:
+        sharded = twin.query_intersects(q, k=4)
+    assert sharded.meta["n_shards"] > serial.meta["n_shards"]
     assert_pairs_equal(serial.pairs(), sharded.pairs(), "churn sharded")
     fs, fp = serial.meta["forward_stats_obj"], sharded.meta["forward_stats_obj"]
     assert np.array_equal(fs.nodes_visited, fp.nodes_visited)

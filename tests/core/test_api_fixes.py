@@ -168,11 +168,17 @@ class TestWorkerValidation:
         with pytest.raises(ValueError, match="n_workers"):
             RTSIndex(random_boxes(rng, 10), dtype=np.float64, n_workers=bad)
 
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_query_override_rejects(self, rng, bad):
+    @pytest.mark.parametrize("override", [{"parallel": True}, {"n_workers": 2}])
+    def test_query_override_rejects(self, rng, override):
+        """Execution mode is fixed when the index is built: queries take
+        no per-call ``parallel``/``n_workers``."""
         idx = RTSIndex(random_boxes(rng, 10), dtype=np.float64, seed=3)
-        with pytest.raises(ValueError, match="n_workers"):
-            idx.query_points(random_points(rng, 5), n_workers=bad)
+        pts = random_points(rng, 5)
+        with pytest.raises(TypeError):
+            idx.query(Predicate.CONTAINS_POINT, pts, **override)
+        with pytest.raises(TypeError):
+            idx.query_points(pts, **override)
+        assert idx._executor is None
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_chunked_executor_rejects(self, bad):

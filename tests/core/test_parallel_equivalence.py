@@ -18,6 +18,7 @@ from repro.core.queries import contains, intersects, point
 from repro.core.result import QueryResult
 from repro.geometry.boxes import Boxes
 from repro.parallel import ChunkedExecutor
+from repro.parallel import executor as executor_mod
 
 
 def run_point_query(*args, **kw):
@@ -37,9 +38,12 @@ N_QUERIES = 1_400
 STATS_KEYS = ("stats_obj", "forward_stats_obj", "backward_stats_obj")
 
 
-def sharded_executor() -> ChunkedExecutor:
+@pytest.fixture
+def sharded_executor(monkeypatch):
     """Aggressively small shards so even test-sized batches fan out."""
-    return ChunkedExecutor(4, min_shard_size=64)
+    monkeypatch.setattr(executor_mod, "MIN_SHARD_SIZE", 64)
+    with ChunkedExecutor(4) as ex:
+        yield ex
 
 
 def make_index(ndim: int, seed: int = 5) -> RTSIndex:
@@ -82,49 +86,49 @@ def assert_equivalent(serial, parallel):
 
 @pytest.mark.parametrize("ndim", [2, 3])
 class TestPredicateEquivalence:
-    def test_point_query(self, ndim):
+    def test_point_query(self, ndim, sharded_executor):
         pts = query_points(ndim)
         serial = run_point_query(make_index(ndim), pts)
-        parallel = run_point_query(make_index(ndim), pts, executor=sharded_executor())
+        parallel = run_point_query(make_index(ndim), pts, executor=sharded_executor)
         assert len(serial) > 0
         assert_equivalent(serial, parallel)
 
-    def test_contains_query(self, ndim):
+    def test_contains_query(self, ndim, sharded_executor):
         q = query_boxes(ndim, extent=0.5)
         serial = run_contains_query(make_index(ndim), q)
-        parallel = run_contains_query(make_index(ndim), q, executor=sharded_executor())
+        parallel = run_contains_query(make_index(ndim), q, executor=sharded_executor)
         assert len(serial) > 0
         assert_equivalent(serial, parallel)
 
-    def test_intersects_query_multicast(self, ndim):
+    def test_intersects_query_multicast(self, ndim, sharded_executor):
         # Forced k > 1 exercises the backward multicast pass; the S-side
         # BVH build and k stay global, only the casting launches shard.
         q = query_boxes(ndim)
         serial = run_intersects_query(make_index(ndim), q, k=4)
         parallel = run_intersects_query(
-            make_index(ndim), q, k=4, executor=sharded_executor()
+            make_index(ndim), q, k=4, executor=sharded_executor
         )
         assert len(serial) > 0
         assert serial.meta["k"] == parallel.meta["k"] == 4
         assert_equivalent(serial, parallel)
 
-    def test_intersects_query_no_multicast(self, ndim):
+    def test_intersects_query_no_multicast(self, ndim, sharded_executor):
         q = query_boxes(ndim)
         serial = run_intersects_query(make_index(ndim), q, k=1)
         parallel = run_intersects_query(
-            make_index(ndim), q, k=1, executor=sharded_executor()
+            make_index(ndim), q, k=1, executor=sharded_executor
         )
         assert len(serial) > 0
         assert serial.meta["k"] == parallel.meta["k"] == 1
         assert_equivalent(serial, parallel)
 
-    def test_intersects_query_predicted_k(self, ndim):
+    def test_intersects_query_predicted_k(self, ndim, sharded_executor):
         # k prediction consumes index.rng, so two same-seed indexes keep
         # serial and parallel RNG streams aligned.
         q = query_boxes(ndim)
         serial = run_intersects_query(make_index(ndim, seed=9), q)
         parallel = run_intersects_query(
-            make_index(ndim, seed=9), q, executor=sharded_executor()
+            make_index(ndim, seed=9), q, executor=sharded_executor
         )
         assert serial.meta["k"] == parallel.meta["k"]
         assert_equivalent(serial, parallel)
@@ -150,21 +154,24 @@ class TestIndexLevelParallel:
         assert a.phases == b.phases
         assert b.meta["n_shards"] > 1  # 3000 queries clear the serial floor
 
-    def test_per_call_override_wins(self):
+    def test_worker_counts_agree(self):
+        """The executor is fixed at build time: a serial index and
+        parallel indexes of different widths answer identically."""
         pts = np.random.default_rng(7).random((3000, 2)) * 104
-        idx = RTSIndex(
-            Boxes(make_index(2)._mins.copy(), make_index(2)._maxs.copy()),
-            dtype=np.float64,
-            seed=5,
-            parallel=True,
-            n_workers=4,
-        )
-        serial = idx.query_points(pts, parallel=False)
+        data = Boxes(make_index(2)._mins.copy(), make_index(2)._maxs.copy())
+        runs = {}
+        for parallel, n_workers in ((False, 4), (True, 2), (True, 4)):
+            with RTSIndex(
+                data, dtype=np.float64, seed=5, parallel=parallel, n_workers=n_workers
+            ) as idx:
+                runs[parallel, n_workers] = idx.query_points(pts)
+        serial = runs[False, 4]
         assert serial.meta["n_shards"] == 1
-        workers = idx.query_points(pts, n_workers=2)  # implies parallel
-        assert workers.meta["n_shards"] > 1
-        assert np.array_equal(serial.rect_ids, workers.rect_ids)
-        assert serial.phases == workers.phases
+        for key in ((True, 2), (True, 4)):
+            assert runs[key].meta["n_shards"] > 1
+            assert np.array_equal(serial.rect_ids, runs[key].rect_ids)
+            assert np.array_equal(serial.query_ids, runs[key].query_ids)
+            assert serial.phases == runs[key].phases
 
     def test_small_batches_stay_serial(self):
         idx = RTSIndex(
@@ -177,7 +184,7 @@ class TestIndexLevelParallel:
         pts = np.random.default_rng(7).random((50, 2)) * 104
         assert idx.query_points(pts).meta["n_shards"] == 1
 
-    def test_handler_called_once_with_merged_arrays(self):
+    def test_handler_called_once_with_merged_arrays(self, sharded_executor):
         calls = []
 
         class CountingHandler(CollectingHandler):
@@ -187,7 +194,7 @@ class TestIndexLevelParallel:
 
         handler = CountingHandler()
         pts = query_points(2)
-        run_point_query(make_index(2), pts, handler=handler, executor=sharded_executor())
+        run_point_query(make_index(2), pts, handler=handler, executor=sharded_executor)
         assert len(calls) == 1  # one logical launch, not one call per shard
         ref = run_point_query(make_index(2), pts)
         rects, qids = handler.pairs()

@@ -1,5 +1,5 @@
 """Unit coverage of the planner's pieces: signatures, analytic costs,
-cost-priced sharding, hysteresis, forcing rules and the EWMA feedback."""
+hysteresis, forcing rules and the EWMA feedback."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.index import Predicate, RTSIndex
-from repro.parallel.executor import cost_priced_shards
 from repro.perfmodel import calibration as C
 from repro.perfmodel import querycost
 from repro.plan import (
@@ -37,30 +36,6 @@ class TestSignature:
         c = WorkloadSignature.of(Predicate.RANGE_CONTAINS, 2, 900, 10_000)
         assert a != c
         assert "contains-point" in a.as_tag()
-
-
-class TestCostPricedShards:
-    def test_serial_cases(self):
-        assert cost_priced_shards(0, 8) == 1
-        assert cost_priced_shards(1, 8) == 1
-        assert cost_priced_shards(10_000, 1) == 1
-
-    def test_small_batches_stay_serial(self):
-        # 64 queries of ~100ns each: any shard's dispatch overhead
-        # (~200us) dwarfs the work — one shard must win.
-        assert cost_priced_shards(64, 8) == 1
-
-    def test_huge_batches_fan_out(self):
-        s = cost_priced_shards(50_000_000, 8)
-        assert s >= 8
-        assert s <= 8 * 8
-
-    def test_deterministic(self):
-        args = (123_456, 6)
-        assert cost_priced_shards(*args) == cost_priced_shards(*args)
-
-    def test_never_more_shards_than_queries(self):
-        assert cost_priced_shards(10, 8, per_query_s=1.0, shard_overhead_s=0.0) <= 10
 
 
 class TestAnalyticEstimates:
@@ -95,25 +70,74 @@ class TestAnalyticEstimates:
 
 class TestPlannerPolicy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QueryPlanner(hysteresis=0.0)
-        with pytest.raises(ValueError):
-            QueryPlanner(hysteresis=1.5)
-        with pytest.raises(ValueError):
-            QueryPlanner(alpha=0.0)
+        """The policy constants the planner reads stay in their valid
+        ranges (they were once per-planner arguments checked here)."""
+        from repro.plan import planner as planner_mod
 
-    def test_hysteresis_biases_to_rt(self, rng):
-        """With hysteresis ~1e-9 no baseline can win; the same workload
-        under the default hysteresis routes off the RT pipeline."""
+        assert 0.0 < planner_mod.HYSTERESIS <= 1.0
+        assert 0.0 < planner_mod.EWMA_ALPHA <= 1.0
+        assert isinstance(planner_mod.BUILD_AMORTIZATION, int)
+        assert planner_mod.BUILD_AMORTIZATION >= 1
+        lo, hi = planner_mod.CORRECTION_BAND
+        assert 0.0 < lo < 1.0 < hi
+
+    def test_alpha_sets_ewma_step(self, rng, monkeypatch):
+        """One observation moves a correction from 1.0 by ``EWMA_ALPHA``
+        of the way to the observed ratio (``EWMA_ALPHA = 1`` stores the
+        ratio itself)."""
+        from repro.plan import planner as planner_mod
+
         data = random_boxes(rng, 600)
         payload = random_points(rng, 8)
-        strict = QueryPlanner(hysteresis=1e-9)
-        with RTSIndex(data, dtype=np.float64, seed=1, planner=strict) as ix:
-            r = ix.query(Predicate.CONTAINS_POINT, payload)
-            assert r.meta["plan"]["backend"] == "rt"
+
+        def correction():
+            planner = QueryPlanner()
+            with RTSIndex(data, dtype=np.float64, seed=1, planner=planner) as ix:
+                ix.query(Predicate.CONTAINS_POINT, payload)
+            ((_, value),) = planner.feedback_state()["corrections"].items()
+            return value
+
+        alpha = planner_mod.EWMA_ALPHA
+        smoothed = correction()
+        monkeypatch.setattr(planner_mod, "EWMA_ALPHA", 1.0)
+        ratio = correction()
+        assert ratio != pytest.approx(1.0)
+        assert smoothed == pytest.approx((1.0 - alpha) + alpha * ratio)
+
+    def test_build_amortization_divides_build_cost(self, rng, monkeypatch):
+        from repro.plan import planner as planner_mod
+
+        data = random_boxes(rng, 600)
+        payload = random_points(rng, 8)
+
+        def build_costs():
+            with RTSIndex(data, dtype=np.float64, seed=1, planner=QueryPlanner()) as ix:
+                costs = ix.query(Predicate.CONTAINS_POINT, payload).meta["plan"]["costs"]
+            return {b: c["build_s"] for b, c in costs.items() if b != "rt"}
+
+        amortization = planner_mod.BUILD_AMORTIZATION
+        amortized = build_costs()
+        monkeypatch.setattr(planner_mod, "BUILD_AMORTIZATION", 1)
+        full = build_costs()
+        assert set(amortized) == set(full) == set(BASELINE_BACKENDS)
+        for b in full:
+            assert full[b] > 0.0
+            assert amortized[b] * amortization == pytest.approx(full[b])
+
+    def test_hysteresis_biases_to_rt(self, rng, monkeypatch):
+        """With hysteresis ~1e-9 no baseline can win; the same workload
+        under the default hysteresis routes off the RT pipeline."""
+        from repro.plan import planner as planner_mod
+
+        data = random_boxes(rng, 600)
+        payload = random_points(rng, 8)
         with RTSIndex(data, dtype=np.float64, seed=1, planner="auto") as ix:
             r = ix.query(Predicate.CONTAINS_POINT, payload)
             assert r.meta["plan"]["backend"] != "rt"
+        monkeypatch.setattr(planner_mod, "HYSTERESIS", 1e-9)
+        with RTSIndex(data, dtype=np.float64, seed=1, planner="auto") as ix:
+            r = ix.query(Predicate.CONTAINS_POINT, payload)
+            assert r.meta["plan"]["backend"] == "rt"
 
     def test_observe_updates_corrections(self, rng):
         data = random_boxes(rng, 600)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.index import Predicate, RTSIndex
+from repro.parallel.executor import plan_shards
 
 from tests.conftest import assert_pairs_equal, random_boxes, random_points
 
@@ -69,9 +70,9 @@ class TestPlannedEqualsFixed:
             assert got.meta["backend"] == plan["backend"]
 
     @pytest.mark.parametrize("n_workers", [2, 4])
-    def test_costed_shard_fanout_is_invariant(self, rng, n_workers):
-        """A planned parallel run (cost-priced shards) is bit-identical
-        to the fixed serial run — counters included."""
+    def test_planned_parallel_equals_fixed_serial(self, rng, n_workers):
+        """A planned run on a parallel index is bit-identical to the
+        fixed serial run — counters included."""
         data = random_boxes(rng, 4000)
         payload = random_points(rng, 3000)
         with RTSIndex(data, dtype=np.float64, seed=2) as fixed:
@@ -82,8 +83,29 @@ class TestPlannedEqualsFixed:
         ) as planned:
             got = planned.query(Predicate.CONTAINS_POINT, payload)
             assert got.meta["plan"]["backend"] == "rt"
-        assert_pairs_equal(got.pairs(), want.pairs(), "costed shards")
+        assert_pairs_equal(got.pairs(), want.pairs(), "planned parallel")
         assert got.phases == want.phases
+
+    @pytest.mark.parametrize(
+        "parallel,n_workers,want_shards",
+        [(False, None, 1), (True, 2, len(plan_shards(10_000, 2)))],
+    )
+    def test_planned_rt_batch_shards_like_unplanned(
+        self, rng, parallel, n_workers, want_shards
+    ):
+        """The planner picks only the backend: a planned RT batch is
+        sharded by the index's executor exactly like the unplanned run
+        on the same index."""
+        data = random_boxes(rng, 4000)
+        payload = random_points(rng, 10_000)
+        with RTSIndex(
+            data, dtype=np.float64, seed=2, parallel=parallel, n_workers=n_workers
+        ) as ix:
+            fixed = ix.query(Predicate.CONTAINS_POINT, payload, planner="off")
+            planned = ix.query(Predicate.CONTAINS_POINT, payload, planner="auto")
+        assert planned.meta["plan"]["backend"] == "rt"
+        assert fixed.meta["n_shards"] == want_shards
+        assert planned.meta["n_shards"] == want_shards
 
     def test_pinned_k_forces_rt(self, rng):
         """Pinning k is an explicit request for the RT pipeline's knob:

@@ -330,8 +330,9 @@ class TestLifecycle:
             ServiceConfig(max_wait=0.0),
         )
         svc.query_points(random_points(rng, 20))
-        for chunked in svc.snapshot()._executors.values():
-            chunked._pool()  # pin a real pool reference for close() to drop
+        # Small batches stay serial, so pin a real pool reference on the
+        # snapshot's executor for close() to drop.
+        svc.snapshot()._executor._pool()
         svc.close()
         assert ex._pool_refs == before
 
@@ -529,25 +530,7 @@ class TestScheduler:
         assert sizes == [1, 1, 4, 2]
 
 
-class TestRetainLast:
-    def test_int_retain_caps_history(self, rng):
-        svc = SpatialQueryService(
-            make_index(rng, n=200),
-            ServiceConfig(max_wait=0.0, planner=None),
-            retain_snapshots=2,
-        )
-        try:
-            first_epoch = svc.epoch
-            for _ in range(4):
-                svc.insert(random_boxes(rng, 10))
-            # Newest two epochs remain, the rest were evicted + closed.
-            svc.snapshot_at(svc.epoch)
-            svc.snapshot_at(svc.epoch - 1)
-            with pytest.raises(KeyError, match="evicted by retain_last=2"):
-                svc.snapshot_at(first_epoch)
-        finally:
-            svc.close()
-
+class TestRetainSnapshots:
     def test_retain_all_keeps_every_epoch(self, rng):
         svc = SpatialQueryService(
             make_index(rng, n=200),
@@ -566,6 +549,44 @@ class TestRetainLast:
                 assert snap.epoch == epoch
                 want = snap.query(Predicate.CONTAINS_POINT, pts, planner="off")
                 assert_pairs_equal(served.pairs(), want.pairs(), f"epoch {epoch}")
+        finally:
+            svc.close()
+
+    def test_default_retains_nothing(self, rng):
+        svc = SpatialQueryService(
+            make_index(rng, n=200), ServiceConfig(max_wait=0.0, planner=None)
+        )
+        try:
+            svc.insert(random_boxes(rng, 10))
+            with pytest.raises(RuntimeError, match="retain"):
+                svc.snapshot_at(svc.epoch)
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_superseded_epoch_executor(self, rng, retain):
+        """Without retention the scheduler closes a superseded snapshot's
+        executor once it serves the next epoch; retained snapshots keep
+        theirs for replay."""
+        svc = SpatialQueryService(
+            RTSIndex(random_boxes(rng, 200), dtype=np.float64, seed=3,
+                     parallel=True, n_workers=2),
+            ServiceConfig(max_wait=0.0, planner=None),
+            retain_snapshots=retain,
+        )
+        try:
+            pts = random_points(rng, 20)
+            svc.query_points(pts)
+            old = svc.snapshot()
+            old_ex = old._executor
+            old_ex._pool()  # a real pool reference for close() to drop
+            svc.insert(random_boxes(rng, 10))
+            svc.query_points(pts)  # first batch on the new epoch
+            assert svc.snapshot() is not old
+            assert old_ex._closed is not retain
+            assert (old._executor is old_ex) is retain
+            # A closed snapshot stays queryable for external holders.
+            assert len(old.query_points(pts).pairs()[0]) >= 0
         finally:
             svc.close()
 

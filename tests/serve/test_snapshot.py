@@ -118,37 +118,24 @@ class TestEpochSnapshots:
         with pytest.raises(RuntimeError):
             plain.at(plain.epoch)
 
-
-class TestRetainLast:
-    def test_window_evicts_and_closes_oldest(self, rng):
-        snaps = EpochSnapshots(make_index(rng), retain_last=2)
+    def test_retained_epoch_answers_as_published(self, rng):
+        """A retained snapshot is the index as published at its epoch:
+        later mutations leave its answers unchanged."""
+        snaps = EpochSnapshots(make_index(rng), retain_all=True)
         epoch0 = snaps.epoch
+        pts = random_points(rng, 80)
+        before = snaps.current.query_points(pts)
+        snaps.apply(lambda ix: ix.delete(np.arange(200)))
+        snaps.apply(lambda ix: ix.insert(random_boxes(rng, 30)))
+        again = snaps.at(epoch0).query_points(pts)
+        assert_pairs_equal(again.pairs(), before.pairs(), "retained epoch")
+        with pytest.raises(KeyError):
+            snaps.at(snaps.epoch + 1)  # never published
+
+    def test_default_keeps_no_history(self, rng):
+        """Without ``retain_all`` no superseded snapshot is referenced."""
+        snaps = EpochSnapshots(make_index(rng))
         for _ in range(3):
             snaps.apply(lambda ix: ix.insert(random_boxes(rng, 4)))
-        assert snaps.at(snaps.epoch) is snaps.current
-        assert snaps.at(snaps.epoch - 1).epoch == snaps.epoch - 1
-        with pytest.raises(KeyError, match="evicted by retain_last=2"):
-            snaps.at(epoch0)
-        with pytest.raises(KeyError, match="evicted by retain_last=2"):
-            snaps.at(epoch0 + 1)
-
-    def test_evicted_error_differs_from_unknown_epoch(self, rng):
-        snaps = EpochSnapshots(make_index(rng), retain_last=1)
-        snaps.apply(lambda ix: ix.insert(random_boxes(rng, 4)))
-        with pytest.raises(KeyError, match="retained epochs"):
-            snaps.at(snaps.epoch - 1)  # evicted: policy named in error
-        with pytest.raises(KeyError) as err:
-            snaps.at(snaps.epoch + 50)  # never published: plain KeyError
-        assert "retain_last" not in str(err.value)
-
-    def test_evicted_snapshot_is_closed_but_current_usable(self, rng):
-        snaps = EpochSnapshots(make_index(rng), retain_last=1)
-        pts = random_points(rng, 40)
-        before = snaps.current.query_points(pts)
-        snaps.apply(lambda ix: ix.insert(random_boxes(rng, 4)))
-        after = snaps.current.query_points(pts)
-        assert len(after.pairs()[0]) >= len(before.pairs()[0])
-
-    def test_retain_last_validates(self, rng):
-        with pytest.raises(ValueError):
-            EpochSnapshots(make_index(rng), retain_last=0)
+        assert snaps._history == {}
+        assert "retained=0" in repr(snaps)
