@@ -107,8 +107,8 @@ class ChurnState:
     state that must accumulate *across* epochs has to be shared by
     reference, exactly like the metrics registry. Guarded by the
     ``churn.state`` lock (rank 38 — see :mod:`repro.lockorder`): the
-    compactor and the planner both read it while holding their own
-    locks, and queries write it at result-record time.
+    compactor reads it while holding its own lock, the planner reads it
+    to price a batch, and queries write it at result-record time.
 
     Two traversal-quality EWMAs are kept per predicate: ``clean`` is
     updated only while the structure is clean (single main GAS, no
@@ -500,14 +500,12 @@ class ChurnIndex(RTSIndex):
 
         Forks (cloning the RNG mid-stream, so k prediction continues
         identically) and compacts the fork. Observability is detached —
-        fresh metrics, null tracer, no planner, private drift state — so
-        building the reference never perturbs the index under test.
+        fresh metrics, null tracer, private drift state — so building the
+        reference never perturbs the index under test.
         """
         twin = self.fork()
         twin.metrics = MetricsRegistry()
         twin.tracer = NULL_TRACER
-        twin.planner = None
-        twin._auto_planner = None
         twin._state = ChurnState(alpha=self.churn.alpha)
         twin.compact(reason="reference")
         return twin

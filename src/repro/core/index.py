@@ -111,20 +111,12 @@ def _coerce_boxes(data, ndim: int, dtype) -> Boxes:
     return out
 
 
-def _coerce_planner(planner):
-    """Accept None / "off" / "auto" / a QueryPlanner instance.
-
-    The planner import is deferred: ``repro.plan`` imports this module,
-    so resolving it lazily keeps the import graph acyclic and keeps
-    planner-free usage free of the plan package entirely.
-    """
-    if planner is None or planner == "off":
-        return None
-    if planner == "auto":
-        from repro.plan.planner import QueryPlanner
-
-        return QueryPlanner()
-    return planner
+def check_planner(planner) -> None:
+    """Raise ``ValueError`` unless ``planner`` is a planner setting:
+    ``"auto"`` plans the batch; ``None`` and ``"off"`` run the
+    fixed-config RT path."""
+    if planner not in (None, "off", "auto"):
+        raise ValueError(f'planner must be None, "off" or "auto", got {planner!r}')
 
 
 class RTSIndex:
@@ -177,14 +169,11 @@ class RTSIndex:
         installs the zero-overhead no-op tracer. Tracing is observation
         only: results, per-ray counters and simulated times are
         bit-identical with tracing on or off.
-    planner:
-        Default execution planner for :meth:`query`: ``None``/``"off"``
-        (no planning — the historical fixed-config path), ``"auto"``
-        (an adaptive :class:`~repro.plan.QueryPlanner` choosing the
-        backend per batch, shared with forks), or a
-        :class:`~repro.plan.QueryPlanner` instance. Planning never
-        changes answers — planned queries return bit-identical pairs to
-        the equivalent fixed-config run (see :mod:`repro.plan`).
+
+    Planning is a per-call setting: ``query(..., planner="auto")`` lets
+    the stateless :class:`~repro.plan.QueryPlanner` answer the batch on
+    the RT pipeline or the in-tree LBVH, with bit-identical pairs either
+    way (see :mod:`repro.plan`).
     """
 
     #: Optional global-id remap applied by the query kernels at result
@@ -213,7 +202,6 @@ class RTSIndex:
         parallel: bool = False,
         n_workers: int | None = None,
         tracer=None,
-        planner=None,
     ):
         if ndim not in (2, 3):
             raise ValueError("ndim must be 2 or 3")
@@ -235,16 +223,8 @@ class RTSIndex:
             )
         self.n_workers = int(n_workers) if n_workers is not None else default_workers()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Default planner (None = fixed-config execution). "auto" binds
-        #: an adaptive planner now; per-call ``planner=`` can still
-        #: override either way.
-        self.planner = _coerce_planner(planner)
-        #: Lazily-created planner backing per-call ``planner="auto"``
-        #: when the index itself has none (shared across calls + forks
-        #: so the feedback loop accumulates).
-        self._auto_planner = None
-        #: Built baseline structures for the planner's non-RT backends,
-        #: keyed by backend name and validated against :attr:`epoch`.
+        #: The planner's built LBVH, keyed by backend name and validated
+        #: against :attr:`epoch`.
         self._baseline_cache: dict = {}
         #: Session-level metrics (counters, gauges, per-ray work
         #: histograms), accumulated across every query on this index.
@@ -417,9 +397,8 @@ class RTSIndex:
 
         The fork clones the RNG state (deterministic k prediction
         continues exactly where the parent left off) and starts with no
-        executor of its own; ``metrics``, ``tracer`` and the planner
-        (with its learned feedback state) are shared so session-level
-        observability and planning span epochs. The baseline-structure
+        executor of its own; ``metrics`` and ``tracer`` are shared so
+        session-level observability spans epochs. The baseline-structure
         cache is *not* shared: entries are epoch-validated, and a fresh
         dict keeps twins from racing on one another's rebuilds.
 
@@ -432,7 +411,6 @@ class RTSIndex:
         for attr in (
             "ndim", "dtype", "leaf_size", "multicast", "w", "sample_size",
             "platform", "builder", "parallel", "n_workers", "tracer", "metrics",
-            "planner", "_auto_planner",
         ):
             setattr(new, attr, getattr(self, attr))
         new.rng = copy.deepcopy(self.rng)
@@ -609,28 +587,6 @@ class RTSIndex:
             return ChunkedExecutor(self.n_workers)
         return None
 
-    def _resolve_planner(self, planner):
-        """Resolve the per-call ``planner=`` against the index default.
-
-        ``None`` inherits the index default; ``"off"`` disables planning
-        for this call; ``"auto"`` uses the index's planner when it has
-        one, else a lazily-created planner shared across future "auto"
-        calls (and forks) so feedback accumulates.
-        """
-        if planner is None:
-            return self.planner
-        if planner == "off":
-            return None
-        if planner == "auto":
-            if self.planner is not None:
-                return self.planner
-            if self._auto_planner is None:
-                from repro.plan.planner import QueryPlanner
-
-                self._auto_planner = QueryPlanner()
-            return self._auto_planner
-        return planner
-
     def query(
         self,
         predicate: Predicate,
@@ -645,15 +601,16 @@ class RTSIndex:
         :attr:`Predicate.CONTAINS_POINT` and a rectangle set (Boxes /
         interleaved array / (mins, maxs)) for the range predicates.
         ``k`` pins the Ray Multicast parameter (None = cost model).
-        ``planner`` overrides the index-level planner for this call
-        (``"auto"`` / ``"off"`` / a :class:`~repro.plan.QueryPlanner`);
-        a planned call may answer on an in-tree baseline backend when
-        the cost model prices it decisively below the RT pipeline, with
-        bit-identical pairs either way and the decision recorded in
-        ``result.meta["plan"]``.
+        ``planner="auto"`` plans this batch: it may answer on the
+        in-tree LBVH when the cost model prices it decisively below the
+        RT pipeline, with bit-identical pairs either way and the
+        decision recorded in ``result.meta["plan"]``. ``None`` (the
+        default) and ``"off"`` run the fixed-config RT path; any other
+        value raises ``ValueError``.
         """
         if not isinstance(predicate, Predicate):
             raise ValueError(f"unsupported predicate: {predicate!r}")
+        check_planner(planner)
         if len(self) == 0:
             # A long-lived index (e.g. behind repro.serve) can transiently
             # hold zero rows; that is an empty answer, not an error.
@@ -668,13 +625,16 @@ class RTSIndex:
             payload = _coerce_boxes(queries, self.ndim, self.dtype)
 
         plan = None
-        active = self._resolve_planner(planner)
-        if active is not None:
+        if planner == "auto":
+            # Deferred import: ``repro.plan`` imports this module, and
+            # planner-free usage stays free of the plan package.
+            from repro.plan.planner import QueryPlanner
+
             if isinstance(payload, Boxes):
                 n_q = len(payload)
             else:
                 n_q = int(payload.shape[0]) if payload.ndim else 0
-            plan = active.plan(self, predicate, n_q, k=k)
+            plan = QueryPlanner().plan(self, predicate, n_q, k=k)
 
         if plan is not None and plan.backend != "rt":
             from repro.plan.backends import execute_baseline
@@ -692,7 +652,6 @@ class RTSIndex:
                     q_sp.attrs["n_pairs"] = len(result)
                     result.meta["trace"] = q_sp
             self._record_metrics(predicate, result)
-            active.observe(plan, result)
             return result
 
         executor = self._executor
@@ -717,8 +676,6 @@ class RTSIndex:
                 q_sp.attrs["n_pairs"] = len(result)
                 result.meta["trace"] = q_sp
         self._record_metrics(predicate, result)
-        if plan is not None:
-            active.observe(plan, result)
         return result
 
     def _record_metrics(self, predicate: Predicate, result: QueryResult) -> None:

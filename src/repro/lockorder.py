@@ -19,7 +19,6 @@ reverse)::
     10  serve.service     admission queue + scheduler condition
     20  serve.snapshot    single-writer publish lock
     30  serve.cache       result-cache LRU
-    35  plan.planner      planner EWMA feedback state
     38  churn.state       churn drift EWMAs (traversal baselines)
     40  obs.metrics       counter/gauge/histogram registry
     45  obs.tracer        child-span registration
@@ -27,10 +26,10 @@ reverse)::
 
 The compactor lock sits *below* the serve locks because a compaction
 decision ends in ``SpatialQueryService._mutate`` (service lock, then the
-snapshot publish lock); the churn drift state sits between the planner
-and the obs leaves so both the planner (pricing the fan-out) and the
-query path (recording observations) may read it while holding their own
-locks.
+snapshot publish lock); the churn drift state sits between the serve
+locks and the obs leaves so both the compactor (pricing a compaction) and
+the query path (recording observations) may read it while holding their
+own locks.
 
 Leaf subsystems (metrics, tracer, pools) sit at high ranks: anything may
 record a metric while holding its own lock, but a metrics callback must
@@ -51,7 +50,6 @@ RANKS: dict[str, int] = {
     "serve.service": 10,
     "serve.snapshot": 20,
     "serve.cache": 30,
-    "plan.planner": 35,
     "churn.state": 38,
     "obs.metrics": 40,
     "obs.tracer": 45,

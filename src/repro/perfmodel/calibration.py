@@ -120,12 +120,11 @@ KDTREE_BUILD_PER_PRIM_LOG = 2.5e-8
 OCTREE_BUILD_FIXED = 2.0e-4
 OCTREE_BUILD_PER_PRIM_LOG = 6.0e-10
 
-# --- Query-cost priors (analytic, pre-feedback) ------------------------------
+# --- Query-cost priors (analytic) ---------------------------------------------
 #
-# Coarse traversal priors for the planner's closed-form backend pricing
-# (perfmodel.querycost). They only seed the decision; the planner's EWMA
-# feedback loop corrects each (workload signature, backend) estimate from
-# observed simulated times.
+# Coarse traversal priors for the planner's closed-form pricing of the RT
+# pipeline against the LBVH (perfmodel.querycost). They only rank the two
+# backends; nothing learned from observed times corrects them.
 
 #: Expected BVH node visits per ray, as a multiple of log2(n_prims).
 PRIOR_NODES_PER_LEVEL = 3.0
@@ -137,9 +136,5 @@ PRIOR_IS_PER_RAY = 8.0
 PRIOR_RESULTS_PER_QUERY = 2.0
 
 #: Prior pair selectivity of a Range-Intersects workload (fraction of
-#: (rect, query) pairs that intersect) before feedback corrects it.
+#: (rect, query) pairs that intersect).
 PRIOR_INTERSECTS_SELECTIVITY = 1.0e-3
-
-#: Expected surviving R-tree nodes per level per query (drives the
-#: fanout-at-a-time scan count of the CPU baseline estimate).
-PRIOR_RTREE_NODES_PER_LEVEL = 2.0

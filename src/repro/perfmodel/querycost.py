@@ -1,20 +1,17 @@
 """Closed-form per-backend query-cost estimates (planner priors).
 
-The adaptive planner (:mod:`repro.plan`) has to price a query batch on
-every candidate backend *before* running it, so it cannot count real
-traversal work the way the simulator does. This module provides the
-analytic priors: coarse closed-form estimates built from the same
-calibration constants the platform models use, parameterised by the only
-things known up front — live rectangle count, query count, predicate —
-plus a selectivity prior for Range-Intersects.
+The planner (:mod:`repro.plan`) has to price a query batch on the RT
+pipeline and on the LBVH baseline *before* running it, so it cannot
+count real traversal work the way the simulator does. This module
+provides the analytic priors: coarse closed-form estimates built from
+the same calibration constants the platform models use, parameterised
+by the only things known up front — live rectangle count, query count,
+predicate — plus a selectivity prior for Range-Intersects.
 
 The estimates are deliberately simple (no warp-max, no per-ray skew):
-their job is to rank backends, not to predict absolute times. The
-planner multiplies each estimate by a per-(workload signature, backend)
-EWMA correction learned from observed simulated times, so systematic
-model error washes out after a few batches (RTSpatial's
-``CalculateBestParallelism`` re-plans from the same kind of coarse
-model; the paper's k predictor, Eq. 3, is the template for the
+their job is to rank the two backends, not to predict absolute times
+(RTSpatial's ``CalculateBestParallelism`` plans from the same kind of
+coarse model; the paper's k predictor, Eq. 3, is the template for the
 intersects economics reused here).
 
 All estimates respect :func:`~repro.perfmodel.machine.machine_scale`, so
@@ -36,17 +33,14 @@ def _log2(n: int) -> float:
     return float(np.log2(max(int(n), 2)))
 
 
-def _gpu_seconds(total_ops: float, n_launches: int = 1) -> float:
-    """Aggregate op units through the GPU lane throughput + launch floors."""
-    return (
-        total_ops / (C.GPU_LANE_THROUGHPUT * machine_scale())
-        + n_launches * C.GPU_LAUNCH_OVERHEAD
-    )
+def _lane_seconds(total_ops: float) -> float:
+    """Aggregate op units through the GPU lane throughput."""
+    return total_ops / (C.GPU_LANE_THROUGHPUT * machine_scale())
 
 
-def _cpu_seconds(total_ops: float) -> float:
-    """Aggregate per-core op units across the full CPU baseline machine."""
-    return total_ops / (C.CPU_CORE_RATE * machine_scale() * C.CPU_CORES)
+def _gpu_seconds(total_ops: float) -> float:
+    """One launch: lane time plus the launch floor."""
+    return _lane_seconds(total_ops) + C.GPU_LAUNCH_OVERHEAD
 
 
 def _cast_ops(n_rays: int, node_cost: float, n_prims: int) -> float:
@@ -61,17 +55,18 @@ def _cast_ops(n_rays: int, node_cost: float, n_prims: int) -> float:
     return n_rays * per_ray
 
 
-def rt_cast_cost(n_queries: int, n_prims: int) -> float:
-    """One hardware-traversal launch (point / Range-Contains shape)."""
-    return _gpu_seconds(_cast_ops(n_queries, C.RT_NODE_OP, n_prims))
+def rt_cast_cost(n_queries: int, n_prims: int) -> tuple[float, dict]:
+    """One hardware-traversal launch (point / Range-Contains shape).
+
+    Returns ``(seconds, detail)``; ``detail["traversal_s"]`` is the
+    data-side traversal work without the launch floor, the part a
+    degraded structure (churn drift) slows down."""
+    ops = _cast_ops(n_queries, C.RT_NODE_OP, n_prims)
+    return _gpu_seconds(ops), {"traversal_s": _lane_seconds(ops)}
 
 
 def rt_intersects_cost(
-    n_queries: int,
-    n_prims: int,
-    *,
-    w: float = 0.99,
-    selectivity: float | None = None,
+    n_queries: int, n_prims: int, *, w: float = 0.99
 ) -> tuple[float, dict]:
     """Estimated cost of the four-phase RT Range-Intersects pipeline.
 
@@ -81,10 +76,11 @@ def rt_intersects_cost(
     k chosen by Eq. 3 exactly as the in-query predictor would for the
     prior selectivity. Returns ``(seconds, detail)`` where ``detail``
     carries the predicted k and the forward/backward op split (the cast
-    *emphasis* the planner records with its decision).
+    *emphasis* the planner records with its decision). Only the forward
+    cast traverses the data structure, so ``detail["traversal_s"]`` is
+    its work without the launch floor.
     """
-    s = C.PRIOR_INTERSECTS_SELECTIVITY if selectivity is None else float(selectivity)
-    est_total = s * n_prims * n_queries
+    est_total = C.PRIOR_INTERSECTS_SELECTIVITY * n_prims * n_queries
     k = predict_k(n_queries, n_prims, est_total, w=w)
     fwd_ops = _cast_ops(n_queries, C.RT_NODE_OP, n_prims)
     # Backward rays: every live rect, replicated k-fold; multicast caps
@@ -105,34 +101,9 @@ def rt_intersects_cost(
         "forward_ops": float(fwd_ops),
         "backward_ops": float(bwd_ops),
         "bvh_build_s": float(bvh_build),
+        "traversal_s": _lane_seconds(fwd_ops),
     }
     return total, detail
-
-
-def rtree_height(n_prims: int, fanout: int = 16) -> int:
-    """Levels of the STR-packed R-tree above the primitives."""
-    levels = 1
-    nodes = max(1, -(-int(n_prims) // fanout))
-    while nodes > fanout:
-        nodes = -(-nodes // fanout)
-        levels += 1
-    return levels
-
-
-def rtree_query_cost(n_queries: int, n_prims: int, fanout: int = 16) -> float:
-    """CPU R-tree batch cost: fanout-at-a-time descent with a prior on
-    surviving nodes per level, spread over the baseline's 128 cores."""
-    height = rtree_height(n_prims, fanout)
-    node_ops = n_queries * fanout * height * C.PRIOR_RTREE_NODES_PER_LEVEL
-    leaf_ops = n_queries * fanout * C.PRIOR_RTREE_NODES_PER_LEVEL
-    result_ops = n_queries * C.PRIOR_RESULTS_PER_QUERY
-    total = (
-        C.CPU_NODE_OP * node_ops
-        + C.CPU_LEAF_OP * leaf_ops
-        + C.CPU_RESULT_OP * result_ops
-        + C.CPU_QUERY_OVERHEAD_OPS * n_queries
-    )
-    return _cpu_seconds(total)
 
 
 def lbvh_query_cost(n_queries: int, n_prims: int) -> float:
@@ -146,11 +117,3 @@ def lbvh_query_cost(n_queries: int, n_prims: int) -> float:
         node_cost *= min(factor, C.SW_CACHE_MAX)
     return _gpu_seconds(_cast_ops(n_queries, node_cost, n_prims))
 
-
-def backend_build_cost(backend: str, n_prims: int) -> float:
-    """Construction cost of a baseline backend over ``n_prims`` rects."""
-    if backend == "rtree":
-        return BuildModel.rtree_build(n_prims)
-    if backend == "lbvh":
-        return BuildModel.lbvh_build(n_prims)
-    return 0.0

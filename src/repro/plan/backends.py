@@ -1,17 +1,17 @@
-"""Baseline backend execution behind the planner.
+"""LBVH execution behind the planner.
 
-When the planner prices a CPU R-tree or software-GPU LBVH below the RT
-pipeline for a batch, this module runs the batch on that in-tree
-baseline and adapts its :class:`~repro.baselines.base.BaselineResult`
-into the ``(rect_ids, query_ids, phases, meta)`` shape the index's query
-dispatch expects — global rectangle ids, canonical pair order, exact
-pair parity with the RT path (all backends implement the same closed-box
-predicate semantics of :mod:`repro.geometry.predicates`).
+When the planner prices the software-GPU LBVH below the RT pipeline for
+a batch, this module runs the batch on that in-tree baseline and adapts
+its :class:`~repro.baselines.base.BaselineResult` into the
+``(rect_ids, query_ids, phases, meta)`` shape the index's query dispatch
+expects — global rectangle ids, canonical pair order, exact pair parity
+with the RT path (both backends implement the same closed-box predicate
+semantics of :mod:`repro.geometry.predicates`).
 
-Baselines are built over the index's *live* rectangles and cached on the
-index keyed by backend and epoch, so a serving snapshot pays each build
+The LBVH is built over the index's *live* rectangles and cached on the
+index keyed by backend and epoch, so a serving snapshot pays the build
 at most once; any mutation bumps the epoch and invalidates the cache.
-Baseline rect ids are positions into the live subset — they are remapped
+LBVH rect ids are positions into the live subset — they are remapped
 through the (monotonically increasing) ``live_ids`` array, which
 preserves canonical query-major order.
 """
@@ -21,18 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.lbvh import LBVHIndex
-from repro.baselines.rtree import BoostRTree
 from repro.core.index import Predicate
-from repro.plan.cost import LBVH, RTREE
+from repro.plan.cost import LBVH
 
 
 class CachedBackend:
-    """One built baseline plus the id remap it answers under."""
+    """The built LBVH plus the id remap it answers under."""
 
-    __slots__ = ("backend", "epoch", "live_ids", "instance", "build_s")
+    __slots__ = ("epoch", "live_ids", "instance", "build_s")
 
-    def __init__(self, backend, epoch, live_ids, instance, build_s):
-        self.backend = backend
+    def __init__(self, epoch, live_ids, instance, build_s):
         self.epoch = int(epoch)
         self.live_ids = live_ids
         self.instance = instance
@@ -40,25 +38,19 @@ class CachedBackend:
 
 
 def backend_instance(index, backend: str) -> tuple[CachedBackend, bool]:
-    """The cached baseline for ``backend`` at the index's current epoch,
-    building (and caching on the index) when stale. Returns
-    ``(cached, built_now)`` — ``built_now`` tells the caller whether the
-    simulated build cost was incurred by *this* call (the bench charges
-    it to the planned side only when actually paid)."""
+    """The cached LBVH at the index's current epoch, building (and
+    caching on the index) when stale. Returns ``(cached, built_now)`` —
+    ``built_now`` tells the caller whether the simulated build cost was
+    incurred by *this* call (the bench charges it to the planned side
+    only when actually paid)."""
+    if backend != LBVH:
+        raise ValueError(f"unknown baseline backend: {backend!r}")
     cached = index._baseline_cache.get(backend)
     if cached is not None and cached.epoch == index.epoch:
         return cached, False
     live_ids = np.flatnonzero(~index._deleted)
-    data = index.all_boxes()[live_ids]
-    if backend == RTREE:
-        instance = BoostRTree(data)
-    elif backend == LBVH:
-        instance = LBVHIndex(data)
-    else:
-        raise ValueError(f"unknown baseline backend: {backend!r}")
-    cached = CachedBackend(
-        backend, index.epoch, live_ids, instance, instance.build_time()
-    )
+    instance = LBVHIndex(index.all_boxes()[live_ids])
+    cached = CachedBackend(index.epoch, live_ids, instance, instance.build_time())
     index._baseline_cache[backend] = cached
     return cached, True
 
@@ -70,7 +62,7 @@ def execute_baseline(
     payload,
     handler=None,
 ) -> tuple[np.ndarray, np.ndarray, dict, dict]:
-    """Run one query batch on a baseline backend.
+    """Run one query batch on a baseline backend (``"lbvh"``).
 
     ``payload`` is the already-coerced query buffer (a point array for
     CONTAINS_POINT, :class:`Boxes` otherwise). Returns the query

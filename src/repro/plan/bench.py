@@ -1,15 +1,14 @@
-"""Planner benchmark: adaptive plans vs static defaults, per workload.
+"""Planner benchmark: planned vs static execution, per workload.
 
 Runs a fixed matrix of workload cells — each predicate at a *small*
 regime (tiny batches against a small index, where per-launch overhead
-and the query-side BVH build dominate and a CPU/software baseline wins
-decisively) and a *large* regime (big batches against a big index, where
-the RT pipeline is untouchable and the planner must simply not get in
-the way). Every cell executes the identical batch sequence twice:
+and the query-side BVH build dominate) and a *large* regime (big
+batches against a big index). Every cell executes the identical batch
+sequence twice:
 
 - **static** — ``planner="off"``: the historical fixed-config RT path;
-- **auto** — ``planner="auto"``: the adaptive planner, charged for every
-  baseline build it actually incurs (``backend_built_now``), under a
+- **auto** — ``planner="auto"``: the planner, charged for every LBVH
+  build it actually incurs (``backend_built_now``), under a
   tracer so each decision's ``plan.decide`` span is counted.
 
 Everything is simulated time, seeded and Date-free, so the result is
@@ -33,10 +32,11 @@ from repro.geometry.boxes import Boxes
 from repro.obs.tracer import Tracer
 
 #: The benchmark matrix. Small cells: many tiny batches, where the RT
-#: pipeline's fixed launch/build overheads dominate and the planner
-#: should route to a baseline. Large cells: few big batches, where the
-#: RT pipeline wins and the planner must stay out of the way (ratio 1.0
-#: by construction — shard planning never moves simulated time).
+#: pipeline's fixed launch/build overheads matter most. Large cells: few
+#: big batches. Points and contains stay on the RT pipeline (ratio 1.0
+#: by construction — shard planning never moves simulated time); the
+#: intersects cells route to the LBVH, whose per-epoch build amortizes
+#: over the batch sequence.
 CELLS = [
     dict(name="point-small", predicate="contains-point", n_rects=600,
          n_queries=8, n_batches=24, seed=101),
@@ -90,9 +90,9 @@ def run_cell(cell: dict) -> dict:
     auto_build = 0.0
     decisions = []
     tracer = Tracer()
-    with RTSIndex(data, seed=cell["seed"], planner="auto", tracer=tracer) as ix:
+    with RTSIndex(data, seed=cell["seed"], tracer=tracer) as ix:
         for i, p in enumerate(payloads):
-            r = ix.query(predicate, p)
+            r = ix.query(predicate, p, planner="auto")
             auto_sim += r.sim_time
             if r.meta.get("backend_built_now"):
                 auto_build += r.meta["backend_build_s"]

@@ -1,21 +1,15 @@
-"""Backend pricing for one query batch: analytic priors x learned EWMA.
+"""Backend pricing for one query batch: analytic priors.
 
 This is the planner's valuation layer. For a batch it produces one
-:class:`BackendEstimate` per candidate backend, combining
+:class:`BackendEstimate` per candidate backend from the closed-form
+analytic estimates of :mod:`repro.perfmodel.querycost` (traversal-shape
+priors over the calibration constants). The planner layers the LBVH's
+amortized build charge on top, charged only when the cached structure is
+stale for the index's current epoch.
 
-- the closed-form analytic estimate from :mod:`repro.perfmodel.querycost`
-  (traversal-shape priors over the calibration constants),
-- the backend's *build* cost, amortized over an expected reuse horizon
-  and charged only when the cached structure is stale for the index's
-  current epoch, and
-- the per-(signature, backend) EWMA correction factor the planner has
-  learned from observed simulated times.
-
-Candidate set per predicate: the RT simulator always qualifies; the
-in-tree baselines qualify when they answer the predicate exactly
-(BoostRTree and LBVH both do, for all three predicates — the k-d tree is
-points-only over *point data* and never qualifies for a rectangle
-index).
+Two backends are candidates for every predicate: the RT simulator (the
+index's native path) and the software-GPU LBVH baseline, which answers
+all three predicates exactly.
 """
 
 from __future__ import annotations
@@ -25,12 +19,10 @@ from dataclasses import dataclass, field
 from repro.core.index import Predicate
 from repro.perfmodel import querycost
 
-#: Backend identifiers, in deterministic candidate order. ``rt`` is the
-#: simulated RT-core pipeline (the index's native path).
+#: Backend identifiers. ``rt`` is the simulated RT-core pipeline (the
+#: index's native path); ``lbvh`` is the software-GPU LBVH baseline.
 RT = "rt"
-RTREE = "rtree"
 LBVH = "lbvh"
-BASELINE_BACKENDS = (RTREE, LBVH)
 
 
 @dataclass
@@ -38,53 +30,40 @@ class BackendEstimate:
     """One backend's priced offer for a batch."""
 
     backend: str
-    #: Analytic per-batch query seconds (pre-correction).
+    #: Analytic per-batch query seconds.
     query_s: float
     #: Amortized build charge added on top (0 when already built).
     build_s: float = 0.0
-    #: EWMA correction applied (1.0 until feedback arrives).
-    correction: float = 1.0
     #: Estimator detail (predicted k, cast op split, ...).
     detail: dict = field(default_factory=dict)
 
     @property
     def total_s(self) -> float:
-        """The corrected, build-inclusive cost the planner compares."""
-        return (self.query_s + self.build_s) * self.correction
+        """The build-inclusive cost the planner compares."""
+        return self.query_s + self.build_s
 
     def to_meta(self) -> dict:
         return {
             "query_s": float(self.query_s),
             "build_s": float(self.build_s),
-            "correction": float(self.correction),
             "total_s": float(self.total_s),
         }
 
 
 def analytic_estimates(
-    predicate: Predicate,
-    n_queries: int,
-    n_live: int,
-    *,
-    w: float,
-    selectivity: float | None = None,
+    predicate: Predicate, n_queries: int, n_live: int, *, w: float
 ) -> dict[str, BackendEstimate]:
-    """Uncorrected analytic offers for every candidate backend.
+    """Analytic offers for both candidate backends.
 
-    ``selectivity`` overrides the Range-Intersects selectivity prior
-    (the planner feeds back an observed pairs-per-query rate here).
-    Build charges and EWMA corrections are layered on by the planner —
-    this function is pure arithmetic and safe to call from tests.
+    Build charges are layered on by the planner — this function is pure
+    arithmetic and safe to call from tests.
     """
     n_q, n_p = int(n_queries), int(n_live)
-    offers: dict[str, BackendEstimate] = {}
     if predicate is Predicate.RANGE_INTERSECTS:
-        rt_s, detail = querycost.rt_intersects_cost(
-            n_q, n_p, w=w, selectivity=selectivity
-        )
-        offers[RT] = BackendEstimate(RT, rt_s, detail=detail)
+        rt_s, detail = querycost.rt_intersects_cost(n_q, n_p, w=w)
     else:
-        offers[RT] = BackendEstimate(RT, querycost.rt_cast_cost(n_q, n_p))
-    offers[RTREE] = BackendEstimate(RTREE, querycost.rtree_query_cost(n_q, n_p))
-    offers[LBVH] = BackendEstimate(LBVH, querycost.lbvh_query_cost(n_q, n_p))
-    return offers
+        rt_s, detail = querycost.rt_cast_cost(n_q, n_p)
+    return {
+        RT: BackendEstimate(RT, rt_s, detail=detail),
+        LBVH: BackendEstimate(LBVH, querycost.lbvh_query_cost(n_q, n_p)),
+    }

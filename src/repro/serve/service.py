@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro import tsan
-from repro.core.index import Predicate, RTSIndex
+from repro.core.index import Predicate, RTSIndex, check_planner
 from repro.core.result import QueryResult
 from repro.lockorder import make_lock
 from repro.obs.metrics import MetricsRegistry
@@ -70,9 +70,10 @@ class ServiceConfig:
     cache_size: int = 256
     #: Default per-request deadline in seconds (None = no deadline).
     default_timeout: float | None = None
-    #: Execution planning for served batches: ``"auto"`` (default) lets
-    #: the adaptive planner (:mod:`repro.plan`) choose the backend per
-    #: launch; ``None`` pins the fixed-config path. Answers are
+    #: Execution planning for served batches, passed to every launch as
+    #: :meth:`RTSIndex.query`'s ``planner=``: ``"auto"`` (default) lets
+    #: the planner (:mod:`repro.plan`) choose RT or the LBVH per launch;
+    #: ``None``/``"off"`` pins the fixed-config path. Answers are
     #: planner-invariant; only simulated/wall time moves.
     planner: str | None = "auto"
     #: High-churn write path: a :class:`~repro.churn.ChurnConfig` wraps
@@ -90,8 +91,7 @@ class ServiceConfig:
         BatchPolicy(self.max_batch, self.max_wait)  # validates batch knobs
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.planner not in (None, "off", "auto"):
-            raise ValueError(f'planner must be None, "off" or "auto", got {self.planner!r}')
+        check_planner(self.planner)
         if self.churn is not None:
             # Deferred import: churn is optional and the plan/serve
             # import graph must stay acyclic for churn-free users.
@@ -466,12 +466,7 @@ class SpatialQueryService:
                     predicate=requests[0].predicate.value,
                     n_queries=sum(r.n_queries for r in requests),
                 ):
-                    # None in the config means "fixed config": translate
-                    # to the explicit "off" so a planner installed on the
-                    # snapshot index itself cannot re-enable planning.
-                    result = execute_batch(
-                        snapshot, requests, planner=self.config.planner or "off"
-                    )
+                    result = execute_batch(snapshot, requests, planner=self.config.planner)
             except BaseException as err:  # complete, don't kill the scheduler
                 for req in requests:
                     req.future.set_exception(err)

@@ -113,11 +113,14 @@ def test_type_change_is_drift():
 
 def test_drifted_planner_decision_fails(doc):
     drifted = copy.deepcopy(doc)
-    cell = drifted["plan"]["cells"][0]
-    cell["decisions"][0] = "rt" if cell["decisions"][0] != "rt" else "rtree"
+    (i,) = [i for i, c in enumerate(drifted["plan"]["cells"])
+            if c["name"] == "intersects-small"]
+    cell = drifted["plan"]["cells"][i]
+    assert cell["decisions"][0] == "lbvh"
+    cell["decisions"][0] = "rt"
     problems = gate.compare(doc, drifted)
     assert len(problems) == 1
-    assert "plan.cells[0].decisions[0]" in problems[0]
+    assert f"plan.cells[{i}].decisions[0]" in problems[0]
 
 
 def test_plan_claims_hold_on_the_run(doc):

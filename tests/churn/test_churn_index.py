@@ -245,8 +245,10 @@ class TestTriggers:
         assert ix.rt_traversal_factor() > 1.15
 
     def test_planner_prices_drift(self, rng):
-        """The planner's RT estimate must carry the drift tax (and stay
-        untouched at drift 1.0 so plain-index plans are unchanged)."""
+        """The planner's RT estimate must carry the drift tax on its
+        data-side traversal work only — not on the launch floor — and
+        stay untouched at drift 1.0 so plain-index plans are unchanged."""
+        from repro.plan.cost import analytic_estimates
         from repro.plan.planner import QueryPlanner
 
         ix = make_index(rng, 300)
@@ -259,8 +261,11 @@ class TestTriggers:
         taxed = planner.plan(ix, Predicate.CONTAINS_POINT, 64)
         factor = taxed.estimates["rt"].detail["traversal_factor"]
         assert factor == pytest.approx(ix.rt_traversal_factor())
+        # The untaxed offer at the taxed plan's live count.
+        rt = analytic_estimates(Predicate.CONTAINS_POINT, 64, ix.n_rects, w=ix.w)["rt"]
+        assert 0.0 < rt.detail["traversal_s"] < rt.query_s
         assert taxed.estimates["rt"].query_s == pytest.approx(
-            base.estimates["rt"].query_s * factor
+            rt.query_s + (factor - 1.0) * rt.detail["traversal_s"]
         )
 
 

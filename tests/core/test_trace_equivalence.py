@@ -1,15 +1,17 @@
-"""Tracing must be result-invariant (PR acceptance criterion).
+"""Tracing must be result-invariant.
 
 With the tracer enabled, pairs, per-ray traversal counters, and
 simulated times must be bit-identical to a traced-off run — serial and
-parallel, 2-D and 3-D, for all three predicates. The tracer only
-*observes* counters that are recorded anyway; these tests pin that
-guarantee, plus the shape of the span tree it produces.
+parallel, 2-D and 3-D, for all three predicates, on a churn index with a
+live delta batch, and on a planned batch answered by the LBVH. The
+tracer only *observes* counters that are recorded anyway; these tests
+pin that guarantee, plus the shape of the span tree it produces.
 """
 
 import numpy as np
 import pytest
 
+from repro.churn import ChurnIndex
 from repro.core.index import Predicate, RTSIndex
 from repro.geometry.boxes import Boxes
 from repro.obs import NULL_TRACER, Tracer
@@ -29,6 +31,23 @@ def make_index(ndim: int, tracer=None, parallel: bool = False, seed: int = 5) ->
     return RTSIndex(
         data, ndim=ndim, dtype=np.float64, seed=seed, tracer=tracer, **kwargs
     )
+
+
+def make_churn_index(tracer=None) -> ChurnIndex:
+    """A 2-D churn index over the same seed data, after an insert (a
+    live delta batch), a delete (tombstones) and update-moves."""
+    rng = np.random.default_rng(300)
+    lo = rng.random((N_DATA, 2)) * 100
+    data = Boxes(lo, lo + rng.random((N_DATA, 2)) * 4, dtype=np.float64)
+    ix = ChurnIndex(data, dtype=np.float64, seed=5, tracer=tracer)
+    lo = rng.random((300, 2)) * 100
+    ix.insert(Boxes(lo, lo + rng.random((300, 2)) * 4, dtype=np.float64))
+    ix.delete(np.arange(0, N_DATA, 9))
+    moved = np.arange(4, N_DATA, 13)
+    lo = rng.random((len(moved), 2)) * 100
+    ix.update(moved, Boxes(lo, lo + rng.random((len(moved), 2)) * 4, dtype=np.float64))
+    assert ix.n_delta_batches > 0
+    return ix
 
 
 def queries_for(predicate: Predicate, ndim: int):
@@ -78,6 +97,43 @@ class TestTraceInvariance:
         assert root.attrs["n_pairs"] == len(traced)
         assert root.sim_time == traced.sim_time
         assert traced.trace is root
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [Predicate.CONTAINS_POINT, Predicate.RANGE_CONTAINS, Predicate.RANGE_INTERSECTS],
+)
+def test_traced_churn_run_is_bit_identical(predicate):
+    q = queries_for(predicate, 2)
+    plain = make_churn_index().query(predicate, q)
+    tracer = Tracer()
+    traced = make_churn_index(tracer).query(predicate, q)
+    assert len(plain) > 0
+    assert_identical_results(plain, traced)
+    root = tracer.find("query")
+    assert root.attrs["n_pairs"] == len(traced)
+    assert root.sim_time == traced.sim_time
+
+
+@pytest.mark.parametrize("churned", [False, True], ids=["plain", "churn"])
+def test_traced_lbvh_batch_is_bit_identical(churned):
+    """A planned intersects batch answered by the LBVH: pairs and sim
+    time match the untraced run, and the query span names the backend."""
+
+    def build(tracer=None):
+        return make_churn_index(tracer) if churned else make_index(2, tracer=tracer)
+
+    q = queries_for(Predicate.RANGE_INTERSECTS, 2)
+    plain = build().query_intersects(q, planner="auto")
+    tracer = Tracer()
+    traced = build(tracer).query_intersects(q, planner="auto")
+    assert plain.meta["plan"]["backend"] == traced.meta["plan"]["backend"] == "lbvh"
+    assert len(plain) > 0
+    assert_identical_results(plain, traced)
+    root = tracer.find("query")
+    assert root.attrs["backend"] == "lbvh"
+    assert root.sim_time == traced.sim_time
+    assert tracer.find("plan.decide").attrs["backend"] == "lbvh"
 
 
 class TestSpanTreeShape:

@@ -54,8 +54,8 @@ class TestEquivalence:
         else:
             payload = random_boxes(rng, 120)
         # The service plans by default (ServiceConfig.planner="auto"), so
-        # the equivalent direct run is the planned one: fresh planners on
-        # both sides make the same deterministic decision, and phases /
+        # the equivalent direct run is the planned one: the stateless
+        # planner makes the same decision on both sides, and phases /
         # pairs must match bit-for-bit. (Pair equality also holds against
         # an unplanned run — the planner never changes answers — but
         # phase timings are backend-specific.)
