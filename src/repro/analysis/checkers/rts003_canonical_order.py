@@ -28,7 +28,7 @@ class CanonicalOrder(Checker):
         "repro.canonical.canonical_pair_order / canonical_pairs instead "
         "— one definition, one order."
     )
-    scope = ("repro.core", "repro.parallel", "repro.serve")
+    scope = ("repro.core", "repro.geometry", "repro.parallel", "repro.serve")
     node_types = (ast.Call,)
 
     def __init__(self):

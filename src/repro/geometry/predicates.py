@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.canonical import canonical_pairs
 from repro.geometry.boxes import Boxes
 
 
@@ -70,14 +71,10 @@ def pairwise_box_intersects_box(
 # ---------------------------------------------------------------------------
 # Join (all-pairs) oracles. They return (r_idx, s_idx) int64 arrays in the
 # canonical query-major order used across the repo: sorted by the query
-# index s first, then the data index r (see docs/PERFMODEL.md).
+# index s first, then the data index r (repro.canonical). Each kernel ANDs
+# one 2-D (r block x s) comparison per axis; per-box liveness is reduced
+# over the axes once, as a vector, before it is broadcast.
 # ---------------------------------------------------------------------------
-
-
-def _canonical(r_idx: np.ndarray, s_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort result pairs query-major: by (s, r)."""
-    order = np.lexsort((r_idx, s_idx))
-    return r_idx[order], s_idx[order]
 
 
 def _blocked_join(n_r: int, n_s: int, kernel, block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +93,7 @@ def _blocked_join(n_r: int, n_s: int, kernel, block: int) -> tuple[np.ndarray, n
     if not r_parts:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy()
-    return _canonical(
-        np.concatenate(r_parts).astype(np.int64),
-        np.concatenate(s_parts).astype(np.int64),
-    )
+    return canonical_pairs(np.concatenate(r_parts), np.concatenate(s_parts))
 
 
 def join_contains_point(
@@ -109,9 +103,12 @@ def join_contains_point(
     pts = np.asarray(points)
 
     def kernel(lo: int, hi: int) -> np.ndarray:
-        lo_ok = boxes.mins[lo:hi, None, :] <= pts[None, :, :]
-        hi_ok = pts[None, :, :] <= boxes.maxs[lo:hi, None, :]
-        return (lo_ok & hi_ok).all(axis=-1)
+        mins, maxs = boxes.mins[lo:hi], boxes.maxs[lo:hi]
+        ok = np.ones((hi - lo, len(pts)), dtype=bool)
+        for d in range(boxes.ndim):
+            ok &= mins[:, d, None] <= pts[None, :, d]
+            ok &= pts[None, :, d] <= maxs[:, d, None]
+        return ok
 
     return _blocked_join(len(boxes), len(pts), kernel, block)
 
@@ -120,12 +117,15 @@ def join_contains_box(
     r: Boxes, s: Boxes, block: int = 2048
 ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j) with ``Contains(r[i], s[j])`` (Def 2)."""
+    live_s = (s.mins < s.maxs).all(axis=-1)
 
     def kernel(lo: int, hi: int) -> np.ndarray:
-        a = r.mins[lo:hi, None, :] <= s.mins[None, :, :]
-        b = s.mins[None, :, :] < s.maxs[None, :, :]
-        c = s.maxs[None, :, :] <= r.maxs[lo:hi, None, :]
-        return (a & b & c).all(axis=-1)
+        mins, maxs = r.mins[lo:hi], r.maxs[lo:hi]
+        ok = np.repeat(live_s[None, :], hi - lo, axis=0)
+        for d in range(r.ndim):
+            ok &= mins[:, d, None] <= s.mins[None, :, d]
+            ok &= s.maxs[None, :, d] <= maxs[:, d, None]
+        return ok
 
     return _blocked_join(len(r), len(s), kernel, block)
 
@@ -134,30 +134,15 @@ def join_intersects_box(
     r: Boxes, s: Boxes, block: int = 2048
 ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j) with ``Intersects(r[i], s[j])`` (Def 3)."""
+    live_r = (r.mins <= r.maxs).all(axis=-1)
+    live_s = (s.mins <= s.maxs).all(axis=-1)
 
     def kernel(lo: int, hi: int) -> np.ndarray:
-        a = r.mins[lo:hi, None, :] <= s.maxs[None, :, :]
-        b = r.maxs[lo:hi, None, :] >= s.mins[None, :, :]
-        live_r = (r.mins[lo:hi, None, :] <= r.maxs[lo:hi, None, :])
-        live_s = (s.mins[None, :, :] <= s.maxs[None, :, :])
-        return (a & b & live_r & live_s).all(axis=-1)
+        mins, maxs = r.mins[lo:hi], r.maxs[lo:hi]
+        ok = live_r[lo:hi, None] & live_s[None, :]
+        for d in range(r.ndim):
+            ok &= mins[:, d, None] <= s.maxs[None, :, d]
+            ok &= maxs[:, d, None] >= s.mins[None, :, d]
+        return ok
 
     return _blocked_join(len(r), len(s), kernel, block)
-
-
-def count_intersects_sampled(
-    r: Boxes, s: Boxes, sample_rate: float, rng: np.random.Generator
-) -> float:
-    """Estimate the total number of intersecting pairs by sampling.
-
-    This is the paper's §3.4 selectivity estimator: sample a small portion
-    of primitives and rays, do a brute-force trial run, and extrapolate.
-    Returns the estimated count for the full |r| x |s| cross product.
-    """
-    n_r = max(1, int(len(r) * sample_rate))
-    n_s = max(1, int(len(s) * sample_rate))
-    ri = rng.choice(len(r), size=min(n_r, len(r)), replace=False)
-    si = rng.choice(len(s), size=min(n_s, len(s)), replace=False)
-    hits = len(join_intersects_box(r[ri], s[si])[0])
-    frac = (len(ri) * len(si)) / (len(r) * len(s))
-    return hits / max(frac, 1e-12)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.canonical import canonical_pairs
 from repro.geometry.boxes import Boxes
 from repro.geometry.ray import ray_aabb_hit
 
@@ -70,7 +71,7 @@ def join_segment_intersects_box(
     """All pairs (segment i, box j) whose segment meets the box.
 
     Brute-force oracle used in tests of Theorem 1 and of the casting
-    passes. Returns lexicographically sorted ``(seg_idx, box_idx)``.
+    passes. Returns int64 ``(seg_idx, box_idx)`` sorted segment-major.
     """
     seg_parts: list[np.ndarray] = []
     box_parts: list[np.ndarray] = []
@@ -89,7 +90,8 @@ def join_segment_intersects_box(
     if not seg_parts:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy()
-    seg_idx = np.concatenate(seg_parts).astype(np.int64)
-    box_idx = np.concatenate(box_parts).astype(np.int64)
-    order = np.lexsort((box_idx, seg_idx))
-    return seg_idx[order], box_idx[order]
+    # Segment-major: the segment plays the query's role in the key.
+    box_idx, seg_idx = canonical_pairs(
+        np.concatenate(box_parts), np.concatenate(seg_parts)
+    )
+    return seg_idx, box_idx

@@ -149,3 +149,25 @@ class TestSelectivityEstimate:
         exact = len(join_intersects_box(r, s)[0]) / (5000 * 2000)
         s_hat, _ = estimate_selectivity(r, s, rng, sample=512)
         assert 0.4 * exact < s_hat < 2.5 * exact
+
+    def test_sampled_count_full_rate_is_exact(self, rng):
+        """A sample exactly as large as the bigger set tests every pair."""
+        from repro.geometry.predicates import join_intersects_box
+
+        r = random_boxes(rng, 80)
+        s = random_boxes(rng, 50)
+        exact = len(join_intersects_box(r, s)[0])
+        s_hat, trial = estimate_selectivity(r, s, rng, sample=80)
+        assert s_hat * 80 * 50 == pytest.approx(exact)
+        assert trial == 80 * 50
+
+    def test_sampled_count_reasonable_estimate(self, rng):
+        """Extrapolated to the full cross product, a 300-box sample of
+        each side lands within 3x of the exact pair count."""
+        from repro.geometry.predicates import join_intersects_box
+
+        r = random_boxes(rng, 2000, max_extent=8.0)
+        s = random_boxes(rng, 1000, max_extent=8.0)
+        exact = len(join_intersects_box(r, s)[0])
+        s_hat, _ = estimate_selectivity(r, s, rng, sample=300)
+        assert 0.3 * exact < s_hat * 2000 * 1000 < 3.0 * exact

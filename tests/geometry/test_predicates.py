@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry.boxes import Boxes
 from repro.geometry.predicates import (
-    count_intersects_sampled,
     join_contains_box,
     join_contains_point,
     join_intersects_box,
@@ -201,21 +200,3 @@ class TestJoins:
         e = Boxes.empty(2)
         r, s = join_intersects_box(e, e)
         assert len(r) == 0 and len(s) == 0
-
-    def test_sampled_count_full_rate_is_exact(self, rng):
-        from tests.conftest import random_boxes
-
-        r = random_boxes(rng, 80)
-        s = random_boxes(rng, 50)
-        exact = len(join_intersects_box(r, s)[0])
-        est = count_intersects_sampled(r, s, 1.0, rng)
-        assert est == pytest.approx(exact)
-
-    def test_sampled_count_reasonable_estimate(self, rng):
-        from tests.conftest import random_boxes
-
-        r = random_boxes(rng, 2000, max_extent=8.0)
-        s = random_boxes(rng, 1000, max_extent=8.0)
-        exact = len(join_intersects_box(r, s)[0])
-        est = count_intersects_sampled(r, s, 0.3, rng)
-        assert 0.3 * exact < est < 3.0 * exact
