@@ -1,27 +1,26 @@
 """repro.analysis — AST-based invariant checker for the whole stack.
 
-Nine rules (RTS001–RTS009) encode the cross-cutting invariants the test
-suite can't economically cover: shader purity, dtype discipline,
-canonical pair order, resource pairing, bench determinism, and — backed
-by the interprocedural engine in :mod:`repro.analysis.dataflow` — lock
-hygiene, guard consistency, snapshot escape, and thread-identity
-discipline. Run ``python -m repro.analysis --check`` (CI does); see
-``docs/ANALYSIS.md`` for the rule catalog and ``REPRO_TSAN=1`` for the
+Six rules (RTS002–RTS007) encode the cross-cutting invariants the test
+suite can't economically cover: dtype discipline, canonical pair order,
+resource pairing, bench determinism, and — backed by the
+interprocedural engine in :mod:`repro.analysis.dataflow` — lock hygiene
+and guard consistency. Run ``python -m repro.analysis --check`` (CI
+does); see ``docs/ANALYSIS.md`` for the rule catalog and ``REPRO_TSAN=1`` for the
 matching runtime checks (lock-order assertions in :mod:`repro.lockorder`
 and the race sanitizer in :mod:`repro.tsan`).
 """
 
 from repro.analysis.checkers import ALL_CHECKERS, default_checkers
-from repro.analysis.findings import Baseline, Finding
+from repro.analysis.findings import Finding
 from repro.analysis.framework import Analyzer, Checker, FileContext
-from repro.analysis.project import default_baseline_path, default_paths, discover, repo_root
+from repro.analysis.project import default_paths, discover, repo_root
 
 
 def analyze(paths=None, checkers=None):
     """Run the rule set over ``paths`` (default: ``src/repro``).
 
-    Returns the sorted list of :class:`Finding` records *before* baseline
-    suppression (inline ``# noqa: RTSxxx`` waivers are already applied).
+    Returns the sorted list of :class:`Finding` records, with inline
+    ``# noqa: RTSxxx`` waivers already applied.
     """
     files = discover(paths if paths is not None else default_paths())
     analyzer = Analyzer(checkers if checkers is not None else default_checkers())
@@ -31,12 +30,10 @@ def analyze(paths=None, checkers=None):
 __all__ = [
     "ALL_CHECKERS",
     "Analyzer",
-    "Baseline",
     "Checker",
     "FileContext",
     "Finding",
     "analyze",
-    "default_baseline_path",
     "default_checkers",
     "default_paths",
     "discover",

@@ -1,25 +1,19 @@
 """The RTS rule set."""
 
-from repro.analysis.checkers.rts001_shader_purity import ShaderPurity
 from repro.analysis.checkers.rts002_dtype_discipline import DtypeDiscipline
 from repro.analysis.checkers.rts003_canonical_order import CanonicalOrder
 from repro.analysis.checkers.rts004_lock_hygiene import LockHygiene
 from repro.analysis.checkers.rts005_resource_pairing import ResourcePairing
 from repro.analysis.checkers.rts006_determinism import BenchDeterminism
 from repro.analysis.checkers.rts007_guard_consistency import GuardConsistency
-from repro.analysis.checkers.rts008_snapshot_escape import SnapshotEscape
-from repro.analysis.checkers.rts009_thread_identity import ThreadIdentity
 
 ALL_CHECKERS = (
-    ShaderPurity,
     DtypeDiscipline,
     CanonicalOrder,
     LockHygiene,
     ResourcePairing,
     BenchDeterminism,
     GuardConsistency,
-    SnapshotEscape,
-    ThreadIdentity,
 )
 
 
@@ -31,13 +25,10 @@ def default_checkers():
 __all__ = [
     "ALL_CHECKERS",
     "default_checkers",
-    "ShaderPurity",
     "DtypeDiscipline",
     "CanonicalOrder",
     "LockHygiene",
     "ResourcePairing",
     "BenchDeterminism",
     "GuardConsistency",
-    "SnapshotEscape",
-    "ThreadIdentity",
 ]

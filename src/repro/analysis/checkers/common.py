@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 #: Names of the numpy module as imported across the repo.
 NUMPY_ALIASES = ("np", "numpy")
 
 #: ShaderPrograms keyword slots holding device callbacks.
 SHADER_SLOTS = ("intersection", "any_hit", "closest_hit", "miss")
-
-#: Methods of TraversalStats — the per-ray accumulator API shaders may
-#: call even on non-local receivers.
-STATS_METHODS = frozenset(
-    {"count_nodes", "count_is", "count_results", "merge", "scatter_from"}
-)
 
 
 def attr_chain(node: ast.AST) -> list[str] | None:
@@ -31,13 +24,6 @@ def attr_chain(node: ast.AST) -> list[str] | None:
     return None
 
 
-def root_name(node: ast.AST) -> str | None:
-    """The leftmost Name of an Attribute/Subscript/Call chain, if any."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call, ast.Starred)):
-        node = node.func if isinstance(node, ast.Call) else node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 def is_float64(node: ast.AST) -> bool:
     """Does this expression name the float64 dtype?"""
     chain = attr_chain(node)
@@ -48,42 +34,6 @@ def is_float64(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value == "float64"
 
 
-def local_names(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
-    """Every name bound inside ``fn``: params, assignments, loop/with
-    targets, comprehension targets, nested def/class names, imports."""
-    names: set[str] = set()
-    args = fn.args
-    for a in (
-        list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    ):
-        names.add(a.arg)
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.ExceptHandler) and node.name:
-                names.add(node.name)
-            elif isinstance(node, ast.alias):
-                names.add((node.asname or node.name).split(".")[0])
-    return names
-
-
-def functions_by_name(tree: ast.AST) -> dict[str, list[ast.FunctionDef]]:
-    """Every (possibly nested) function definition in the file, by name."""
-    out: dict[str, list[ast.FunctionDef]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.setdefault(node.name, []).append(node)
-    return out
-
-
 def shader_callback_names(tree: ast.AST) -> set[str]:
     """Names of functions registered as device callbacks in this file.
 
@@ -91,7 +41,7 @@ def shader_callback_names(tree: ast.AST) -> set[str]:
     (the rtcore pipeline's IS/AnyHit/ClosestHit/Miss slots), and the
     work function handed to an executor dispatch — the first positional
     argument of any ``<obj>.map(...)`` / ``<obj>.run(...)`` method call
-    (shard closures run on pool threads under the same purity contract).
+    (shard closures run on pool threads, where a lock is just as unsafe).
     """
     names: set[str] = set()
     for node in ast.walk(tree):
@@ -114,9 +64,3 @@ def shader_callback_names(tree: ast.AST) -> set[str]:
             names.add(node.args[0].id)
     return names
 
-
-def walk_in(node: ast.AST) -> Iterator[ast.AST]:
-    """ast.walk over a function body (the def node itself excluded)."""
-    body = node.body if isinstance(node.body, list) else [node.body]
-    for stmt in body:
-        yield from ast.walk(stmt)

@@ -1,13 +1,9 @@
 """Command line front end: ``python -m repro.analysis``.
 
-Exit status 0 when every finding is baseline-suppressed (or none exist),
-1 otherwise — CI runs ``--check``. A baseline entry whose finding no
-longer fires is *stale* and is itself an error (waivers must not outlive
-their bug); ``--update-baseline`` rewrites ``ANALYSIS_baseline.json``
-from the current findings and is the fix for both directions of drift.
-``--explain RULE`` prints a rule's rationale; ``--sarif OUT.sarif``
-additionally writes the fresh findings as SARIF 2.1.0 for CI annotation
-upload.
+Exit status 0 when no finding survives its inline ``# noqa`` waivers,
+1 otherwise — CI runs ``--check``. ``--explain RULE`` prints a rule's
+rationale; ``--sarif OUT.sarif`` additionally writes the findings as
+SARIF 2.1.0 for CI annotation upload.
 """
 
 from __future__ import annotations
@@ -18,16 +14,15 @@ import sys
 from pathlib import Path
 
 from repro.analysis.checkers import ALL_CHECKERS, default_checkers
-from repro.analysis.findings import Baseline
 from repro.analysis.framework import Analyzer
-from repro.analysis.project import default_baseline_path, default_paths, discover
+from repro.analysis.project import default_paths, discover
 from repro.analysis.sarif import write_sarif
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AST-based invariant checker (rules RTS001-RTS009).",
+        description="AST-based invariant checker (rules RTS002-RTS007).",
     )
     parser.add_argument(
         "paths",
@@ -38,12 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero on unsuppressed findings (the CI gate)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings",
+        help="exit non-zero on unwaived findings (the CI gate)",
     )
     parser.add_argument(
         "--explain",
@@ -54,12 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="list rule ids and titles"
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline path (default: <repo>/ANALYSIS_baseline.json)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit findings as JSON records"
     )
     parser.add_argument(
@@ -67,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         metavar="OUT.sarif",
         default=None,
-        help="also write fresh findings as SARIF 2.1.0 (for CI upload)",
+        help="also write the findings as SARIF 2.1.0 (for CI upload)",
     )
     return parser
 
@@ -96,23 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     files = discover(args.paths if args.paths else default_paths())
     findings = Analyzer(default_checkers()).run(files)
 
-    baseline_path = args.baseline or default_baseline_path()
-    if args.update_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(f"baseline: {len(findings)} suppression(s) -> {baseline_path}")
-        return 0
-
-    baseline = Baseline.load(baseline_path)
-    fresh = [f for f in findings if not baseline.contains(f)]
-    finding_keys = {(f.file, f.rule_id, f.message) for f in findings}
-    stale = [
-        e
-        for e in baseline.entries
-        if (e["file"], e["rule"], e["message"]) not in finding_keys
-    ]
-
     if args.sarif is not None:
-        write_sarif(fresh, args.sarif)
+        write_sarif(findings, args.sarif)
 
     if args.json:
         print(
@@ -124,32 +93,20 @@ def main(argv: list[str] | None = None) -> int:
                         "rule": f.rule_id,
                         "message": f.message,
                     }
-                    for f in fresh
+                    for f in findings
                 ],
                 indent=2,
             )
         )
     else:
-        for f in fresh:
+        for f in findings:
             print(f.format())
 
-    for e in stale:
-        print(
-            f"stale baseline entry: {e['file']}: {e['rule']} {e['message']!r} "
-            "no longer fires; remove it (or run --update-baseline)",
-            file=sys.stderr,
-        )
-
-    suppressed = len(findings) - len(fresh)
-    if fresh or suppressed:
-        tail = f" ({suppressed} baseline-suppressed)" if suppressed else ""
-        print(
-            f"{len(fresh)} finding(s) in {len(files)} file(s){tail}",
-            file=sys.stderr,
-        )
+    if findings:
+        print(f"{len(findings)} finding(s) in {len(files)} file(s)", file=sys.stderr)
     # --check is documentation of intent; the exit code is the same either
     # way so local runs and CI can't disagree.
-    return 1 if fresh or stale else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""Interprocedural dataflow engine behind RTS004 and RTS007–RTS009.
+"""Interprocedural dataflow engine behind RTS004 and RTS007.
 
 One engine instance is built per analyzer run from the parsed trees of
-every in-scope file (memoized on tree identity so the four concurrency
+every in-scope file (memoized on tree identity so the two concurrency
 rules share it). It computes, whole-program:
 
 - a **call graph** over module functions, methods, nested functions and
@@ -30,9 +30,8 @@ rules share it). It computes, whole-program:
   (``append``/``pop``/``update``/...) on the field count as writes.
 
 RTS004 consumes the acquisitions and resolved calls (lock-order graph),
-RTS007 the field summaries (Eraser-style guard inference), RTS009 the
-root reachability plus ``# thread:`` affinity comments, and RTS008 the
-units/call resolution for its source→sink taint walk.
+RTS007 the field summaries and their reaching roots (Eraser-style guard
+inference).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.lockorder import RANKS
 #: The pseudo thread-root for code reachable from public entry points.
 MAIN_ROOT = "main"
 
-#: Packages the engine scans (shared scope of RTS004 and RTS007–RTS009).
+#: Packages the engine scans (shared scope of RTS004 and RTS007).
 ENGINE_SCOPE = (
     "repro.serve",
     "repro.churn",
@@ -98,8 +97,8 @@ class FieldAccess:
 class Unit:
     """One function-like scope: module fn, method, or nested function."""
 
-    __slots__ = ("key", "rel", "package", "cls", "name", "node", "lineno",
-                 "self_name", "calls", "acquires", "spawn_targets")
+    __slots__ = ("key", "rel", "package", "cls", "name", "lineno",
+                 "calls", "acquires", "spawn_targets")
 
     def __init__(self, key, rel, package, cls, name, node):
         self.key = key
@@ -107,9 +106,7 @@ class Unit:
         self.package = package
         self.cls = cls
         self.name = name
-        self.node = node
         self.lineno = node.lineno
-        self.self_name: str | None = None
         #: [(descriptor, held frozenset, lineno)]
         self.calls: list[tuple] = []
         #: [(lock key, held frozenset, lineno)] — with/.acquire() sites
@@ -130,7 +127,6 @@ class Engine:
         self.module_fns: dict[tuple, list] = {}    # (rel, name) -> [unit keys]
         self.imports: dict[str, dict] = {}         # rel -> {name: (module, orig)}
         self.pkg_rel: dict[str, str] = {}          # dotted module -> rel
-        self.lines: dict[str, list] = {}           # rel -> source lines
 
         self.attr_locks: dict[tuple, tuple] = {}   # (cls, attr) -> lock key
         self.module_locks: dict[tuple, tuple] = {} # (rel, name) -> lock key
@@ -164,8 +160,7 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _collect_classes(self) -> None:
-        for rel, package, tree, lines in self.files:
-            self.lines[rel] = lines
+        for rel, package, tree, _lines in self.files:
             if package:
                 self.pkg_rel[package] = rel
             table = self.imports.setdefault(rel, {})
@@ -341,7 +336,6 @@ class Engine:
         args = fn_node.args
         params = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         selfful = cls is not None and bool(params) and params[0].arg == "self"
-        unit.self_name = "self" if selfful else None
 
         local_types: dict[str, str] = {}
         for a in params:
@@ -519,7 +513,11 @@ class Engine:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     nested_key = key + (stmt.name,)
                     self.module_fns.setdefault((rel, stmt.name), []).append(nested_key)
-                    self._scan_nested(rel, package, cls, stmt, nested_key, selfful)
+                    # Closures over ``self`` keep attribute typing (the
+                    # enclosing method's class).
+                    self._scan_unit(
+                        rel, package, cls if selfful else None, stmt, nested_key
+                    )
                     continue
                 if isinstance(stmt, (ast.With, ast.AsyncWith)):
                     acquired = []
@@ -546,14 +544,6 @@ class Engine:
                         walk_expr(child, held)
 
         walk_stmts(fn_node.body, ())
-
-    def _scan_nested(self, rel, package, cls, fn_node, key, outer_selfful) -> None:
-        """Nested functions: scanned as their own unit. Closures over
-        ``self`` keep attribute typing (the enclosing method's class)."""
-        self._scan_unit(rel, package, cls if outer_selfful else None, fn_node, key)
-        nested = self.units[key]
-        if outer_selfful:
-            nested.self_name = "self"
 
     # ------------------------------------------------------------------
     # resolution and fixpoints (pass 3)
@@ -673,23 +663,6 @@ class Engine:
     def lock_display(self, key) -> str:
         return self.lock_names.get(key, str(key))
 
-    def thread_note(self, unit: Unit) -> tuple[str, ...] | None:
-        """Labels from a ``# thread: a, b`` comment on the ``def`` line or
-        the line directly above it; None when the unit is unannotated."""
-        lines = self.lines.get(unit.rel, ())
-        for lineno in (unit.lineno, unit.lineno - 1):
-            if not 1 <= lineno <= len(lines):
-                continue
-            text = lines[lineno - 1]
-            i = text.find("#")
-            if i < 0:
-                continue
-            comment = text[i + 1 :].strip()
-            if comment.startswith("thread:"):
-                labels = comment[len("thread:"):].split(",")
-                return tuple(lbl.strip() for lbl in labels if lbl.strip())
-        return None
-
     def class_package(self, cls: str) -> str | None:
         info = self.classes.get(cls)
         return info[1] if info else None
@@ -746,8 +719,8 @@ _ENGINE_CACHE: dict[tuple, Engine] = {}
 
 def engine_for(files) -> Engine:
     """Build (or reuse) the engine for a list of (rel, package, tree,
-    lines) tuples. Memoized on tree identity: the four concurrency rules
-    stash the same FileContext trees, so one engine serves all of them."""
+    lines) tuples. Memoized on tree identity: both concurrency rules
+    stash the same FileContext trees, so one engine serves both."""
     key = tuple(id(tree) for _rel, _pkg, tree, _lines in files)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:

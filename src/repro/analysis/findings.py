@@ -1,26 +1,16 @@
-"""Finding records, inline ``# noqa`` waivers, and the committed baseline.
+"""Finding records and inline ``# noqa`` waivers.
 
-A finding is one rule violation at one source line. Two suppression
-mechanisms exist, with different intents:
-
-- ``# noqa: RTS004`` on the offending line — a *permanent, reviewed*
-  waiver, placed next to the code it excuses (optionally followed by a
-  reason). Bare ``# noqa`` waives every rule on the line.
-- ``ANALYSIS_baseline.json`` — *pre-existing debt* recorded when a rule
-  is introduced, so tightening a checker doesn't block CI on old code.
-  Entries match on (file, rule, message) — deliberately not on line
-  number, so unrelated edits above a baselined site don't resurrect it.
-
-New code should never add baseline entries; fix the finding or waive it
-inline where reviewers can see it.
+A finding is one rule violation at one source line. The one suppression
+mechanism is ``# noqa: RTS004`` on the offending line: a *permanent,
+reviewed* waiver, placed next to the code it excuses (optionally
+followed by a reason). Bare ``# noqa`` waives every rule on the line.
+Anything else is fixed at the source; ``--check`` fails on it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 
@@ -38,9 +28,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.file, self.line, self.rule_id, self.message)
-
-    def baseline_entry(self) -> dict:
-        return {"file": self.file, "rule": self.rule_id, "message": self.message}
 
 
 _NOQA_RE = re.compile(
@@ -78,46 +65,3 @@ def waived(finding: Finding, waivers: dict[int, set[str]]) -> bool:
         return False
     return ALL_RULES in codes or finding.rule_id in codes
 
-
-BASELINE_VERSION = 1
-
-
-class Baseline:
-    """The committed suppression file (``ANALYSIS_baseline.json``)."""
-
-    def __init__(self, entries: Iterable[dict] = ()):
-        self.entries = [dict(e) for e in entries]
-        self._keys = {(e["file"], e["rule"], e["message"]) for e in self.entries}
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        if not Path(path).exists():
-            return cls()
-        text = Path(path).read_text()
-        if not text.strip():
-            return cls()
-        doc = json.loads(text)
-        if doc.get("version") != BASELINE_VERSION:
-            raise ValueError(
-                f"{path}: unsupported baseline version {doc.get('version')!r}"
-            )
-        return cls(doc.get("suppressions", []))
-
-    def save(self, path: Path) -> None:
-        doc = {
-            "version": BASELINE_VERSION,
-            "suppressions": sorted(
-                self.entries, key=lambda e: (e["file"], e["rule"], e["message"])
-            ),
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        return cls(f.baseline_entry() for f in findings)
-
-    def contains(self, finding: Finding) -> bool:
-        return (finding.file, finding.rule_id, finding.message) in self._keys
-
-    def __len__(self) -> int:
-        return len(self.entries)

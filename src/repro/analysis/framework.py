@@ -4,7 +4,7 @@ Each source file is parsed once and walked once; checkers subscribe to
 node types (``node_types``) and receive a dispatch callback per matching
 node, plus ``begin_file``/``end_file`` hooks for per-file setup and
 cross-referencing, and a ``finalize`` hook after all files for
-whole-program analyses (RTS004 and RTS007–RTS009, which share one
+whole-program analyses (RTS004 and RTS007, which share one
 :mod:`repro.analysis.dataflow` engine). Checkers yield
 :class:`~repro.analysis.findings.Finding` records; the analyzer drops
 inline ``# noqa`` waivers before returning them.

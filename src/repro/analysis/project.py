@@ -24,10 +24,6 @@ def repo_root() -> Path:
     return here.parents[3]
 
 
-def default_baseline_path(root: Path | None = None) -> Path:
-    return (root or repo_root()) / "ANALYSIS_baseline.json"
-
-
 def default_paths(root: Path | None = None) -> list[Path]:
     return [(root or repo_root()) / "src" / "repro"]
 

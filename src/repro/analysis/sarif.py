@@ -2,7 +2,7 @@
 
 Emits the minimal static-analysis result format GitHub code scanning
 ingests (``github/codeql-action/upload-sarif``), so findings surface as
-PR annotations at the offending line. One run, one result per fresh
+PR annotations at the offending line. One run, one result per unwaived
 finding; every registered rule is listed in the driver with its
 ``--explain`` text so the annotations link to real documentation.
 """

@@ -100,7 +100,7 @@ class BackgroundCompactor:
         if thread is not None:
             thread.join()
 
-    def _run(self) -> None:  # thread: repro-churn-compactor
+    def _run(self) -> None:
         while True:
             with self._cond:
                 if not self._stopping:
@@ -114,10 +114,13 @@ class BackgroundCompactor:
 
     # -- one trigger evaluation -------------------------------------------
 
-    def poll(self) -> dict | None:  # thread: main, repro-churn-compactor
+    def poll(self) -> dict | None:
         """Evaluate the triggers once; compact through the service if one
         is due. Returns the compaction summary or ``None``. Safe to call
         synchronously — benches do, for deterministic compaction points.
+        Runs on the main or compactor thread, never the scheduler: it
+        takes ``churn.compactor`` (rank 5), which the lock order forbids
+        under the scheduler's ``serve.service`` (rank 10).
         """
         with self._lock:
             snapshot = self.service.snapshot()

@@ -339,10 +339,13 @@ class SpatialQueryService:
     def rebuild(self) -> None:
         self._mutate("rebuild", lambda ix: ix.rebuild())
 
-    def compact(self, reason: str = "manual") -> dict:  # thread: main, repro-churn-compactor
+    def compact(self, reason: str = "manual") -> dict:
         """Fold the churn delta into a fresh main structure and publish
         the compacted index as a new epoch (churn-enabled services only).
-        Readers keep draining their pinned epoch meanwhile."""
+        Readers keep draining their pinned epoch meanwhile. Runs on the
+        main or compactor thread, never the scheduler: the compactor calls
+        it under ``churn.compactor`` (rank 5), which the lock order forbids
+        under the scheduler's ``serve.service`` (rank 10)."""
         if not hasattr(self.snapshots.current, "compact"):
             raise TypeError(
                 "compact() requires a churn-enabled service "
@@ -352,7 +355,7 @@ class SpatialQueryService:
 
     # -- scheduler ---------------------------------------------------------
 
-    def _collect_batch(self) -> list[QueryRequest] | None:  # thread: repro-serve-scheduler
+    def _collect_batch(self) -> list[QueryRequest] | None:
         """Block until a batch is ready (or the service drains): a
         FIFO-prefix run of compatible requests with a bounded linger for
         stragglers."""
@@ -378,13 +381,12 @@ class SpatialQueryService:
             self.metrics.set_gauge("serve.queue_depth", len(self._pending))
             return batch
 
-    def _complete(self, req: QueryRequest, result: QueryResult) -> None:  # thread: repro-serve-scheduler
+    def _complete(self, req: QueryRequest, result: QueryResult) -> None:
         latency_us = (time.monotonic() - req.enqueue_t) * 1e6
         self.metrics.observe("serve.latency_us", latency_us)
         self.metrics.inc("serve.completed")
         req.future.set_result(result)
 
-    # thread: repro-serve-scheduler
     def _admit_batch(
         self, batch: list[QueryRequest], epoch: int, now: float
     ) -> list[tuple[QueryRequest, tuple | None]]:
@@ -415,7 +417,6 @@ class SpatialQueryService:
             live.append((req, key))
         return live
 
-    # thread: repro-serve-scheduler
     def _finish_batch(
         self,
         result: QueryResult,
@@ -433,7 +434,7 @@ class SpatialQueryService:
                 self.cache.put(key, part)
             self._complete(req, part)
 
-    def _run(self) -> None:  # thread: repro-serve-scheduler
+    def _run(self) -> None:
         """The scheduler loop: collect a batch, pin the published
         snapshot, admit the batch, execute it, then fail or scatter it.
         Execution follows admission order, so a serial client through

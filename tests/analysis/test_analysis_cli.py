@@ -1,55 +1,42 @@
-"""CLI surface: exit codes, baseline round-trip, explain/list output."""
+"""CLI surface: exit codes, inline waivers, explain/list output."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import main
-from repro.analysis.findings import BASELINE_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = str(FIXTURES / "rts006_bad.py")
 GOOD = str(FIXTURES / "rts006_good.py")
+RULE_IDS = ["RTS002", "RTS003", "RTS004", "RTS005", "RTS006", "RTS007"]
 
 
-def test_check_nonzero_on_bad_fixture(tmp_path, capsys):
-    assert main([BAD, "--check", "--baseline", str(tmp_path / "b.json")]) == 1
+def test_check_nonzero_on_bad_fixture(capsys):
+    assert main([BAD, "--check"]) == 1
     out = capsys.readouterr().out
     assert "RTS006" in out
     assert "rts006_bad.py" in out
 
 
-def test_check_zero_on_good_fixture(tmp_path, capsys):
-    assert main([GOOD, "--check", "--baseline", str(tmp_path / "b.json")]) == 0
+def test_check_zero_on_good_fixture(capsys):
+    assert main([GOOD, "--check"]) == 0
     assert capsys.readouterr().out == ""
 
 
-def test_update_baseline_then_check_passes(tmp_path, capsys):
-    baseline = tmp_path / "b.json"
-    assert main([BAD, "--update-baseline", "--baseline", str(baseline)]) == 0
-    doc = json.loads(baseline.read_text())
-    assert doc["version"] == BASELINE_VERSION
-    assert doc["suppressions"], "expected recorded suppressions"
-    capsys.readouterr()
-    assert main([BAD, "--check", "--baseline", str(baseline)]) == 0
-    err = capsys.readouterr().err
-    assert "baseline-suppressed" in err
+@pytest.mark.parametrize("flag", ["--baseline=b.json", "--update-baseline"])
+def test_baseline_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([GOOD, flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_baseline_suppression_matches_message_not_line(tmp_path, capsys):
-    src = tmp_path / "mod.py"
-    src.write_text("import time\n\ndef stamp():\n    return time.time()\n")
-    baseline = tmp_path / "b.json"
-    assert main([str(src), "--update-baseline", "--baseline", str(baseline)]) == 0
-    # Shift the finding to a different line: still suppressed.
-    src.write_text("import time\n# pad\n# pad\n\ndef stamp():\n    return time.time()\n")
-    capsys.readouterr()
-    assert main([str(src), "--check", "--baseline", str(baseline)]) == 0
-
-
-def test_json_output(tmp_path, capsys):
-    main([BAD, "--json", "--baseline", str(tmp_path / "b.json")])
+def test_json_output(capsys):
+    main([BAD, "--json"])
     records = json.loads(capsys.readouterr().out)
     assert records and all(r["rule"].startswith("RTS") for r in records)
     assert {"file", "line", "rule", "message"} <= set(records[0])
@@ -63,6 +50,22 @@ def test_explain_known_rule(capsys):
     assert "REPRO_TSAN=1" in out
 
 
+@pytest.mark.parametrize("rule", RULE_IDS)
+def test_explain_every_listed_rule(rule, capsys):
+    assert main(["--explain", rule]) == 0
+    head, scope, blank, *rationale = capsys.readouterr().out.splitlines()
+    assert head.startswith(f"{rule}: ")
+    assert scope.startswith("scope: ")
+    assert blank == ""
+    assert any(line.strip() for line in rationale)
+
+
+@pytest.mark.parametrize("rule", ["RTS001", "RTS008", "RTS009"])
+def test_retired_rules_are_unknown(rule, capsys):
+    assert main(["--explain", rule]) == 2
+    assert f"unknown rule {rule!r}" in capsys.readouterr().err
+
+
 def test_explain_unknown_rule(capsys):
     assert main(["--explain", "RTS999"]) == 2
     assert "unknown rule" in capsys.readouterr().err
@@ -71,45 +74,19 @@ def test_explain_unknown_rule(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert [ln.split()[0] for ln in lines] == [
-        "RTS001", "RTS002", "RTS003", "RTS004", "RTS005", "RTS006",
-        "RTS007", "RTS008", "RTS009",
-    ]
-
-
-def test_stale_baseline_entry_fails_check(tmp_path, capsys):
-    baseline = tmp_path / "b.json"
-    assert main([BAD, "--update-baseline", "--baseline", str(baseline)]) == 0
-    # The flagged code is fixed; its waiver must now be reported stale.
-    fixed = tmp_path / "fixed.py"
-    fixed.write_text("def stamp():\n    return 0\n")
-    capsys.readouterr()
-    assert main([str(fixed), "--check", "--baseline", str(baseline)]) == 1
-    err = capsys.readouterr().err
-    assert "stale baseline entry" in err
-    assert "no longer fires" in err
-
-
-def test_update_baseline_clears_stale_entries(tmp_path, capsys):
-    baseline = tmp_path / "b.json"
-    assert main([BAD, "--update-baseline", "--baseline", str(baseline)]) == 0
-    fixed = tmp_path / "fixed.py"
-    fixed.write_text("def stamp():\n    return 0\n")
-    assert main([str(fixed), "--update-baseline", "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main([str(fixed), "--check", "--baseline", str(baseline)]) == 0
+    assert [ln.split()[0] for ln in lines] == RULE_IDS
 
 
 def test_sarif_output(tmp_path, capsys):
     out = tmp_path / "out.sarif"
-    main([BAD, "--sarif", str(out), "--baseline", str(tmp_path / "b.json")])
+    main([BAD, "--sarif", str(out)])
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro.analysis"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"RTS001", "RTS009"} <= rule_ids
+    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+    assert rule_ids == RULE_IDS
     assert run["results"], "expected at least one result"
     first = run["results"][0]
     assert first["ruleId"].startswith("RTS")
@@ -118,10 +95,21 @@ def test_sarif_output(tmp_path, capsys):
     assert loc["region"]["startLine"] >= 1
 
 
-def test_sarif_suppressed_findings_are_omitted(tmp_path):
-    baseline = tmp_path / "b.json"
-    assert main([BAD, "--update-baseline", "--baseline", str(baseline)]) == 0
+def test_sarif_suppressed_findings_are_omitted(tmp_path, capsys):
+    src = tmp_path / "waived.py"
+    src.write_text(
+        "import time\n"
+        "def stamp():\n"
+        "    return time.time()  # noqa: RTS006 - wall clock wanted here\n"
+        "def again():\n"
+        "    return time.time()\n"
+    )
     out = tmp_path / "out.sarif"
-    assert main([BAD, "--sarif", str(out), "--baseline", str(baseline)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["runs"][0]["results"] == []
+    assert main([str(src), "--sarif", str(out)]) == 1
+    capsys.readouterr()
+    results = json.loads(out.read_text())["runs"][0]["results"]
+    lines = [
+        r["locations"][0]["physicalLocation"]["region"]["startLine"]
+        for r in results
+    ]
+    assert lines == [5]  # the unwaived call only

@@ -10,10 +10,7 @@ import pytest
 from repro.analysis import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RULES = (
-    "RTS001", "RTS002", "RTS003", "RTS004", "RTS005", "RTS006",
-    "RTS007", "RTS008", "RTS009",
-)
+RULES = ("RTS002", "RTS003", "RTS004", "RTS005", "RTS006", "RTS007")
 
 
 def _findings(name: str):
@@ -32,16 +29,6 @@ def test_bad_fixture_fires(rule):
 def test_good_fixture_is_clean(rule):
     findings = _findings(f"{rule.lower()}_good.py")
     assert findings == [], [f.format() for f in findings]
-
-
-def test_rts001_catches_every_impurity_mode():
-    messages = [f.message for f in _findings("rts001_bad.py") if f.rule_id == "RTS001"]
-    assert any("self state" in m for m in messages)
-    assert any("closure/global state" in m for m in messages)
-    assert any("mutates non-local" in m for m in messages)
-    assert any("declares global" in m for m in messages)
-    assert any("RNG" in m for m in messages)
-    assert any("I/O" in m for m in messages)
 
 
 def test_rts004_catches_every_hygiene_mode():
@@ -70,6 +57,23 @@ def test_rts004_follows_typed_parameter_calls():
     ]
 
 
+def test_rts004_catches_compactor_poll_under_service_lock():
+    # The scheduler polling the compactor inside its service lock: poll()
+    # takes churn.compactor (rank 5) under serve.service (rank 10), then
+    # compact() takes serve.service again. The inversion deadlocks against
+    # the compactor thread, which holds the two locks in the other order.
+    findings = _findings("rts004_poll_under_service.py")
+    assert all(f.rule_id == "RTS004" for f in findings), findings
+    assert sorted(f.message for f in findings) == sorted([
+        "acquires 'churn.compactor' (rank 5) while holding 'serve.service' "
+        "(rank 10); the global order in repro.lockorder.RANKS only descends",
+        "lock 'serve.service' re-acquired while already held (self-deadlock: "
+        "make_lock locks are non-reentrant)",
+        "lock-order cycle: 'churn.compactor' -> 'serve.service' -> "
+        "'churn.compactor'",
+    ])
+
+
 def test_rts005_accepts_each_pairing_form():
     # The good fixture holds one construction per accepted form; a single
     # miss in the heuristic would produce a finding and fail the clean test,
@@ -85,21 +89,6 @@ def test_rts007_catches_lockfree_read_and_disjoint_guards():
     assert any("read of Tally._done without lock" in m for m in messages), messages
     assert any("reachable from" in m and "main" in m for m in messages)
     assert any("disjoint" in m for m in messages), messages
-
-
-def test_rts008_catches_every_escape_mode():
-    messages = [f.message for f in _findings("rts008_bad.py") if f.rule_id == "RTS008"]
-    assert any("subscript store" in m for m in messages)
-    assert any(".flags.writeable flip" in m for m in messages)
-    assert any("np.copyto() write" in m for m in messages)
-    assert any("mutating its argument" in m for m in messages)
-    assert any(".insert() in-place mutation" in m for m in messages)
-
-
-def test_rts009_catches_reachability_and_unknown_labels():
-    messages = [f.message for f in _findings("rts009_bad.py") if f.rule_id == "RTS009"]
-    assert any("reachable from thread root(s): main" in m for m in messages), messages
-    assert any("unknown thread root(s) ghost" in m for m in messages), messages
 
 
 def test_findings_are_sorted_and_deduplicated():
@@ -119,12 +108,64 @@ def test_noqa_waives_a_single_rule(tmp_path):
     assert analyze([bad]) == []
 
 
+@pytest.mark.parametrize("rule", RULES)
+def test_noqa_waives_every_finding_of_its_rule(rule, tmp_path):
+    # Inline waivers are the only suppression: a reasoned ``# noqa`` on
+    # each flagged line of the bad fixture silences exactly that rule and
+    # leaves every other rule's findings where they were.
+    name = f"{rule.lower()}_bad.py"
+    before = _findings(name)
+    flagged = {f.line for f in before if f.rule_id == rule}
+    assert flagged
+    lines = (FIXTURES / name).read_text().splitlines()
+    for i in flagged:
+        # A line keeps one noqa list: join an existing one, else add one.
+        line = lines[i - 1]
+        if "# noqa: " in line:
+            lines[i - 1] = line.replace("# noqa: ", f"# noqa: {rule}, ", 1)
+        else:
+            lines[i - 1] = f"{line}  # noqa: {rule} - fixture waiver"
+    waived_copy = tmp_path / name
+    waived_copy.write_text("\n".join(lines) + "\n")
+    after = analyze([waived_copy])
+    assert all(f.rule_id != rule for f in after), [f.format() for f in after]
+    assert [(f.line, f.rule_id, f.message) for f in after] == [
+        (f.line, f.rule_id, f.message) for f in before if f.rule_id != rule
+    ]
+
+
+def test_bare_noqa_waives_every_rule(tmp_path):
+    bad = tmp_path / "bare.py"
+    bad.write_text(
+        "import time\n"
+        "import numpy as np\n"
+        "def stamp(q, r):\n"
+        "    return time.time(), np.lexsort((r, q))  # noqa\n"
+    )
+    assert analyze([bad]) == []
+
+
+def test_noqa_code_list_waives_only_listed_rules(tmp_path):
+    src = (
+        "import time\n"
+        "import numpy as np\n"
+        "def stamp(q, r):\n"
+        "    return time.time(), np.lexsort((r, q))  # noqa: {codes}\n"
+    )
+    both = tmp_path / "both.py"
+    both.write_text(src.format(codes="RTS003, rts006"))
+    assert analyze([both]) == []
+    one = tmp_path / "one.py"
+    one.write_text(src.format(codes="RTS006"))
+    assert [f.rule_id for f in analyze([one])] == ["RTS003"]
+
+
 def test_noqa_for_other_rule_does_not_waive(tmp_path):
     bad = tmp_path / "unwaived.py"
     bad.write_text(
         "import time\n"
         "def stamp():\n"
-        "    return time.time()  # noqa: RTS001\n"
+        "    return time.time()  # noqa: RTS002\n"
     )
     findings = analyze([bad])
     assert [f.rule_id for f in findings] == ["RTS006"]

@@ -1,30 +1,24 @@
 """The repo passes its own invariant checker.
 
 This is the same gate CI runs (``python -m repro.analysis --check``):
-every finding over ``src/repro`` must be baseline-suppressed, and the
-goal state — which this PR establishes — is an *empty* baseline: all
-true positives fixed at the source, none papered over.
+every finding over ``src/repro`` is fixed at the source or waived inline
+with a reviewed ``# noqa: RTSxxx - reason``; nothing is suppressed
+anywhere else.
 """
 
 from __future__ import annotations
 
-from repro.analysis import analyze, default_baseline_path, default_paths
+from repro.analysis import analyze, default_paths
 from repro.analysis.cli import main
-from repro.analysis.findings import Baseline
 
 
-def test_src_repro_is_clean_modulo_baseline():
-    baseline = Baseline.load(default_baseline_path())
-    fresh = [f for f in analyze(default_paths()) if not baseline.contains(f)]
-    assert fresh == [], "\n".join(f.format() for f in fresh)
-
-
-def test_baseline_is_empty():
-    # New code must fix findings, not suppress them; keep the debt ledger
-    # at zero so any regression is a hard CI failure.
-    assert len(Baseline.load(default_baseline_path())) == 0
+def test_src_repro_is_clean():
+    findings = analyze(default_paths())
+    assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_cli_check_exits_zero_on_repo(capsys):
     assert main(["--check"]) == 0
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ""
