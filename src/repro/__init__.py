@@ -5,7 +5,7 @@ The package is organised as the paper's system plus every substrate it
 depends on:
 
 - :mod:`repro.geometry` — vectorized geometric kernel (boxes, rays,
-  segments, predicates, Morton codes, SRT transforms, polygons).
+  segments, predicates, Morton codes, polygons).
 - :mod:`repro.rtcore` — a software simulator of the OptiX programming-model
   subset used by LibRTS (BVH build/refit, GAS/IAS, shader pipeline,
   ``optixTrace``), with exact per-ray work counters.

@@ -112,11 +112,11 @@ class LockHygiene(Checker):
     # whole-program: acquisition graph over the dataflow engine, findings
     # ------------------------------------------------------------------
 
-    def finalize(self):
+    def finalize(self, shared):
         files, self._files = self._files, []
         if not files:
             return []
-        engine = engine_for(files)
+        engine = engine_for(files, shared)
         name = engine.lock_display
         findings: list[Finding] = []
 

@@ -66,11 +66,11 @@ class GuardConsistency(Checker):
     def begin_file(self, ctx: FileContext) -> None:
         self._files.append((ctx.rel, ctx.package, ctx.tree, ctx.lines))
 
-    def finalize(self):
+    def finalize(self, shared):
         files, self._files = self._files, []
         if not files:
             return []
-        engine = engine_for(files)
+        engine = engine_for(files, shared)
         findings: list[Finding] = []
 
         for (cls, field), accesses in sorted(engine.fields.items()):

@@ -1,8 +1,9 @@
 """Interprocedural dataflow engine behind RTS004 and RTS007.
 
 One engine instance is built per analyzer run from the parsed trees of
-every in-scope file (memoized on tree identity so the two concurrency
-rules share it). It computes, whole-program:
+every in-scope file (kept in the run's shared dict, so the two
+concurrency rules share it and it dies with the run). It computes,
+whole-program:
 
 - a **call graph** over module functions, methods, nested functions and
   property getters, with receivers typed through ``self.attr = Cls(...)``
@@ -714,17 +715,14 @@ def _enclosing_class(tree, node) -> str | None:
     return None
 
 
-_ENGINE_CACHE: dict[tuple, Engine] = {}
-
-
-def engine_for(files) -> Engine:
-    """Build (or reuse) the engine for a list of (rel, package, tree,
-    lines) tuples. Memoized on tree identity: both concurrency rules
-    stash the same FileContext trees, so one engine serves both."""
-    key = tuple(id(tree) for _rel, _pkg, tree, _lines in files)
-    engine = _ENGINE_CACHE.get(key)
+def engine_for(files, shared: dict) -> Engine:
+    """The engine for a list of (rel, package, tree, lines) tuples, built
+    once per analyzer run. ``shared`` is the run's scratch dict (see
+    :meth:`~repro.analysis.framework.Analyzer.run`): both concurrency
+    rules stash the same FileContext trees, so one engine serves both,
+    and it is dropped with the run."""
+    key = ("dataflow.Engine",) + tuple(id(tree) for _rel, _pkg, tree, _lines in files)
+    engine = shared.get(key)
     if engine is None:
-        if len(_ENGINE_CACHE) >= 4:
-            _ENGINE_CACHE.clear()
-        engine = _ENGINE_CACHE[key] = Engine(files)
+        engine = shared[key] = Engine(files)
     return engine

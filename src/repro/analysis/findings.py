@@ -43,19 +43,22 @@ def parse_noqa(lines: Iterable[str]) -> dict[int, set[str]]:
     """Per-line waivers: 1-based line number -> waived rule ids.
 
     ``# noqa`` with no code list waives all rules (:data:`ALL_RULES`).
+    A line with several ``# noqa`` comments waives the union of their
+    codes.
     """
     waivers: dict[int, set[str]] = {}
     for lineno, text in enumerate(lines, start=1):
         if "#" not in text:
             continue
-        m = _NOQA_RE.search(text)
-        if not m:
-            continue
-        codes = m.group("codes")
-        if codes is None:
-            waivers[lineno] = {ALL_RULES}
-        else:
-            waivers[lineno] = {c.strip().upper() for c in codes.split(",")}
+        codes: set[str] = set()
+        for m in _NOQA_RE.finditer(text):
+            listed = m.group("codes")
+            if listed is None:
+                codes.add(ALL_RULES)
+            else:
+                codes.update(c.strip().upper() for c in listed.split(","))
+        if codes:
+            waivers[lineno] = codes
     return waivers
 
 

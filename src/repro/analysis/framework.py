@@ -5,7 +5,7 @@ node types (``node_types``) and receive a dispatch callback per matching
 node, plus ``begin_file``/``end_file`` hooks for per-file setup and
 cross-referencing, and a ``finalize`` hook after all files for
 whole-program analyses (RTS004 and RTS007, which share one
-:mod:`repro.analysis.dataflow` engine). Checkers yield
+:mod:`repro.analysis.dataflow` engine per run). Checkers yield
 :class:`~repro.analysis.findings.Finding` records; the analyzer drops
 inline ``# noqa`` waivers before returning them.
 """
@@ -79,7 +79,10 @@ class Checker:
     def end_file(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
-    def finalize(self) -> Iterable[Finding]:
+    def finalize(self, shared: dict) -> Iterable[Finding]:
+        """Whole-program findings after every file. ``shared`` lives for
+        one :meth:`Analyzer.run`: rules memoize analyses they have in
+        common there (RTS004 and RTS007 build one dataflow engine)."""
         return ()
 
 
@@ -116,8 +119,9 @@ class Analyzer:
                     checker.visit(ctx, node)
             for checker in active:
                 findings.extend(checker.end_file(ctx))
+        shared: dict = {}
         for checker in self.checkers:
-            findings.extend(checker.finalize())
+            findings.extend(checker.finalize(shared))
         kept = [
             f
             for f in set(findings)

@@ -303,11 +303,6 @@ class ChurnIndex(RTSIndex):
 
     # -- public-id plumbing ------------------------------------------------------
 
-    @property
-    def n_public_ids(self) -> int:
-        """Public ids ever issued (dense, append-only)."""
-        return len(self._pub_slot)
-
     def _check_public(self, ids: np.ndarray) -> None:
         if len(ids) and (ids.min() < 0 or ids.max() >= len(self._pub_slot)):
             raise IndexError("public rectangle id out of range")

@@ -11,9 +11,9 @@ template ``RTSIndex<COORD_T, N_DIMS>``:
 - ``insert`` / ``delete`` / ``update`` provide mutability.
 
 Mutability design (§4): rather than one monolithic BVH, every insertion
-batch becomes its own GAS, linked under a single IAS with identity
-transforms. A prefix-sum array maps (instance id, local primitive index)
-to the global rectangle id in O(1). Deletion degenerates rectangle
+batch becomes its own GAS, linked under a single identity-instance IAS.
+A prefix-sum array maps (instance id, local primitive index) to the
+global rectangle id in O(1). Deletion degenerates rectangle
 extents so rays can never report them; updates overwrite coordinates and
 refit the owning GAS.
 """
@@ -30,7 +30,6 @@ from repro.core.handlers import Handler
 from repro.core.multicast import DEFAULT_SAMPLE, DEFAULT_W
 from repro.core.queries.contains import run_contains_query
 from repro.core.queries.intersects import run_intersects_query
-from repro.core.queries.point import run_point_query
 from repro.core.result import QueryResult
 from repro.geometry.boxes import Boxes
 from repro.obs.metrics import MetricsRegistry
@@ -656,17 +655,14 @@ class RTSIndex:
 
         executor = self._executor
         with self.tracer.span("query", predicate=predicate.value) as q_sp:
-            if predicate is Predicate.CONTAINS_POINT:
-                r, q, phases, meta = run_point_query(
-                    self, payload, handler, executor=executor
-                )
-            elif predicate is Predicate.RANGE_CONTAINS:
-                r, q, phases, meta = run_contains_query(
-                    self, payload, handler, executor=executor
-                )
-            else:
+            if predicate is Predicate.RANGE_INTERSECTS:
                 r, q, phases, meta = run_intersects_query(
                     self, payload, handler, k=k, executor=executor
+                )
+            else:
+                # Points or Boxes: the payload picks the exact predicate.
+                r, q, phases, meta = run_contains_query(
+                    self, payload, handler, executor=executor
                 )
             result = QueryResult(r, q, phases, meta)
             if plan is not None:

@@ -2,8 +2,7 @@
 an RT-suitable ray-casting problem and runs it on the simulated RT cores.
 """
 
-from repro.core.queries.point import run_point_query
 from repro.core.queries.contains import run_contains_query
 from repro.core.queries.intersects import run_intersects_query
 
-__all__ = ["run_point_query", "run_contains_query", "run_intersects_query"]
+__all__ = ["run_contains_query", "run_intersects_query"]

@@ -28,7 +28,6 @@ from repro.geometry.segment import (
     pairwise_segment_intersects_box,
 )
 from repro.geometry.morton import morton_encode, morton_order, quantize_unit
-from repro.geometry.transforms import Transform
 from repro.geometry.polygon import PolygonSoup
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "morton_encode",
     "morton_order",
     "quantize_unit",
-    "Transform",
     "PolygonSoup",
 ]

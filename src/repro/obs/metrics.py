@@ -171,12 +171,6 @@ class MetricsRegistry:
         with self._lock:
             return self.gauges.get(name, default)
 
-    def histogram_mean(self, name: str, default: float = 0.0) -> float:
-        """Mean of histogram ``name``, computed under the lock."""
-        with self._lock:
-            hist = self.histograms.get(name)
-            return hist.mean if hist is not None else default
-
     def quantile(self, name: str, q: float, default: float = 0.0) -> float:
         """Quantile of histogram ``name``, computed under the lock (the
         estimate walks buckets/count mid-read otherwise)."""

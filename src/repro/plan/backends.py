@@ -71,7 +71,7 @@ def execute_baseline(
     deliver."""
     if predicate is Predicate.CONTAINS_POINT:
         # Same coercion + shape contract as the RT pipeline
-        # (core.queries.point); casting to the index dtype first keeps
+        # (core.queries.contains); casting to the index dtype first keeps
         # pair parity exact.
         payload = np.ascontiguousarray(payload, dtype=index.dtype)
         if payload.ndim != 2 or payload.shape[1] != index.ndim:

@@ -8,14 +8,18 @@ OptiX 8 + RT cores (paper §2.2-§2.4):
   exact per-ray work an RT core would perform (node visits, IS-shader
   invocations).
 - :mod:`repro.rtcore.kernel` — the one frontier traversal kernel every
-  structure (Morton BVH, SAH BVH, box-overlap traversal) runs.
+  structure (Morton BVH, SAH BVH, box-overlap traversal) runs, and the
+  one traced ray launch both BVH layouts share.
 - :mod:`repro.rtcore.gas` / :mod:`repro.rtcore.ias` — the two-level
-  Geometry / Instance acceleration structures with SRT instance transforms
-  (Figure 2), the substrate of LibRTS's mutability design (§4).
+  Geometry / Instance acceleration structures (Figure 2): an
+  identity-instance IAS, as LibRTS uses (§4.1), the substrate of its
+  mutability design (§4).
 - :mod:`repro.rtcore.pipeline` — the shader pipeline: a launch casts rays
   (RayGen), traversal invokes the IsIntersection shader on potential hits,
   then AnyHit / ClosestHit / Miss, under the single-ray programming model.
 
+Every RT launch takes one path: ``InstanceAS.traverse`` → one
+``GeometryAS``'s BVH ``traverse`` per instance → ``kernel.traverse``.
 Traversal is batch-vectorized, but all statistics are per ray, which is
 what the single-ray model maps to hardware threads and what the
 performance model consumes.

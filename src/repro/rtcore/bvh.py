@@ -37,9 +37,8 @@ import numpy as np
 
 from repro.geometry.boxes import Boxes
 from repro.geometry.morton import morton_order
-from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore import kernel
-from repro.rtcore.kernel import Candidates, PairMajorNodes
+from repro.rtcore.kernel import PairMajorNodes
 from repro.rtcore.stats import TraversalStats
 
 
@@ -62,6 +61,9 @@ class BVH(PairMajorNodes):
         ray-AABB hit; larger leaves reproduce OptiX's "potential hit"
         IS semantics and trade traversal depth for IS work.
     """
+
+    topology = kernel.HeapTopology
+    builder = "fast_build"
 
     def __init__(self, boxes: Boxes, leaf_size: int = 1):
         if leaf_size < 1:
@@ -156,54 +158,6 @@ class BVH(PairMajorNodes):
         self.refit()
 
     # -- traversal -----------------------------------------------------------
-
-    def traverse(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        tmins: np.ndarray,
-        tmaxs: np.ndarray,
-        stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
-        tracer=None,
-    ) -> Candidates:
-        """Cast a batch of rays; return IS-shader candidates.
-
-        ``stat_ids`` maps local ray rows to counter slots in ``stats``
-        (used by IAS sub-launches and Ray Multicast, where several
-        simulated rays share a logical query). ``tracer`` records the
-        traversal as a span with counter deltas; observation is
-        read-only, results are identical with or without it.
-        """
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "bvh.traverse",
-                builder="fast_build",
-                n_rays=int(origins.shape[0]),
-                n_prims=self.n_prims,
-            ) as sp:
-                before = counter_snapshot(stats)
-                out = self._traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
-                record_delta(sp, before, stats)
-            return out
-        return self._traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
-
-    def _traverse(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        tmins: np.ndarray,
-        tmaxs: np.ndarray,
-        stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
-    ) -> Candidates:
-        return kernel.traverse(
-            kernel.HeapTopology(self),
-            kernel.RaySlab(origins, dirs, tmins, tmaxs),
-            origins.shape[0],
-            stats,
-            stat_ids,
-        )
 
     def traverse_boxes(
         self,

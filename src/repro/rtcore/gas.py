@@ -70,9 +70,6 @@ class GeometryAS:
     def ndim(self) -> int:
         return self.boxes.ndim
 
-    def world_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.bvh.root_bounds()
-
     def update_primitives(self, ids: np.ndarray, new: Boxes) -> None:
         """Overwrite primitive coordinates and refit (OptiX BVH update)."""
         self.boxes.overwrite(ids, new)

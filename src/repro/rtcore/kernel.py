@@ -21,6 +21,12 @@ every tested pair adds two node visits to its ray.
   or :class:`BoxOverlap` (software box-box traversal, which backs the
   LBVH baseline).
 
+:meth:`PairMajorNodes.traverse` is the one ray launch of both BVH
+layouts: it runs :func:`traverse` over the structure's topology with a
+:class:`RaySlab` test and, when traced, records the ``bvh.traverse``
+span. :class:`Candidates` is what every launch returns, an IAS launch
+included (with its ``instance_ids`` column set).
+
 Layout: both structures number their nodes in sibling pairs (pair *j*
 holds nodes ``2j+1``/``2j+2``; node 0 is the root) and store node bounds
 *pair-major* (:class:`PairMajorNodes`): a lower- and an upper-bound
@@ -46,6 +52,7 @@ import numpy as np
 from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
 from repro.geometry.ray import box_live, fmax_first, slab_axes, slab_hit
+from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore.stats import TraversalStats
 
 
@@ -58,25 +65,25 @@ class Candidates:
     (OptiX invokes the IS shader on *potential* hits, footnote 2 of the
     paper, so with leaf sizes above one some candidates carry
     ``aabb_hit = False``). Box-overlap traversals carry no ``t_enter``
-    (``None``).
+    (``None``). ``instance_ids`` is what ``optixGetInstanceId`` returns
+    for each candidate: an IAS launch sets it, a launch into one
+    structure leaves it ``None`` (an empty result carries an empty
+    column either way).
     """
 
-    __slots__ = ("rows", "prims", "t_enter", "aabb_hit")
+    __slots__ = ("rows", "prims", "t_enter", "aabb_hit", "instance_ids")
 
-    def __init__(self, rows, prims, t_enter, aabb_hit):
+    def __init__(self, rows, prims, t_enter, aabb_hit, instance_ids=None):
         self.rows = rows
         self.prims = prims
         self.t_enter = t_enter
         self.aabb_hit = aabb_hit
+        self.instance_ids = instance_ids
 
     @classmethod
     def empty(cls) -> "Candidates":
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            promote64(np.empty(0)),
-            np.empty(0, dtype=bool),
-        )
+        e = np.empty(0, dtype=np.int64)
+        return cls(e, e.copy(), promote64(np.empty(0)), np.empty(0, dtype=bool), e.copy())
 
     @classmethod
     def concat(cls, parts: list["Candidates"]) -> "Candidates":
@@ -89,6 +96,8 @@ class Candidates:
             None if parts[0].t_enter is None
             else np.concatenate([p.t_enter for p in parts]),
             np.concatenate([p.aabb_hit for p in parts]),
+            None if parts[0].instance_ids is None
+            else np.concatenate([p.instance_ids for p in parts]),
         )
 
     def __len__(self) -> int:
@@ -122,12 +131,20 @@ class PairMajorNodes:
     ``(2, n_pairs)`` then the root. :meth:`bound_views` reshapes the
     buffers; refit writes through it and then calls
     :meth:`_refresh_liveness`. Everything else here is derived.
+
+    A subclass names its tree layout (``topology``, the kernel's view of
+    its child links and leaves) and its build preset (``builder``, the
+    ``bvh.traverse`` span attribute); :meth:`traverse` is the one ray
+    launch both layouts run.
     """
 
     boxes: Boxes
     node_lo: np.ndarray
     node_hi: np.ndarray
     node_live: np.ndarray
+    n_prims: int
+    topology: type
+    builder: str
 
     def _alloc_nodes(self, n_nodes: int) -> None:
         self.node_lo = np.empty(self.boxes.ndim * n_nodes, dtype=self.boxes.dtype)
@@ -167,11 +184,6 @@ class PairMajorNodes:
         p = (self.n_nodes - 1) // 2
         return _node_order(self.node_live[:-1].reshape(2, p), self.node_live[-1])
 
-    def root_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """World bounds of the whole structure (the root box)."""
-        (_, lo), (_, hi) = self.bound_views()
-        return lo.copy(), hi.copy()
-
     def _store_node_order(self, mins: np.ndarray, maxs: np.ndarray) -> None:
         """Store ``(n_nodes, d)`` node-id ordered bounds (a refit that
         works by node id) and refresh the liveness."""
@@ -186,6 +198,44 @@ class PairMajorNodes:
         self.node_live = np.append(
             box_live(lo_pairs, hi_pairs).reshape(-1), box_live(lo_root, hi_root)
         )
+
+    def traverse(
+        self,
+        origins: np.ndarray,
+        dirs: np.ndarray,
+        tmins: np.ndarray,
+        tmaxs: np.ndarray,
+        stats: TraversalStats,
+        stat_ids: np.ndarray | None = None,
+        tracer=None,
+    ) -> Candidates:
+        """Cast a batch of rays; return IS-shader candidates.
+
+        ``stat_ids`` maps local ray rows to counter slots in ``stats``
+        (used by IAS sub-launches and Ray Multicast, where several
+        simulated rays share a logical query). ``tracer`` records the
+        traversal as a ``bvh.traverse`` span with counter deltas;
+        observation is read-only, results are identical with or without
+        it.
+        """
+        if tracer is None or not tracer.enabled:
+            return traverse(
+                self.topology(self),
+                RaySlab(origins, dirs, tmins, tmaxs),
+                origins.shape[0],
+                stats,
+                stat_ids,
+            )
+        with tracer.span(
+            "bvh.traverse",
+            builder=self.builder,
+            n_rays=int(origins.shape[0]),
+            n_prims=self.n_prims,
+        ) as sp:
+            before = counter_snapshot(stats)
+            out = self.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
+            record_delta(sp, before, stats)
+        return out
 
 
 # -- topologies ----------------------------------------------------------------

@@ -140,21 +140,17 @@ class Pipeline:
         if payload is not None and len(payload) != m:
             raise ValueError("payload must have one row per ray")
 
-        if isinstance(self.traversable, InstanceAS):
-            hits = self.traversable.traverse(
-                rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, stat_ids,
-                tracer=tracer,
-            )
-            ray_rows, prim_ids = hits.rows, hits.prims
-            instance_ids, t_enter, aabb_hit = hits.instance_ids, hits.t_enter, hits.aabb_hit
-        else:
-            cand = self.traversable.traverse(
-                rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, stat_ids,
-                tracer=tracer,
-            )
-            ray_rows, prim_ids = cand.rows, cand.prims
+        cand = self.traversable.traverse(
+            rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, stat_ids,
+            tracer=tracer,
+        )
+        ray_rows, prim_ids = cand.rows, cand.prims
+        t_enter, aabb_hit = cand.t_enter, cand.aabb_hit
+        # A launch into a bare GAS has no instances: its candidates
+        # report instance id 0.
+        instance_ids = cand.instance_ids
+        if instance_ids is None:
             instance_ids = np.zeros(len(cand), dtype=np.int64)
-            t_enter, aabb_hit = cand.t_enter, cand.aabb_hit
 
         ctx = IsContext(
             ray_rows=ray_rows,

@@ -29,10 +29,8 @@ import numpy as np
 
 from repro.geometry.boxes import Boxes
 from repro.geometry.dtypes import promote64
-from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore import kernel
-from repro.rtcore.kernel import Candidates, PairMajorNodes
-from repro.rtcore.stats import TraversalStats
+from repro.rtcore.kernel import PairMajorNodes
 
 
 class SAHBVH(PairMajorNodes):
@@ -46,6 +44,9 @@ class SAHBVH(PairMajorNodes):
     ``levels`` groups node ids by depth so refit runs bottom-up with one
     vectorized union per level.
     """
+
+    topology = kernel.ExplicitTopology
+    builder = "fast_trace"
 
     def __init__(self, boxes: Boxes, leaf_size: int = 4, n_bins: int = 16):
         if leaf_size < 1:
@@ -261,44 +262,3 @@ class SAHBVH(PairMajorNodes):
 
     def rebuild(self) -> None:
         self._build()
-
-    def traverse(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        tmins: np.ndarray,
-        tmaxs: np.ndarray,
-        stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
-        tracer=None,
-    ) -> Candidates:
-        """Batched frontier traversal, explicit-topology variant."""
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "bvh.traverse",
-                builder="fast_trace",
-                n_rays=int(origins.shape[0]),
-                n_prims=self.n_prims,
-            ) as sp:
-                before = counter_snapshot(stats)
-                out = self._traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
-                record_delta(sp, before, stats)
-            return out
-        return self._traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
-
-    def _traverse(
-        self,
-        origins: np.ndarray,
-        dirs: np.ndarray,
-        tmins: np.ndarray,
-        tmaxs: np.ndarray,
-        stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
-    ) -> Candidates:
-        return kernel.traverse(
-            kernel.ExplicitTopology(self),
-            kernel.RaySlab(origins, dirs, tmins, tmaxs),
-            origins.shape[0],
-            stats,
-            stat_ids,
-        )

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze
+from repro.analysis.findings import ALL_RULES, parse_noqa
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RULES = ("RTS002", "RTS003", "RTS004", "RTS005", "RTS006", "RTS007")
@@ -117,21 +118,25 @@ def test_noqa_waives_every_finding_of_its_rule(rule, tmp_path):
     before = _findings(name)
     flagged = {f.line for f in before if f.rule_id == rule}
     assert flagged
-    lines = (FIXTURES / name).read_text().splitlines()
-    for i in flagged:
-        # A line keeps one noqa list: join an existing one, else add one.
-        line = lines[i - 1]
-        if "# noqa: " in line:
-            lines[i - 1] = line.replace("# noqa: ", f"# noqa: {rule}, ", 1)
-        else:
-            lines[i - 1] = f"{line}  # noqa: {rule} - fixture waiver"
-    waived_copy = tmp_path / name
-    waived_copy.write_text("\n".join(lines) + "\n")
-    after = analyze([waived_copy])
-    assert all(f.rule_id != rule for f in after), [f.format() for f in after]
-    assert [(f.line, f.rule_id, f.message) for f in after] == [
-        (f.line, f.rule_id, f.message) for f in before if f.rule_id != rule
-    ]
+    # "join" adds the rule to a line's existing noqa list; "append"
+    # always adds a second ``# noqa`` comment (rts005_bad.py's lines
+    # already carry ``# noqa: F821``).
+    for style in ("join", "append"):
+        lines = (FIXTURES / name).read_text().splitlines()
+        for i in flagged:
+            line = lines[i - 1]
+            if style == "join" and "# noqa: " in line:
+                lines[i - 1] = line.replace("# noqa: ", f"# noqa: {rule}, ", 1)
+            else:
+                lines[i - 1] = f"{line}  # noqa: {rule} - fixture waiver"
+        (tmp_path / style).mkdir()
+        waived_copy = tmp_path / style / name
+        waived_copy.write_text("\n".join(lines) + "\n")
+        after = analyze([waived_copy])
+        assert all(f.rule_id != rule for f in after), [f.format() for f in after]
+        assert [(f.line, f.rule_id, f.message) for f in after] == [
+            (f.line, f.rule_id, f.message) for f in before if f.rule_id != rule
+        ]
 
 
 def test_bare_noqa_waives_every_rule(tmp_path):
@@ -143,6 +148,23 @@ def test_bare_noqa_waives_every_rule(tmp_path):
         "    return time.time(), np.lexsort((r, q))  # noqa\n"
     )
     assert analyze([bad]) == []
+
+
+@pytest.mark.parametrize(
+    "line, waived",
+    [
+        ("x = f()", None),
+        ("x = f()  # a comment, not a waiver", None),
+        ("x = f()  # noqa", {ALL_RULES}),
+        ("x = f()  # noqa: RTS003", {"RTS003"}),
+        ("x = f()  # NOQA: rts003 , RTS006 - reason", {"RTS003", "RTS006"}),
+        ("x = f()  # noqa: F821  # noqa: RTS005 - reason", {"F821", "RTS005"}),
+        ("x = f()  # noqa: RTS005  # noqa", {"RTS005", ALL_RULES}),
+    ],
+)
+def test_parse_noqa_line(line, waived):
+    """One line's waivers: every ``# noqa`` comment on it counts."""
+    assert parse_noqa(["y = 1", line]) == ({} if waived is None else {2: waived})
 
 
 def test_noqa_code_list_waives_only_listed_rules(tmp_path):
@@ -158,6 +180,12 @@ def test_noqa_code_list_waives_only_listed_rules(tmp_path):
     one = tmp_path / "one.py"
     one.write_text(src.format(codes="RTS006"))
     assert [f.rule_id for f in analyze([one])] == ["RTS003"]
+    # Every ``# noqa`` comment on a line counts: the union of their codes.
+    split = tmp_path / "split.py"
+    split.write_text(src.format(codes="RTS003  # noqa: RTS006 - reason"))
+    assert analyze([split]) == []
+    line = "x = f()  # noqa: F821  # noqa: RTS005 - reason"
+    assert parse_noqa([line]) == {1: {"F821", "RTS005"}}
 
 
 def test_noqa_for_other_rule_does_not_waive(tmp_path):

@@ -8,7 +8,10 @@ anywhere else.
 
 from __future__ import annotations
 
-from repro.analysis import analyze, default_paths
+import gc
+import weakref
+
+from repro.analysis import analyze, dataflow, default_paths
 from repro.analysis.cli import main
 
 
@@ -22,3 +25,21 @@ def test_cli_check_exits_zero_on_repo(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ""
+
+
+def test_one_engine_per_run_and_none_outlives_it(monkeypatch):
+    """RTS004 and RTS007 share one dataflow engine per ``analyze()`` run,
+    and nothing keeps it alive after the run returns."""
+    built = []
+
+    class Recorded(dataflow.Engine):
+        def __init__(self, files):
+            super().__init__(files)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(dataflow, "Engine", Recorded)
+    for _ in range(3):
+        assert analyze(default_paths()) == []
+    gc.collect()
+    assert len(built) == 3
+    assert all(ref() is None for ref in built)

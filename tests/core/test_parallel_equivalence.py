@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.handlers import CollectingHandler
 from repro.core.index import RTSIndex
-from repro.core.queries import contains, intersects, point
+from repro.core.queries import contains, intersects
 from repro.core.result import QueryResult
 from repro.geometry.boxes import Boxes
 from repro.parallel import ChunkedExecutor
@@ -22,7 +22,8 @@ from repro.parallel import executor as executor_mod
 
 
 def run_point_query(*args, **kw):
-    return QueryResult(*point.run_point_query(*args, **kw))
+    """The point query: the Contains kernel over a point array."""
+    return QueryResult(*contains.run_contains_query(*args, **kw))
 
 
 def run_contains_query(*args, **kw):

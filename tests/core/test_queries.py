@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.handlers import CollectingHandler, CountingHandler
 from repro.core.index import Predicate, RTSIndex
+from repro.core.queries.contains import run_contains_query
 from repro.geometry.boxes import Boxes
 from repro.geometry.predicates import (
     join_contains_box,
@@ -96,6 +97,35 @@ class TestContainsQuery:
         res = RTSIndex(data, ndim=3, dtype=np.float64).query_contains(q)
         assert_pairs_equal(res.pairs(), join_contains_box(data, q), "3d contains")
 
+
+    @pytest.mark.parametrize("builder", ["fast_build", "fast_trace"])
+    def test_casts_from_rectangle_centers(self, data, rng, builder):
+        """Range-Contains is the point query's launch from the query
+        rectangles' centers, filtered by the rectangle predicate."""
+        idx = RTSIndex(data, dtype=np.float64, builder=builder, leaf_size=2)
+        q = random_boxes(rng, 300, max_extent=2.0)
+        rect = idx.query_contains(q)
+        pt = idx.query_points(q.centers())
+        for counter in ("nodes_visited", "is_invocations"):
+            assert np.array_equal(
+                getattr(rect.meta["stats_obj"], counter),
+                getattr(pt.meta["stats_obj"], counter),
+            )
+        assert rect.pair_set() < pt.pair_set()
+        assert_pairs_equal(rect.pairs(), join_contains_box(data, q), "contains")
+
+
+@pytest.mark.parametrize(
+    "queries, message",
+    [
+        (np.zeros((5, 3)), r"expected points of shape \(n, 2\)"),
+        (np.zeros(5), r"expected points of shape \(n, 2\)"),
+        (Boxes(np.zeros((4, 3)), np.ones((4, 3))), "expected 2-D query rectangles"),
+    ],
+)
+def test_contains_kernel_rejects_wrong_dimension(index, queries, message):
+    with pytest.raises(ValueError, match=message):
+        run_contains_query(index, queries)
 
 class TestIntersectsQuery:
     def test_matches_oracle(self, index, data, rng):

@@ -40,7 +40,7 @@ class TestConstruction:
     def test_root_encloses_everything(self, rng):
         boxes = random_boxes(rng, 200)
         bvh = BVH(boxes)
-        lo, hi = bvh.root_bounds()
+        lo, hi = bvh.node_mins[0], bvh.node_maxs[0]
         assert (lo <= boxes.mins).all() and (hi >= boxes.maxs).all()
 
     def test_parent_encloses_children(self, rng):
@@ -117,8 +117,6 @@ class TestPairMajorStorage:
             assert np.array_equal(bvh.node_mins[node], lo)
             assert np.array_equal(bvh.node_maxs[node], hi)
             assert bvh._live[node] == ok == (lo <= hi).all()
-        lo, hi = bvh.root_bounds()
-        assert np.array_equal(lo, bvh.node_mins[0]) and np.array_equal(hi, bvh.node_maxs[0])
 
 
 class TestTraversalOracle:
@@ -212,7 +210,7 @@ class TestRefit:
         boxes.mins += 50.0
         boxes.maxs += 50.0
         bvh.refit()
-        lo, hi = bvh.root_bounds()
+        lo, hi = bvh.node_mins[0], bvh.node_maxs[0]
         assert (lo <= boxes.mins).all() and (hi >= boxes.maxs).all()
 
     def test_refit_preserves_correctness(self, rng):

@@ -1,5 +1,5 @@
-"""GAS/IAS tests: two-level traversal, instance transforms, update and
-degeneration semantics (paper §2.3, §4)."""
+"""GAS/IAS tests: two-level traversal, update and degeneration semantics
+(paper §2.3, §4)."""
 
 import warnings
 
@@ -9,9 +9,13 @@ import pytest
 from repro.geometry.boxes import Boxes
 from repro.geometry.predicates import join_contains_point
 from repro.geometry.ray import Rays
-from repro.geometry.transforms import Transform
+from repro.obs import Tracer
+from repro.rtcore import kernel
+from repro.rtcore.bvh import BVH
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.ias import InstanceAS
+from repro.rtcore.kernel import Candidates, PairMajorNodes
+from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
 from tests.conftest import random_boxes, random_points
 
@@ -59,11 +63,29 @@ class TestGAS:
             GeometryAS(boxes, leaf_size=2, builder="fast_trace")
             GeometryAS(boxes, leaf_size=1, builder="fast_build")
 
-    def test_world_bounds(self, rng):
-        boxes = random_boxes(rng, 30)
-        gas = GeometryAS(boxes)
-        lo, hi = gas.world_bounds()
-        assert (lo <= boxes.mins).all() and (hi >= boxes.maxs).all()
+    @pytest.mark.parametrize(
+        "builder, nodes, is_calls",
+        [("fast_build", 307, 30), ("fast_trace", 231, 4)],
+    )
+    def test_traced_launch_span(self, builder, nodes, is_calls):
+        """A traced GAS launch is one ``bvh.traverse`` span naming the
+        build preset, with the launch's counter deltas (frozen)."""
+        rng = np.random.default_rng(7)
+        lo = rng.random((64, 2)) * 100
+        gas = GeometryAS(Boxes(lo, lo + rng.random((64, 2)) * 5), leaf_size=2, builder=builder)
+        rays = Rays.point_rays(rng.random((25, 2)) * 100)
+        tracer, stats = Tracer(), TraversalStats(25)
+        gas.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, tracer=tracer)
+        [span] = tracer.roots
+        assert span.name == "bvh.traverse" and not span.children
+        assert span.attrs == {"builder": builder, "n_rays": 25, "n_prims": 64}
+        assert span.counters == {
+            "nodes_visited": nodes,
+            "is_invocations": is_calls,
+            "results_emitted": 0,
+        }
+        assert int(stats.nodes_visited.sum()) == nodes
+        assert int(stats.is_invocations.sum()) == is_calls
 
 
 class TestIASIdentity:
@@ -97,11 +119,48 @@ class TestIASIdentity:
         assert hits.instance_ids.tolist() == [1]
 
     def test_empty_gas_skipped(self, rng):
-        ias = InstanceAS()
-        ias.add_instance(GeometryAS(Boxes.empty(2)))
-        ias.add_instance(GeometryAS(random_boxes(rng, 10)))
-        hits, stats = point_hits(ias, random_points(rng, 5))
-        assert stats.nodes_visited.sum() >= 0  # no crash; empty skipped
+        """An IAS launch is its non-empty instances' GAS launches
+        concatenated in instance order, each candidate tagged with its
+        instance id; an empty GAS adds no candidate and no node visit."""
+        m = 200
+        origins = random_points(rng, m)
+        dirs = rng.random((m, 2)) * 60.0 - 30.0
+        dirs[::7, 1] = 0.0
+        tmins, tmaxs = np.zeros(m), np.ones(m)
+        for builder in ("fast_build", "fast_trace"):
+            gases = [
+                GeometryAS(b, leaf_size=2, builder=builder)
+                for b in (
+                    random_boxes(rng, 40),
+                    Boxes.empty(2),
+                    random_boxes(rng, 30, max_extent=20.0),
+                    random_boxes(rng, 50),
+                )
+            ]
+            stats = TraversalStats(m)
+            hits = InstanceAS.from_gases(gases).traverse(origins, dirs, tmins, tmaxs, stats)
+
+            ref_stats = TraversalStats(m)
+            parts = [
+                (i, gas.traverse(origins, dirs, tmins, tmaxs, ref_stats))
+                for i, gas in enumerate(gases)
+                if len(gas)
+            ]
+            assert all(len(c) for _, c in parts)
+            assert np.array_equal(hits.rows, np.concatenate([c.rows for _, c in parts]))
+            assert np.array_equal(hits.prims, np.concatenate([c.prims for _, c in parts]))
+            want_t = np.concatenate([c.t_enter for _, c in parts])
+            assert hits.t_enter.dtype == want_t.dtype
+            assert hits.t_enter.tobytes() == want_t.tobytes()
+            assert np.array_equal(
+                hits.aabb_hit, np.concatenate([c.aabb_hit for _, c in parts])
+            )
+            assert not hits.aabb_hit.all()
+            assert np.array_equal(
+                hits.instance_ids, np.concatenate([np.full(len(c), i) for i, c in parts])
+            )
+            assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
+            assert np.array_equal(stats.is_invocations, ref_stats.is_invocations)
 
     def test_stats_accumulate_across_instances(self, rng):
         a = random_boxes(rng, 64)
@@ -113,56 +172,95 @@ class TestIASIdentity:
         double, s2 = point_hits(ias, pts)
         assert s2.nodes_visited.sum() == 2 * s1.nodes_visited.sum()
 
-    def test_world_bounds_union(self, rng):
+    def test_one_gas_two_instances(self, rng):
+        """One GAS linked twice: every hit is reported once per
+        instance, tagged with that instance's id."""
+        boxes = random_boxes(rng, 60)
+        gas = GeometryAS(boxes)
         ias = InstanceAS()
-        ias.add_instance(GeometryAS(Boxes([[0.0, 0.0]], [[1.0, 1.0]])))
-        ias.add_instance(GeometryAS(Boxes([[5.0, 5.0]], [[6.0, 7.0]])))
-        lo, hi = ias.world_bounds()
-        assert np.array_equal(lo, [0.0, 0.0]) and np.array_equal(hi, [6.0, 7.0])
-
-    def test_empty_ias_bounds_raise(self):
-        with pytest.raises(ValueError):
-            InstanceAS().world_bounds()
-
-
-class TestIASTransforms:
-    """Instancing proper: one GAS reused under different SRT transforms
-    (paper Figure 2)."""
-
-    def test_translated_instance(self):
-        model = Boxes([[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]])
-        ias = InstanceAS()
-        ias.add_instance(GeometryAS(model), Transform.srt(translate=(10.0, 0.0, 0.0)))
-        # World-space point inside the translated copy.
-        hits, _ = point_hits(ias, np.array([[10.5, 0.5, 0.0]]))
-        assert hits.prims.tolist() == [0]
-        # The original (untranslated) location is empty in world space.
-        hits, _ = point_hits(ias, np.array([[0.5, 0.5, 0.0]]))
-        assert len(hits) == 0
-
-    def test_one_gas_two_instances(self):
-        model = Boxes([[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]])
-        gas = GeometryAS(model)
-        ias = InstanceAS()
-        ias.add_instance(gas, Transform.identity(), instance_id=0)
-        ias.add_instance(gas, Transform.srt(translate=(5.0, 0.0, 0.0)), instance_id=1)
-        pts = np.array([[0.5, 0.5, 0.0], [5.5, 0.5, 0.0]])
+        ias.add_instance(gas, instance_id=0)
+        ias.add_instance(gas, instance_id=5)
+        pts = boxes.centers()[::3]
         hits, _ = point_hits(ias, pts)
-        got = sorted(zip(hits.rows.tolist(), hits.instance_ids.tolist()))
-        assert got == [(0, 0), (1, 1)]
+        single, _ = point_hits(gas, pts)
+        n = len(single)
+        assert n and len(hits) == 2 * n
+        assert hits.instance_ids.tolist() == [0] * n + [5] * n
+        for half in (slice(0, n), slice(n, 2 * n)):
+            assert np.array_equal(hits.rows[half], single.rows)
+            assert np.array_equal(hits.prims[half], single.prims)
 
-    def test_scaled_instance(self):
-        model = Boxes([[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]])
-        ias = InstanceAS()
-        ias.add_instance(GeometryAS(model), Transform.srt(scale=(4.0, 4.0, 1.0)))
-        hits, _ = point_hits(ias, np.array([[3.5, 3.5, 0.0]]))
-        assert hits.prims.tolist() == [0]
+    def test_all_empty_ias_returns_empty_candidates(self, rng):
+        ias = InstanceAS.from_gases([GeometryAS(Boxes.empty(2)), GeometryAS(Boxes.empty(2))])
+        hits, stats = point_hits(ias, random_points(rng, 6))
+        assert isinstance(hits, Candidates) and len(hits) == 0
+        for col in (hits.rows, hits.prims, hits.instance_ids):
+            assert col.dtype == np.int64 and len(col) == 0
+        assert hits.aabb_hit.dtype == bool and len(hits.t_enter) == 0
+        assert stats.nodes_visited.sum() == 0
 
-    def test_rotated_instance_world_bounds(self):
-        model = Boxes([[0.0, 0.0, 0.0]], [[2.0, 1.0, 0.0]])
-        inst = InstanceAS()
-        i = inst.add_instance(GeometryAS(model), Transform.srt(rotate_z=np.pi / 2))
-        lo, hi = i.world_bounds()
-        # A quarter turn maps [0,2]x[0,1] to [-1,0]x[0,2].
-        assert np.allclose(lo[:2], [-1.0, 0.0], atol=1e-12)
-        assert np.allclose(hi[:2], [0.0, 2.0], atol=1e-12)
+    @pytest.mark.parametrize("builder", ["fast_build", "fast_trace"])
+    def test_traced_ias_span_tree(self, builder, rng):
+        """``ias.traverse`` has one ``bvh.traverse`` child per non-empty
+        instance; the children's counter deltas add up to the launch's."""
+        gases = [
+            GeometryAS(b, leaf_size=2, builder=builder)
+            for b in (random_boxes(rng, 30), Boxes.empty(2), random_boxes(rng, 45))
+        ]
+        pts = random_points(rng, 20)
+        rays = Rays.point_rays(pts)
+        tracer, stats = Tracer(), TraversalStats(20)
+        InstanceAS.from_gases(gases).traverse(
+            rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, tracer=tracer
+        )
+        [root] = tracer.roots
+        assert root.name == "ias.traverse"
+        assert root.attrs == {"n_rays": 20, "n_instances": 3}
+        assert [c.name for c in root.children] == ["bvh.traverse"] * 2
+        assert [c.attrs["n_prims"] for c in root.children] == [30, 45]
+        assert {c.attrs["builder"] for c in root.children} == {builder}
+        assert sum(c.counters["nodes_visited"] for c in root.children) == int(
+            stats.nodes_visited.sum()
+        )
+        assert sum(c.counters["is_invocations"] for c in root.children) == int(
+            stats.is_invocations.sum()
+        )
+
+
+class TestLaunchPath:
+    """Both BVH layouts launch rays through one traced ``traverse``;
+    candidates of every launch are :class:`Candidates`."""
+
+    @pytest.mark.parametrize(
+        "builder, bvh_cls, topology",
+        [
+            ("fast_build", BVH, kernel.HeapTopology),
+            ("fast_trace", SAHBVH, kernel.ExplicitTopology),
+        ],
+    )
+    def test_one_traverse_for_both_layouts(self, builder, bvh_cls, topology, rng):
+        assert bvh_cls.traverse is PairMajorNodes.traverse
+        assert bvh_cls.topology is topology and bvh_cls.builder == builder
+        gas = GeometryAS(random_boxes(rng, 40), leaf_size=2, builder=builder)
+        assert type(gas.bvh) is bvh_cls
+        hits, _ = point_hits(gas, random_points(rng, 30))
+        assert isinstance(hits, Candidates) and len(hits)
+        assert hits.instance_ids is None
+
+    def test_concat_keeps_instance_column(self):
+        def part(rows, iid):
+            rows = np.asarray(rows, dtype=np.int64)
+            return Candidates(
+                rows, rows + 10, rows.astype(np.float64), np.ones(len(rows), dtype=bool),
+                np.full(len(rows), iid, dtype=np.int64),
+            )
+
+        out = Candidates.concat([part([0, 2], 3), part([1], 7)])
+        assert out.rows.tolist() == [0, 2, 1]
+        assert out.prims.tolist() == [10, 12, 11]
+        assert out.instance_ids.tolist() == [3, 3, 7]
+        assert out.t_enter.tolist() == [0.0, 2.0, 1.0]
+        # A box-overlap launch into one structure: no t_enter, no ids.
+        plain = Candidates.concat([Candidates(np.array([4]), np.array([9]), None, np.array([True]))])
+        assert plain.instance_ids is None and plain.t_enter is None
+        assert len(Candidates.concat([])) == 0

@@ -112,7 +112,7 @@ class TestRefit:
         boxes.mins += 10.0
         boxes.maxs += 10.0
         bvh.rebuild()
-        lo, hi = bvh.root_bounds()
+        lo, hi = bvh.node_mins[0], bvh.node_maxs[0]
         assert (lo <= boxes.mins).all() and (hi >= boxes.maxs).all()
 
 
