@@ -19,7 +19,8 @@ OptiX 8 + RT cores (paper §2.2-§2.4):
   then AnyHit / ClosestHit / Miss, under the single-ray programming model.
 
 Every RT launch takes one path: ``InstanceAS.traverse`` → one
-``GeometryAS``'s BVH ``traverse`` per instance → ``kernel.traverse``.
+``kernel.traverse`` over every instance GAS in lockstep (a bare GAS
+launch enters through its BVH's ``traverse``).
 Traversal is batch-vectorized, but all statistics are per ray, which is
 what the single-ray model maps to hardware threads and what the
 performance model consumes.

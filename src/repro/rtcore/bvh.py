@@ -177,7 +177,7 @@ class BVH(PairMajorNodes):
         box-box test).
         """
         cand = kernel.traverse(
-            kernel.HeapTopology(self),
+            [kernel.HeapTopology(self)] if self.n_prims else [],
             kernel.BoxOverlap(q_mins, q_maxs),
             q_mins.shape[0],
             stats,

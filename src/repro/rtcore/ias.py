@@ -7,13 +7,18 @@ identity-instance IAS: a ray enters each instance's GAS unchanged.
 
 Building an IAS is lightweight — it stores no primitives, only links —
 which is exactly why LibRTS can afford to rebuild it on every insertion
-batch (§4.1).
+batch (§4.1). A launch is one frontier over every instance: the
+instance GASes descend in lockstep through one run of the traversal
+kernel (:func:`repro.rtcore.kernel.traverse`), as the hardware
+traverses the two-level graph in one ``optixTrace`` launch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.tracer import counter_snapshot, record_delta
+from repro.rtcore import kernel
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.kernel import Candidates
 from repro.rtcore.stats import TraversalStats
@@ -32,11 +37,11 @@ class Instance:
 class InstanceAS:
     """A one-level IAS over a list of instances.
 
-    Instances are tested front to back in insertion order; each instance
-    root test is one traversal node visit for the ray, then the ray
-    descends the instance's GAS. This is the hardware's two-level
-    traversal graph with the top level scanned linearly — faithful for
-    the modest instance counts produced by batched insertion.
+    Every ray tests every instance root (one traversal node visit each)
+    and descends each instance GAS whose root it hits. The top level is
+    counted as a linear scan, faithful for the modest instance counts
+    produced by batched insertion; execution fuses it, so one launch
+    runs one frontier however many instances the IAS holds.
     """
 
     def __init__(self, instances: list[Instance] | None = None):
@@ -77,25 +82,26 @@ class InstanceAS:
         Returns the candidates of every instance in instance order, with
         ``instance_ids`` set; ``prims`` are ids local to the instance's
         GAS (what ``optixGetPrimitiveIndex`` returns — renumbered from
-        zero per BVH, §4.1). ``tracer`` records the launch as an
-        ``ias.traverse`` span with one child ``bvh.traverse`` span per
-        instance descent.
+        zero per BVH, §4.1). Empty instances are skipped. ``tracer``
+        records the launch as one ``ias.traverse`` span with its counter
+        deltas.
         """
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "ias.traverse",
-                n_rays=int(origins.shape[0]),
-                n_instances=len(self.instances),
-            ):
-                return self._traverse(origins, dirs, tmins, tmaxs, stats, stat_ids, tracer)
-        return self._traverse(origins, dirs, tmins, tmaxs, stats, stat_ids, tracer)
-
-    def _traverse(self, origins, dirs, tmins, tmaxs, stats, stat_ids, tracer) -> Candidates:
-        parts: list[Candidates] = []
-        for inst in self.instances:
-            if len(inst.gas) == 0:
-                continue
-            cand = inst.gas.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids, tracer=tracer)
-            cand.instance_ids = np.full(len(cand), inst.instance_id, dtype=np.int64)
-            parts.append(cand)
-        return Candidates.concat(parts)
+        if tracer is None or not tracer.enabled:
+            insts = [inst for inst in self.instances if len(inst.gas)]
+            return kernel.traverse(
+                [inst.gas.bvh.topology(inst.gas.bvh) for inst in insts],
+                kernel.RaySlab(origins, dirs, tmins, tmaxs),
+                origins.shape[0],
+                stats,
+                stat_ids,
+                [inst.instance_id for inst in insts],
+            )
+        with tracer.span(
+            "ias.traverse",
+            n_rays=int(origins.shape[0]),
+            n_instances=len(self.instances),
+        ) as sp:
+            before = counter_snapshot(stats)
+            out = self.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
+            record_delta(sp, before, stats)
+        return out

@@ -10,9 +10,19 @@ per-ray node visit and IS counts recorded in
 hardware thread would perform under the single-ray programming model:
 every tested pair adds two node visits to its ray.
 
+A launch may hold several structures (the instances of an IAS). They
+descend in lockstep as *one* frontier: the root step tests every
+structure's root as one ``(n, m)`` block, and each later step
+concatenates the child pairs of every structure's frontier segment
+into one block, so a level runs one node test however many structures
+the launch holds. Counting is unchanged (every ray still counts one
+root visit per structure, as a linear scan of the top level), and
+candidates come out structure by structure, exactly as separate
+launches concatenated. A one-structure launch pays no concatenation.
+
 :func:`traverse` is parameterised by
 
-- the *topology* — :class:`HeapTopology` for the implicit complete tree
+- the *topologies* — :class:`HeapTopology` for the implicit complete tree
   of :class:`~repro.rtcore.bvh.BVH` (children ``2i+1``/``2i+2``, a fixed
   leaf-slot table) or :class:`ExplicitTopology` for the
   ``left``/``right``/``start``/``count`` arrays of
@@ -21,11 +31,13 @@ every tested pair adds two node visits to its ray.
   or :class:`BoxOverlap` (software box-box traversal, which backs the
   LBVH baseline).
 
-:meth:`PairMajorNodes.traverse` is the one ray launch of both BVH
-layouts: it runs :func:`traverse` over the structure's topology with a
-:class:`RaySlab` test and, when traced, records the ``bvh.traverse``
-span. :class:`Candidates` is what every launch returns, an IAS launch
-included (with its ``instance_ids`` column set).
+:meth:`PairMajorNodes.traverse` is the one-structure ray launch of both
+BVH layouts: it runs :func:`traverse` over the structure's topology
+with a :class:`RaySlab` test and, when traced, records the
+``bvh.traverse`` span; :meth:`~repro.rtcore.ias.InstanceAS.traverse`
+runs it over every instance's topology at once. :class:`Candidates` is
+what every launch returns, an IAS launch included (with its
+``instance_ids`` column set).
 
 Layout: both structures number their nodes in sibling pairs (pair *j*
 holds nodes ``2j+1``/``2j+2``; node 0 is the root) and store node bounds
@@ -46,6 +58,8 @@ elementwise ops (:func:`repro.geometry.ray.slab_axes`) under one
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,9 +101,12 @@ class Candidates:
 
     @classmethod
     def concat(cls, parts: list["Candidates"]) -> "Candidates":
+        """The non-empty ``parts`` in order (one is returned as is)."""
         parts = [p for p in parts if len(p.rows)]
         if not parts:
             return cls.empty()
+        if len(parts) == 1:
+            return parts[0]
         return cls(
             np.concatenate([p.rows for p in parts]),
             np.concatenate([p.prims for p in parts]),
@@ -220,7 +237,7 @@ class PairMajorNodes:
         """
         if tracer is None or not tracer.enabled:
             return traverse(
-                self.topology(self),
+                [self.topology(self)] if self.n_prims else [],
                 RaySlab(origins, dirs, tmins, tmaxs),
                 origins.shape[0],
                 stats,
@@ -361,10 +378,12 @@ class RaySlab:
     axis is flagged ``True`` when every ray is parallel to it, e.g. the
     y axis of point rays, and then skips the t products), and
     ``tmins``/``tmaxs`` kept as scalars when the launch's intervals are
-    all equal.
+    all equal. ``inv_rows`` is ``None`` when every axis has a ``1/dir``
+    row, and a step passes ``parallels`` as is when no axis holds a
+    per-ray mask (``masks``).
     """
 
-    __slots__ = ("origins", "invs", "inv_rows", "parallels", "tmins", "tmaxs")
+    __slots__ = ("origins", "invs", "inv_rows", "parallels", "masks", "tmins", "tmaxs")
 
     def __init__(self, origins, dirs, tmins, tmaxs):
         self.origins = np.ascontiguousarray(origins.T)
@@ -378,22 +397,31 @@ class RaySlab:
                 if not every:
                     invs.append(1.0 / col)
         self.invs = np.array(invs) if invs else None
+        if None not in self.inv_rows:
+            self.inv_rows = None
+        self.masks = [p for p in self.parallels if isinstance(p, np.ndarray)]
         self.tmins = _uniform(tmins)
         self.tmaxs = _uniform(tmaxs)
 
     def test(self, rows, box_lo, box_hi, live, want_t):
         """``(t_enter, hit)`` of rays ``rows`` against per-axis box bounds
-        ``box_lo``/``box_hi``, each ``rows``-aligned or a
-        ``(2, len(rows))`` sibling block (the ray side broadcasts over
-        the leading axis). ``live`` is the boxes' gathered liveness, or
+        ``box_lo``/``box_hi``, each ``rows``-aligned or a block whose
+        last axis is (a ``(2, len(rows))`` sibling block, or several
+        structures' roots as ``(n, 1)``; the ray side broadcasts over
+        the leading axes). ``live`` is the boxes' gathered liveness, or
         ``None`` to derive it from the bounds. ``t_enter`` is ``None``
         unless ``want_t``: only then is it folded with the reduction's
         tie rule (its bits are observable)."""
         invs = None if self.invs is None else self.invs.take(rows, axis=1)
+        if self.inv_rows is not None:
+            invs = [None if j is None else invs[j] for j in self.inv_rows]
+        pars = self.parallels
+        if self.masks:
+            pars = [p if p is None or p is True else p[rows] for p in pars]
         t_enter, t_exit = slab_axes(
             self.origins.take(rows, axis=1),
-            [None if j is None else invs[j] for j in self.inv_rows],
-            [p if p is None or p is True else p[rows] for p in self.parallels],
+            invs,
+            pars,
             box_lo,
             box_hi,
             enter_fold=fmax_first if want_t else np.fmax,
@@ -405,6 +433,23 @@ class RaySlab:
             t_enter, t_exit, _at(self.tmins, rows), _at(self.tmaxs, rows), live
         )
         return (t_enter if want_t else None), hit
+
+    def segment_t(self, t_enter, rows, box_dtype):
+        """``t_enter`` of a block that fused several structures' rows,
+        restricted to one structure whose tested rows were ``rows``, in
+        the dtype a test over ``rows`` alone returns. A masked
+        zero-direction axis widens the whole block to float64 when any
+        of its rays is parallel (:func:`~repro.geometry.ray.slab_axes`);
+        the values are computed in the narrower type, so narrowing a
+        segment without a parallel ray back is exact. An axis every ray
+        is parallel to widens every block alike."""
+        if (
+            not self.masks
+            or any(p is True for p in self.parallels)
+            or any(p[rows].any() for p in self.masks)
+        ):
+            return t_enter
+        return t_enter.astype(np.result_type(box_dtype, self.origins, self.invs), copy=False)
 
 
 class BoxOverlap:
@@ -444,66 +489,134 @@ def _hits_parent_major(hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat >> 1, flat & 1
 
 
-def traverse(
-    topo: _Topology, test, m: int, stats: TraversalStats, stat_ids: np.ndarray | None
-) -> Candidates:
-    """Run one launch of ``m`` rows through ``topo`` with node test ``test``.
+def _leaf_hits(topo, test, stats, stat_ids, rows, nodes, t_enter) -> Candidates:
+    """IS candidates of one structure's leaf hits ``(rows, nodes)``;
+    ``t_enter`` is the leaf test's entry parameter when the leaf box is
+    the primitive box, else the primitives are tested on their own
+    boxes (that result is ``aabb_hit``)."""
+    c_rows, prims, t = topo.leaf_candidates(rows, nodes, t_enter)
+    stats.count_is(c_rows if stat_ids is None else stat_ids[c_rows])
+    if t is not None:
+        return Candidates(c_rows, prims, t, np.ones(len(c_rows), dtype=bool))
+    t, p_hit = test.test(
+        c_rows,
+        [c[prims] for c in topo.boxes.mins.T],
+        [c[prims] for c in topo.boxes.maxs.T],
+        None,
+        True,
+    )
+    return Candidates(c_rows, prims, t, p_hit)
 
-    The root counts one node visit per row, and every ``(row, parent)``
-    pair whose children are tested counts two for ``stat_ids[row]``;
-    every candidate primitive of a hit leaf counts one IS invocation.
-    Candidates come out level by level in frontier order (parent-major,
-    children of a node in left, right order). Primitives of leaves whose
-    box is not the primitive box are tested on their own boxes (that
-    result is ``aabb_hit``). An empty launch or structure visits nothing.
+
+def traverse(
+    topos,
+    test,
+    m: int,
+    stats: TraversalStats,
+    stat_ids: np.ndarray | None,
+    instance_ids=None,
+) -> Candidates:
+    """Run one launch of ``m`` rows through the structures ``topos``
+    (each holding at least one primitive, all of one coordinate dtype)
+    with node test ``test``.
+
+    The structures descend in lockstep as one frontier: the root step
+    tests every structure's root as one ``(len(topos), m)`` block, and
+    each later step concatenates the child pairs of every structure's
+    frontier segment into one ``(d, 2, P)`` block, so a level costs one
+    node test however many structures the launch holds. Every root
+    test counts one node visit for ``stat_ids[row]``, and every
+    ``(row, parent)`` pair whose children are tested counts two; every
+    candidate primitive of a hit leaf counts one IS invocation.
+    Candidates come out structure by structure in ``topos`` order, each
+    level by level in frontier order (parent-major, children of a node
+    in left, right order): exactly a separate launch per structure,
+    concatenated. Primitives of leaves whose box is not the primitive
+    box are tested on their own boxes (that result is ``aabb_hit``).
+    ``instance_ids`` (one per structure) fills the candidates'
+    ``instance_ids`` column. An empty launch visits nothing.
     """
-    if m == 0 or topo.n_prims == 0:
+    if m == 0 or not topos:
         return Candidates.empty()
-    out: list[Candidates] = []
+    n = len(topos)
+    out: list[list[Candidates]] = [[] for _ in range(n)]
     with np.errstate(invalid="ignore", over="ignore"):
         rows = np.arange(m, dtype=np.int64)
-        t_enter, hit = test.test(
-            rows, topo.root_lo, topo.root_hi, topo.root_live, topo.wants_t_enter(0)
-        )
-        stats.count_nodes(rows if stat_ids is None else stat_ids)
-        rows = rows[hit]
-        nodes = np.zeros(len(rows), dtype=np.int64)
-        t_hit = None if t_enter is None else t_enter[hit]
-        while len(rows):
-            leaf = topo.leaves(nodes)
-            if leaf is not None:
-                t = None if t_hit is None else t_hit[leaf]
-                c_rows, prims, t = topo.leaf_candidates(rows[leaf], nodes[leaf], t)
-                stats.count_is(c_rows if stat_ids is None else stat_ids[c_rows])
-                if t is not None:
-                    out.append(Candidates(c_rows, prims, t, np.ones(len(c_rows), dtype=bool)))
-                else:
-                    t, p_hit = test.test(
-                        c_rows,
-                        [c[prims] for c in topo.boxes.mins.T],
-                        [c[prims] for c in topo.boxes.maxs.T],
-                        None,
-                        True,
-                    )
-                    out.append(Candidates(c_rows, prims, t, p_hit))
-                rows, nodes = rows[~leaf], nodes[~leaf]
-                if not len(rows):
-                    break
-            pairs = topo.child_pairs(nodes)
-            want_t = topo.wants_t_enter(2 * int(pairs[0]) + 1)
-            t_enter, hit = test.test(
-                rows,
-                topo.lo.take(pairs, axis=2),
-                topo.hi.take(pairs, axis=2),
-                topo.live.take(pairs, axis=1),
-                want_t,
+        wants = [topo.wants_t_enter(0) for topo in topos]
+        if n == 1:
+            root = topos[0].root_lo, topos[0].root_hi, topos[0].root_live
+        else:
+            root = (
+                np.stack([topo.root_lo for topo in topos], axis=1),
+                np.stack([topo.root_hi for topo in topos], axis=1),
+                np.stack([topo.root_live for topo in topos]),
             )
+        t_enter, hit = test.test(rows, *root, any(wants))
+        stats.count_nodes(rows if stat_ids is None else stat_ids, per_entry=n)
+        if n == 1:
+            t_enter, hit = [t_enter], [hit]
+        # The frontier: per structure with hits, ``(topo, its candidate
+        # parts, rows, nodes, t_enter)``.
+        frontier = []
+        for k, (topo, parts, h, want) in enumerate(zip(topos, out, hit, wants)):
+            r = rows[h]
+            if len(r):
+                t = t_enter[k][h] if want else None
+                frontier.append((topo, parts, r, np.zeros(len(r), dtype=np.int64), t))
+        while frontier:
+            segs = []
+            for topo, parts, rows, nodes, t_hit in frontier:
+                leaf = topo.leaves(nodes)
+                if leaf is not None:
+                    t = None if t_hit is None else t_hit[leaf]
+                    parts.append(
+                        _leaf_hits(topo, test, stats, stat_ids, rows[leaf], nodes[leaf], t)
+                    )
+                    rows, nodes = rows[~leaf], nodes[~leaf]
+                    if not len(rows):
+                        continue
+                pairs = topo.child_pairs(nodes)
+                want = topo.wants_t_enter(2 * int(pairs[0]) + 1)
+                segs.append((topo, parts, rows, pairs, want))
+            single = len(segs) == 1
+            if single:
+                topo, parts, rows, pairs, want_t = segs[0]
+                lo = topo.lo.take(pairs, axis=2)
+                hi = topo.hi.take(pairs, axis=2)
+                live = topo.live.take(pairs, axis=1)
+            elif segs:
+                seg_topos, _, seg_rows, seg_pairs, seg_wants = zip(*segs)
+                rows = np.concatenate(seg_rows)
+                pairs = np.concatenate(seg_pairs)
+                gathered = list(zip(seg_topos, seg_pairs))
+                lo = np.concatenate([t.lo.take(p, axis=2) for t, p in gathered], axis=2)
+                hi = np.concatenate([t.hi.take(p, axis=2) for t, p in gathered], axis=2)
+                live = np.concatenate([t.live.take(p, axis=1) for t, p in gathered], axis=1)
+                want_t = any(seg_wants)
+            else:
+                break
+            t_enter, hit = test.test(rows, lo, hi, live, want_t)
             stats.count_nodes(rows if stat_ids is None else stat_ids[rows], per_entry=2)
             parent, side = _hits_parent_major(hit)
             t_hit = None if t_enter is None else t_enter[side, parent]
-            rows = rows[parent]
             nodes = pairs[parent]
             nodes <<= 1
             nodes += side
             nodes += 1
-    return Candidates.concat(out)
+            rows = rows[parent]
+            if single:
+                frontier = [(topo, parts, rows, nodes, t_hit)] if len(rows) else []
+                continue
+            # ``parent`` ascends, so each segment's hits are one slice.
+            ends = np.searchsorted(parent, list(accumulate(map(len, seg_rows))))
+            frontier, a = [], 0
+            for (topo, parts, tested, _, want), b in zip(segs, ends.tolist()):
+                if a < b:
+                    t = test.segment_t(t_hit[a:b], tested, lo.dtype) if want else None
+                    frontier.append((topo, parts, rows[a:b], nodes[a:b], t))
+                a = b
+    cand = Candidates.concat([c for part in out for c in part])
+    if instance_ids is not None:
+        counts = [sum(map(len, part)) for part in out]
+        cand.instance_ids = np.repeat(np.asarray(instance_ids, dtype=np.int64), counts)
+    return cand

@@ -69,3 +69,20 @@ def assert_pairs_equal(got: tuple, expected: tuple, context: str = "") -> None:
         f"{context}: pair mismatch — got {len(got[0])} pairs, "
         f"expected {len(expected[0])}"
     )
+
+
+def per_instance_traverse(ias, origins, dirs, tmins, tmaxs, stats, stat_ids=None, tracer=None):
+    """An IAS launch as one separate single-structure launch per
+    non-empty instance, concatenated in instance order: the reference
+    the IAS's one-frontier launch must reproduce bit for bit
+    (signature of :meth:`~repro.rtcore.ias.InstanceAS.traverse`, so
+    tests can patch it in)."""
+    from repro.rtcore.kernel import Candidates
+
+    parts = []
+    for inst in ias.instances:
+        if len(inst.gas):
+            cand = inst.gas.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
+            cand.instance_ids = np.full(len(cand), inst.instance_id, dtype=np.int64)
+            parts.append(cand)
+    return Candidates.concat(parts)

@@ -148,7 +148,9 @@ class TestSpanTreeShape:
         assert cast.counters["nodes_visited"] > 0
         shard = cast.find("shard")
         assert shard is not None and shard.attrs["shard"] == 0
-        assert shard.find("ias.traverse").find("bvh.traverse") is not None
+        launch = shard.find("ias.traverse")
+        assert launch is not None and launch.find("bvh.traverse") is None
+        assert launch.counters["nodes_visited"] == cast.counters["nodes_visited"]
 
     def test_parallel_shards_attach_to_cast_span(self):
         tracer = Tracer()

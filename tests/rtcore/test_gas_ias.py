@@ -201,8 +201,9 @@ class TestIASIdentity:
 
     @pytest.mark.parametrize("builder", ["fast_build", "fast_trace"])
     def test_traced_ias_span_tree(self, builder, rng):
-        """``ias.traverse`` has one ``bvh.traverse`` child per non-empty
-        instance; the children's counter deltas add up to the launch's."""
+        """An IAS launch is one frontier over every instance: one
+        ``ias.traverse`` span with no per-instance ``bvh.traverse``
+        children, carrying the launch's counter deltas."""
         gases = [
             GeometryAS(b, leaf_size=2, builder=builder)
             for b in (random_boxes(rng, 30), Boxes.empty(2), random_boxes(rng, 45))
@@ -216,15 +217,13 @@ class TestIASIdentity:
         [root] = tracer.roots
         assert root.name == "ias.traverse"
         assert root.attrs == {"n_rays": 20, "n_instances": 3}
-        assert [c.name for c in root.children] == ["bvh.traverse"] * 2
-        assert [c.attrs["n_prims"] for c in root.children] == [30, 45]
-        assert {c.attrs["builder"] for c in root.children} == {builder}
-        assert sum(c.counters["nodes_visited"] for c in root.children) == int(
-            stats.nodes_visited.sum()
-        )
-        assert sum(c.counters["is_invocations"] for c in root.children) == int(
-            stats.is_invocations.sum()
-        )
+        assert root.children == []
+        assert root.counters == {
+            "nodes_visited": int(stats.nodes_visited.sum()),
+            "is_invocations": int(stats.is_invocations.sum()),
+            "results_emitted": 0,
+        }
+        assert root.counters["nodes_visited"] > 0
 
 
 class TestLaunchPath:
