@@ -1,13 +1,13 @@
 """repro.analysis — AST-based invariant checker for the whole stack.
 
-Six rules (RTS002–RTS007) encode the cross-cutting invariants the test
-suite can't economically cover: dtype discipline, canonical pair order,
-resource pairing, bench determinism, and — backed by the
-interprocedural engine in :mod:`repro.analysis.dataflow` — lock hygiene
-and guard consistency. Run ``python -m repro.analysis --check`` (CI
-does); see ``docs/ANALYSIS.md`` for the rule catalog and ``REPRO_TSAN=1`` for the
-matching runtime checks (lock-order assertions in :mod:`repro.lockorder`
-and the race sanitizer in :mod:`repro.tsan`).
+Five per-file rules (RTS002–RTS006) encode the cross-cutting invariants
+the test suite can't economically cover: dtype discipline, canonical
+pair order, lock hygiene (every lock is a ranked ``make_lock`` lock),
+resource pairing and bench determinism. Run
+``python -m repro.analysis --check`` (CI does); see ``docs/ANALYSIS.md``
+for the rule catalog. Lock order and guard consistency are checked at
+runtime under ``REPRO_TSAN=1``, by :mod:`repro.lockorder` and the race
+sanitizer in :mod:`repro.tsan`.
 """
 
 from repro.analysis.checkers import ALL_CHECKERS, default_checkers

@@ -5,7 +5,6 @@ from repro.analysis.checkers.rts003_canonical_order import CanonicalOrder
 from repro.analysis.checkers.rts004_lock_hygiene import LockHygiene
 from repro.analysis.checkers.rts005_resource_pairing import ResourcePairing
 from repro.analysis.checkers.rts006_determinism import BenchDeterminism
-from repro.analysis.checkers.rts007_guard_consistency import GuardConsistency
 
 ALL_CHECKERS = (
     DtypeDiscipline,
@@ -13,7 +12,6 @@ ALL_CHECKERS = (
     LockHygiene,
     ResourcePairing,
     BenchDeterminism,
-    GuardConsistency,
 )
 
 
@@ -30,5 +28,4 @@ __all__ = [
     "LockHygiene",
     "ResourcePairing",
     "BenchDeterminism",
-    "GuardConsistency",
 ]

@@ -22,7 +22,7 @@ from repro.analysis.sarif import write_sarif
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AST-based invariant checker (rules RTS002-RTS007).",
+        description="AST-based invariant checker (rules RTS002-RTS006).",
     )
     parser.add_argument(
         "paths",

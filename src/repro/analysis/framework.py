@@ -3,9 +3,7 @@
 Each source file is parsed once and walked once; checkers subscribe to
 node types (``node_types``) and receive a dispatch callback per matching
 node, plus ``begin_file``/``end_file`` hooks for per-file setup and
-cross-referencing, and a ``finalize`` hook after all files for
-whole-program analyses (RTS004 and RTS007, which share one
-:mod:`repro.analysis.dataflow` engine per run). Checkers yield
+cross-referencing. Every rule is per-file. Checkers yield
 :class:`~repro.analysis.findings.Finding` records; the analyzer drops
 inline ``# noqa`` waivers before returning them.
 """
@@ -79,12 +77,6 @@ class Checker:
     def end_file(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
-    def finalize(self, shared: dict) -> Iterable[Finding]:
-        """Whole-program findings after every file. ``shared`` lives for
-        one :meth:`Analyzer.run`: rules memoize analyses they have in
-        common there (RTS004 and RTS007 build one dataflow engine)."""
-        return ()
-
 
 class Analyzer:
     """Runs a checker set over source files; one shared walk per file."""
@@ -93,19 +85,17 @@ class Analyzer:
         self.checkers = list(checkers)
 
     def run(self, files: Iterable[SourceFile]) -> list[Finding]:
-        findings: list[Finding] = []
-        noqa_by_file: dict[str, dict[int, set[str]]] = {}
+        findings: set[Finding] = set()
         for sf in files:
             try:
                 source = sf.path.read_text()
                 ctx = FileContext(sf.path, sf.rel, sf.package, source)
             except (OSError, SyntaxError, ValueError) as err:
                 lineno = getattr(err, "lineno", 0) or 0
-                findings.append(
+                findings.add(
                     Finding(sf.rel, lineno, "RTS000", f"unparseable file: {err}")
                 )
                 continue
-            noqa_by_file[ctx.rel] = ctx.noqa
             active = [c for c in self.checkers if c.in_scope(ctx)]
             dispatch: dict[type, list[Checker]] = {}
             for checker in active:
@@ -118,13 +108,7 @@ class Analyzer:
                 for checker in dispatch.get(type(node), ()):
                     checker.visit(ctx, node)
             for checker in active:
-                findings.extend(checker.end_file(ctx))
-        shared: dict = {}
-        for checker in self.checkers:
-            findings.extend(checker.finalize(shared))
-        kept = [
-            f
-            for f in set(findings)
-            if not waived(f, noqa_by_file.get(f.file, {}))
-        ]
-        return sorted(kept, key=Finding.sort_key)
+                findings.update(
+                    f for f in checker.end_file(ctx) if not waived(f, ctx.noqa)
+                )
+        return sorted(findings, key=Finding.sort_key)

@@ -23,7 +23,7 @@ serializes synchronous :meth:`poll` calls (tests, benches) against the
 background loop. The stop signal is a :class:`threading.Condition` over
 that same ranked lock (not a bare ``Event``), so the stop flag, the
 thread handle and the compaction counters all live under one guard —
-exactly the discipline RTS004/RTS007 enforce.
+the discipline RTS004 and the ``REPRO_TSAN=1`` runtime checks enforce.
 """
 
 from __future__ import annotations

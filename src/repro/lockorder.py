@@ -1,16 +1,18 @@
-"""Ranked locks with an opt-in runtime lock-order assertion mode.
+"""Ranked locks with an opt-in runtime lock-order check.
 
-The repo's concurrency layers (``serve``, ``parallel``, ``obs``) follow
-one global lock order, documented here and enforced two ways:
-
-- **statically** — checker RTS004 (``repro.analysis``) builds the
-  lock-acquisition graph and flags nesting that contradicts the ranks;
-- **at runtime** — with ``REPRO_TSAN=1`` in the environment (the one
-  runtime concurrency switch, shared with the :mod:`repro.tsan` race
-  sanitizer), :func:`make_lock` returns an :class:`OrderedLock` that
-  raises :class:`LockOrderViolation` the moment a thread acquires a lock
-  whose rank is below the highest rank it already holds. The serve and
-  churn stress suites run under this mode.
+The repo's concurrency layers (``serve``, ``churn``, ``parallel``,
+``obs``) follow one global lock order, documented here and enforced at
+runtime: with ``REPRO_TSAN=1`` in the environment (the one runtime
+concurrency switch, shared with the :mod:`repro.tsan` race sanitizer),
+:func:`make_lock` returns an :class:`OrderedLock` that raises
+:class:`LockOrderViolation` *before* a thread blocks on a lock whose rank
+is not strictly above every rank it already holds, or on a lock it
+already holds. Every nesting must therefore climb the table, so a cycle
+(and with it a lock-order deadlock) cannot form; a violating thread gets
+the error instead of hanging. The serve and churn stress suites run
+under this mode. The static checker (RTS004 in ``repro.analysis``) only
+makes sure every lock comes from :func:`make_lock`, so this check sees
+all of them.
 
 The global order (lower rank may hold while acquiring higher, never the
 reverse)::
@@ -43,8 +45,7 @@ from __future__ import annotations
 import os
 import threading
 
-#: The one global lock order. Checker RTS004 reads this table to verify
-#: that the static acquisition graph is consistent with the ranks.
+#: The one global lock order, asserted by :class:`OrderedLock`.
 RANKS: dict[str, int] = {
     "churn.compactor": 5,
     "serve.service": 10,
@@ -90,14 +91,15 @@ def held_lock_ids() -> frozenset[int]:
 class OrderedLock:
     """A ``threading.Lock`` that asserts rank order on acquisition.
 
-    The check runs *after* the underlying acquire succeeds: acquiring a
-    rank lower than the highest rank already held by this thread
-    releases the lock again and raises :class:`LockOrderViolation`.
-    Equal ranks are allowed (distinct instances of one subsystem never
-    nest in this codebase). Compatible with ``threading.Condition`` —
-    ``wait()`` releases through :meth:`release`, which pops the rank
-    bookkeeping, and non-blocking ownership probes that fail to acquire
-    leave the bookkeeping untouched.
+    The check runs *before* the underlying acquire, so an out-of-order
+    acquisition raises :class:`LockOrderViolation` instead of blocking
+    into the deadlock it would cause. A thread may only take a lock whose
+    rank is strictly above every rank it holds: equal ranks may not nest
+    (two instances of one subsystem have no order between them), and
+    re-acquiring a held lock is a self-deadlock. A ``blocking=False``
+    probe of a lock the thread already holds returns False instead, which
+    is how ``threading.Condition`` tests ownership; ``wait()`` releases
+    through :meth:`release`, which pops the rank bookkeeping.
     """
 
     def __init__(self, name: str, rank: int):
@@ -106,19 +108,25 @@ class OrderedLock:
         self._lock = threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        ok = self._lock.acquire(blocking, timeout)
-        if not ok:
-            return False
         stack = _stack()
+        if self in stack:
+            if not blocking:
+                return False
+            raise LockOrderViolation(
+                f"re-acquired {self.name!r} while already holding it "
+                "(self-deadlock: make_lock locks are non-reentrant)"
+            )
         if stack:
             top = max(stack, key=lambda lk: lk.rank)
-            if self.rank < top.rank:
-                self._lock.release()
+            if self.rank <= top.rank:
                 raise LockOrderViolation(
                     f"acquired {self.name!r} (rank {self.rank}) while holding "
                     f"{top.name!r} (rank {top.rank}); the global order in "
-                    "repro.lockorder.RANKS only permits ascending acquisition"
+                    "repro.lockorder.RANKS only permits strictly ascending "
+                    "acquisition"
                 )
+        if not self._lock.acquire(blocking, timeout):
+            return False
         stack.append(self)
         return True
 

@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import tsan
 from repro.lockorder import make_lock
 
 #: Histogram bucket upper bounds: 1, 2, 4, ... 2^20, then +inf.
@@ -93,89 +94,70 @@ class Histogram:
         }
 
 
+@tsan.instrument(containers=("_counters", "_gauges", "_histograms"))
 class MetricsRegistry:
     """Named counters, gauges and histograms, with JSON/CSV export.
 
-    Thread-safe: query shards may record concurrently. All mutation is
-    monotonic (counters only grow), so export during use is consistent
-    enough for reporting.
+    Thread-safe: query shards and the serve scheduler record
+    concurrently, so the dicts are private and every read goes through
+    a locked accessor (:meth:`counter`, :meth:`gauge`, :meth:`quantile`,
+    :meth:`as_dict`).
     """
 
     def __init__(self):
         # Rank 40 (leaf): any subsystem may record a metric while
         # holding its own lock; recording never calls back out.
         self._lock = make_lock("obs.metrics")
-        self.counters: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
+        self._counters: dict[str, int] = {}
+        self._gauges: dict[str, float] = {}
+        self._histograms: dict[str, Histogram] = {}
 
     # -- recording ---------------------------------------------------------
 
     def inc(self, name: str, value: int | float = 1) -> None:
         """Add ``value`` to counter ``name`` (created at zero)."""
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + value
+            self._counters[name] = self._counters.get(name, 0) + value
 
     def set_gauge(self, name: str, value: float) -> None:
         """Record the latest value of gauge ``name``."""
         with self._lock:
-            self.gauges[name] = float(value)
+            self._gauges[name] = float(value)
 
     def observe(self, name: str, values) -> None:
         """Fold observations into histogram ``name`` (created empty)."""
         with self._lock:
-            hist = self.histograms.get(name)
+            hist = self._histograms.get(name)
             if hist is None:
-                hist = self.histograms[name] = Histogram()
+                hist = self._histograms[name] = Histogram()
             # The fold itself must stay under the lock: Histogram.observe
             # is a read-modify-write of buckets/count/total, and two
-            # shards folding concurrently would lose updates (caught by
-            # RTS007 and the REPRO_TSAN=1 sanitizer).
+            # shards folding concurrently would lose updates.
             hist.observe(values)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Accumulate another registry into this one (counters add,
-        gauges take the other's latest, histograms fold together)."""
-        with self._lock:
-            for k, v in other.counters.items():
-                self.counters[k] = self.counters.get(k, 0) + v
-            self.gauges.update(other.gauges)
-            for k, h in other.histograms.items():
-                mine = self.histograms.get(k)
-                if mine is None:
-                    mine = self.histograms[k] = Histogram()
-                mine.buckets += h.buckets
-                mine.count += h.count
-                mine.total += h.total
-                for attr, fn in (("min", min), ("max", max)):
-                    theirs = getattr(h, attr)
-                    ours = getattr(mine, attr)
-                    if theirs is not None:
-                        setattr(mine, attr, theirs if ours is None else fn(ours, theirs))
 
     def clear(self) -> None:
         with self._lock:
-            self.counters = {}
-            self.gauges = {}
-            self.histograms = {}
+            self._counters = {}
+            self._gauges = {}
+            self._histograms = {}
 
     # -- locked accessors --------------------------------------------------
 
     def counter(self, name: str, default: int | float = 0) -> int | float:
         """Counter ``name`` read under the lock (0 when absent)."""
         with self._lock:
-            return self.counters.get(name, default)
+            return self._counters.get(name, default)
 
     def gauge(self, name: str, default: float = 0.0) -> float:
         """Gauge ``name`` read under the lock."""
         with self._lock:
-            return self.gauges.get(name, default)
+            return self._gauges.get(name, default)
 
     def quantile(self, name: str, q: float, default: float = 0.0) -> float:
         """Quantile of histogram ``name``, computed under the lock (the
         estimate walks buckets/count mid-read otherwise)."""
         with self._lock:
-            hist = self.histograms.get(name)
+            hist = self._histograms.get(name)
             return hist.quantile(q) if hist is not None else default
 
     # -- export ------------------------------------------------------------
@@ -183,11 +165,11 @@ class MetricsRegistry:
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "counters": {k: self.counters[k] for k in sorted(self.counters)},
-                "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
+                "counters": {k: self._counters[k] for k in sorted(self._counters)},
+                "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
                 "histograms": {
-                    k: self.histograms[k].to_dict()
-                    for k in sorted(self.histograms)
+                    k: self._histograms[k].to_dict()
+                    for k in sorted(self._histograms)
                 },
             }
 
@@ -223,6 +205,6 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"MetricsRegistry(counters={len(self.counters)}, "
-                f"gauges={len(self.gauges)}, histograms={len(self.histograms)})"
+                f"MetricsRegistry(counters={len(self._counters)}, "
+                f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
             )

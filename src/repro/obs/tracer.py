@@ -36,6 +36,7 @@ import threading
 import time
 from typing import Any, Iterator
 
+from repro import tsan
 from repro.lockorder import make_lock
 
 
@@ -204,8 +205,14 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
+@tsan.instrument(containers=("roots",))
 class Tracer:
     """Records a forest of nested spans over query execution.
+
+    ``roots`` and every span's ``children`` grow under the tracer lock
+    (rank 45) while other threads run; the inspection methods read them
+    under it too. ``roots`` stays public for exporters that read a
+    finished run.
 
     Parameters
     ----------
@@ -219,7 +226,7 @@ class Tracer:
     def __init__(self, clock=time.perf_counter):
         self.clock = clock
         self.roots: list[Span] = []
-        # Rank 45 (leaf): guards child-span registration only.
+        # Rank 45 (leaf): guards span registration and inspection.
         self._lock = make_lock("obs.tracer")
         self._local = threading.local()
 
@@ -251,28 +258,34 @@ class Tracer:
     @property
     def last(self) -> Span | None:
         """The most recently opened root span."""
-        return self.roots[-1] if self.roots else None
+        with self._lock:
+            return self.roots[-1] if self.roots else None
 
     def find(self, name: str) -> Span | None:
         """First span named ``name`` anywhere in the forest."""
-        for root in self.roots:
-            if root.name == name:
-                return root
-            hit = root.find(name)
-            if hit is not None:
-                return hit
+        with self._lock:
+            for root in self.roots:
+                if root.name == name:
+                    return root
+                hit = root.find(name)
+                if hit is not None:
+                    return hit
         return None
 
     def spans(self) -> Iterator[Span]:
         """Every recorded span, depth first across roots."""
-        for root in self.roots:
+        with self._lock:
+            roots = list(self.roots)
+        for root in roots:
             yield from root.walk()
 
     def clear(self) -> None:
-        self.roots = []
+        with self._lock:
+            self.roots = []
 
     def to_dict(self) -> dict[str, Any]:
-        return {"spans": [r.to_dict() for r in self.roots]}
+        with self._lock:
+            return {"spans": [r.to_dict() for r in self.roots]}
 
     def to_json(self, path=None, **dump_kwargs) -> str:
         """Serialize the span forest; optionally also write it to a file."""
@@ -283,10 +296,12 @@ class Tracer:
         return text
 
     def pretty(self) -> str:
-        return "\n".join(r.pretty() for r in self.roots)
+        with self._lock:
+            return "\n".join(r.pretty() for r in self.roots)
 
     def __repr__(self) -> str:
-        return f"Tracer(roots={len(self.roots)})"
+        with self._lock:
+            return f"Tracer(roots={len(self.roots)})"
 
 
 def counter_snapshot(stats) -> tuple[int, int, int]:

@@ -55,15 +55,6 @@ class TraversalStats:
         if len(ray_idx):
             self.results_emitted += np.bincount(ray_idx, minlength=self.n_rays)
 
-    def merge(self, other: "TraversalStats") -> None:
-        """Accumulate another launch over the same ray set (e.g. per IAS
-        instance) into this one."""
-        if other.n_rays != self.n_rays:
-            raise ValueError("cannot merge stats over different ray counts")
-        self.nodes_visited += other.nodes_visited
-        self.is_invocations += other.is_invocations
-        self.results_emitted += other.results_emitted
-
     def totals(self) -> dict[str, int]:
         """Aggregate counters (for reporting and quick assertions)."""
         return {

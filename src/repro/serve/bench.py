@@ -64,9 +64,9 @@ def run_staged(
             svc.start()
             for fut in futures:
                 fut.result()
-            sim = float(svc.metrics.counters["serve.sim_time"])
+            sim = float(svc.metrics.counter("serve.sim_time"))
             cells[max_batch] = {
-                "batches": int(svc.metrics.counters["serve.batches"]),
+                "batches": int(svc.metrics.counter("serve.batches")),
                 "sim_time_s": sim,
                 "sim_qps": n_requests * queries_per_request / sim if sim else 0.0,
             }

@@ -13,7 +13,7 @@ result cache can digest the bytes that will actually be traversed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +67,15 @@ class QueryRequest:
     deadline: float | None
     future: Future = field(default_factory=Future)
     enqueue_t: float = field(default_factory=time.monotonic)
+
+    def fail(self, err: BaseException) -> None:
+        """Complete with ``err`` unless the future is already done: served,
+        or cancelled by its client, which may happen at any moment while
+        the request is queued."""
+        try:
+            self.future.set_exception(err)
+        except InvalidStateError:
+            pass
 
     def expired(self, now: float | None = None) -> bool:
         return self.deadline is not None and (now or time.monotonic()) >= self.deadline

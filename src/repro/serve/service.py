@@ -209,8 +209,7 @@ class SpatialQueryService:
             self._closed = True
             if not drain:
                 while self._pending:
-                    req = self._pending.popleft()
-                    req.future.set_exception(ServiceClosed("service closed"))
+                    self._pending.popleft().fail(ServiceClosed("service closed"))
             self._cond.notify_all()
             thread, self._thread = self._thread, None
         if thread is not None:
@@ -219,9 +218,7 @@ class SpatialQueryService:
             # Never started: fail anything staged for a deterministic start.
             with self._cond:
                 while self._pending:
-                    self._pending.popleft().future.set_exception(
-                        ServiceClosed("service closed")
-                    )
+                    self._pending.popleft().fail(ServiceClosed("service closed"))
         last, self._last_served = self._last_served, None
         if last is not None and last is not self.snapshots.current:
             last.close()
@@ -355,16 +352,18 @@ class SpatialQueryService:
 
     # -- scheduler ---------------------------------------------------------
 
-    def _collect_batch(self) -> list[QueryRequest] | None:
-        """Block until a batch is ready (or the service drains): a
-        FIFO-prefix run of compatible requests with a bounded linger for
-        stragglers."""
+    def _collect_batch(self, batch: list[QueryRequest]) -> bool:
+        """Block until a batch is ready, filling ``batch`` in place with a
+        FIFO-prefix run of compatible requests (with a bounded linger for
+        stragglers); False once the service is closed and drained. In
+        place, so a fault mid-collection leaves every request taken off
+        the queue in the scheduler's hands."""
         with self._cond:
             while not self._pending and not self._closed:
                 self._cond.wait()
             if not self._pending:
-                return None  # closed and drained
-            batch = take_compatible(self._pending, self.policy.max_batch)
+                return False  # closed and drained
+            batch.extend(take_compatible(self._pending, self.policy.max_batch))
             if self.policy.max_wait > 0 and len(batch) < self.policy.max_batch:
                 key = batch[0].batch_key()
                 end = time.monotonic() + self.policy.max_wait
@@ -379,7 +378,7 @@ class SpatialQueryService:
                         break
                     self._cond.wait(remaining)
             self.metrics.set_gauge("serve.queue_depth", len(self._pending))
-            return batch
+            return True
 
     def _complete(self, req: QueryRequest, result: QueryResult) -> None:
         latency_us = (time.monotonic() - req.enqueue_t) * 1e6
@@ -390,11 +389,14 @@ class SpatialQueryService:
     def _admit_batch(
         self, batch: list[QueryRequest], epoch: int, now: float
     ) -> list[tuple[QueryRequest, tuple | None]]:
-        """Deadline and cache admission for one collected batch: expired
+        """Deadline and cache admission for one collected batch: requests
+        their clients cancelled while queued are dropped, expired
         requests fail, cache hits complete immediately; the survivors are
         returned with their cache keys for post-execution insertion."""
         live: list[tuple[QueryRequest, tuple | None]] = []
         for req in batch:
+            if not req.future.set_running_or_notify_cancel():
+                continue  # cancelled: completing it would raise
             if req.expired(now):
                 self.metrics.inc("serve.deadline_missed")
                 req.future.set_exception(
@@ -435,46 +437,70 @@ class SpatialQueryService:
             self._complete(req, part)
 
     def _run(self) -> None:
-        """The scheduler loop: collect a batch, pin the published
-        snapshot, admit the batch, execute it, then fail or scatter it.
-        Execution follows admission order, so a serial client through
-        the service is bit-for-bit the direct-index run."""
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            snapshot = self.snapshots.current  # epoch pinned for the batch
-            prev = self._last_served
-            if prev is not None and prev is not snapshot and not self.snapshots.retain_all:
-                # Superseded epoch: release its executor pool references
-                # now rather than at service close, so a long-lived
-                # service under mutation load doesn't accumulate one
-                # pool reference per published epoch. RTSIndex.close()
-                # is non-destructive — an external holder of the old
-                # snapshot can still query it (it re-acquires a pool).
-                prev.close()
-            self._last_served = snapshot
-            epoch = snapshot.epoch
-            live = self._admit_batch(batch, epoch, time.monotonic())
-            if not live:
-                continue
-            requests = [req for req, _ in live]
-            try:
-                with self.tracer.span(
-                    "serve.batch",
-                    epoch=epoch,
-                    batch_size=len(requests),
-                    predicate=requests[0].predicate.value,
-                    n_queries=sum(r.n_queries for r in requests),
-                ):
-                    result = execute_batch(snapshot, requests, planner=self.config.planner)
-            except BaseException as err:  # complete, don't kill the scheduler
-                for req in requests:
-                    req.future.set_exception(err)
-                self.metrics.inc("serve.batch_errors")
-                continue
-            self.metrics.inc("serve.sim_time", result.sim_time)
-            self._finish_batch(result, live, epoch)
+        """The scheduler loop: collect a batch, then serve it. A fault
+        outside a batch's own execution (collection, admission, scatter,
+        metrics) would otherwise kill this thread and leave every client
+        blocked on a future nobody completes: it closes the service
+        instead, fails the stranded requests with the error and is
+        re-raised so the thread's death is reported."""
+        batch: list[QueryRequest] = []
+        try:
+            while self._collect_batch(batch):
+                self._serve_batch(batch)
+                batch = []
+        except BaseException as err:
+            self._fail_stranded(batch, err)
+            raise
+
+    def _fail_stranded(self, batch: list[QueryRequest], err: BaseException) -> None:
+        """Close the service after a scheduler fault and hand ``err`` to
+        the collected batch and every queued request; later
+        :meth:`submit` calls raise :class:`ServiceClosed`."""
+        with self._cond:
+            self._closed = True
+            stranded = batch + list(self._pending)
+            self._pending.clear()
+            self._cond.notify_all()
+        for req in stranded:
+            req.fail(err)
+
+    def _serve_batch(self, batch: list[QueryRequest]) -> None:
+        """Pin the published snapshot, admit the batch, execute it, then
+        fail or scatter it. Execution follows admission order, so a
+        serial client through the service is bit-for-bit the
+        direct-index run."""
+        snapshot = self.snapshots.current  # epoch pinned for the batch
+        prev = self._last_served
+        if prev is not None and prev is not snapshot and not self.snapshots.retain_all:
+            # Superseded epoch: release its executor pool references
+            # now rather than at service close, so a long-lived
+            # service under mutation load doesn't accumulate one
+            # pool reference per published epoch. RTSIndex.close()
+            # is non-destructive — an external holder of the old
+            # snapshot can still query it (it re-acquires a pool).
+            prev.close()
+        self._last_served = snapshot
+        epoch = snapshot.epoch
+        live = self._admit_batch(batch, epoch, time.monotonic())
+        if not live:
+            return
+        requests = [req for req, _ in live]
+        try:
+            with self.tracer.span(
+                "serve.batch",
+                epoch=epoch,
+                batch_size=len(requests),
+                predicate=requests[0].predicate.value,
+                n_queries=sum(r.n_queries for r in requests),
+            ):
+                result = execute_batch(snapshot, requests, planner=self.config.planner)
+        except BaseException as err:  # complete, don't kill the scheduler
+            for req in requests:
+                req.future.set_exception(err)
+            self.metrics.inc("serve.batch_errors")
+            return
+        self.metrics.inc("serve.sim_time", result.sim_time)
+        self._finish_batch(result, live, epoch)
 
     def __repr__(self) -> str:
         return (

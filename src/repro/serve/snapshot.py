@@ -61,7 +61,7 @@ class EpochSnapshots:
         whole point of the epoch design. The runtime sanitizer marks the
         field atomic for the same reason.
         """
-        return self._current  # noqa: RTS007 - atomic immutable-reference publish
+        return self._current
 
     @property
     def epoch(self) -> int:

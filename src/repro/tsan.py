@@ -1,15 +1,17 @@
 """Eraser-style runtime lockset sanitizer (``REPRO_TSAN=1``).
 
-The dynamic half of the RTS007 guard-consistency discipline. Where the
-static rule proves lockset consistency over the interprocedural call
-graph, this module *watches the actual execution*: selected attributes
-of the concurrency-bearing classes (service queue state, snapshot
-history, cache counters, churn EWMAs, compactor bookkeeping) are wrapped
-in a :class:`Shared` descriptor that records, for every read and write,
-the accessing thread and the set of ranked locks it holds at that
+The repo's one guard-consistency check (after Savage et al., *Eraser*,
+1997): it *watches the actual execution*. Selected attributes of every
+class that owns a :func:`repro.lockorder.make_lock` lock (service queue
+state, snapshot history, cache counters, churn EWMAs, compactor
+bookkeeping, the metrics registry's dicts, the tracer's span roots) are
+wrapped in a :class:`Shared` descriptor that records, for every read and
+write, the accessing thread and the set of ranked locks it holds at that
 moment (:func:`repro.lockorder.held_lock_ids` — lock *identity*, not
 rank name, because two instances of one subsystem protect nothing about
-each other).
+each other). A race is only seen if a test drives the field from two
+threads, so an accessor that clients call while the scheduler writes
+needs a test that calls it from a second thread.
 
 Per field the classic Eraser state machine runs:
 

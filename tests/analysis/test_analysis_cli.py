@@ -12,7 +12,7 @@ from repro.analysis.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = str(FIXTURES / "rts006_bad.py")
 GOOD = str(FIXTURES / "rts006_good.py")
-RULE_IDS = ["RTS002", "RTS003", "RTS004", "RTS005", "RTS006", "RTS007"]
+RULE_IDS = ["RTS002", "RTS003", "RTS004", "RTS005", "RTS006"]
 
 
 def test_check_nonzero_on_bad_fixture(capsys):
@@ -60,7 +60,7 @@ def test_explain_every_listed_rule(rule, capsys):
     assert any(line.strip() for line in rationale)
 
 
-@pytest.mark.parametrize("rule", ["RTS001", "RTS008", "RTS009"])
+@pytest.mark.parametrize("rule", ["RTS001", "RTS007", "RTS008", "RTS009"])
 def test_retired_rules_are_unknown(rule, capsys):
     assert main(["--explain", rule]) == 2
     assert f"unknown rule {rule!r}" in capsys.readouterr().err

@@ -164,12 +164,12 @@ class TestCompaction:
     def test_metrics_and_gauges(self, rng):
         ix = make_index(rng, 60)
         ix.delete(np.arange(30))
-        assert ix.metrics.gauges["churn.tombstones"] == 30
-        assert ix.metrics.gauges["churn.delta_fraction"] == pytest.approx(1.0)
+        assert ix.metrics.gauge("churn.tombstones") == 30
+        assert ix.metrics.gauge("churn.delta_fraction") == pytest.approx(1.0)
         ix.compact(reason="manual")
-        assert ix.metrics.counters["churn.compactions"] == 1
-        assert ix.metrics.counters["churn.compactions.manual"] == 1
-        assert ix.metrics.gauges["churn.delta_fraction"] == 0.0
+        assert ix.metrics.counter("churn.compactions") == 1
+        assert ix.metrics.counter("churn.compactions.manual") == 1
+        assert ix.metrics.gauge("churn.delta_fraction") == 0.0
 
 
 class TestTriggers:

@@ -110,3 +110,37 @@ def test_compaction_stress_under_lock_order_assertions(monkeypatch):
             snap = svc.snapshot_at(res.meta["epoch"])
             expected = snap.query(predicate, payload)
             assert_pairs_equal(res.pairs(), expected.pairs(), predicate.value)
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_poll_under_service_lock_fails_the_query(monkeypatch):
+    """The scheduler polling the compactor while it holds the service
+    lock: poll() takes churn.compactor (rank 5) under serve.service
+    (rank 10), and compact() would then re-take serve.service, against
+    a compactor thread that holds the two in the other order. The order
+    check must raise before blocking, and the scheduler must hand the
+    violation to the waiting query instead of dying with it."""
+    from repro.serve import ServiceClosed
+    from repro.serve import service as service_module
+
+    monkeypatch.setenv("REPRO_TSAN", "1")
+    rng = np.random.default_rng(81)
+    index = RTSIndex(random_boxes(rng, 200), dtype=np.float64, seed=7)
+    config = ServiceConfig(max_wait=0.0, cache_size=0,
+                           churn=ChurnConfig(poll_interval=0.0005))
+    take_compatible = service_module.take_compatible
+    svc = SpatialQueryService(index, config)
+
+    def polling_take(pending, max_batch):
+        svc.compactor.poll()  # the seeded bug: runs under serve.service
+        return take_compatible(pending, max_batch)
+
+    monkeypatch.setattr(service_module, "take_compatible", polling_take)
+    try:
+        fut = svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 8))
+        with pytest.raises(LockOrderViolation, match="'churn.compactor' \\(rank 5\\)"):
+            fut.result(timeout=10)
+        with pytest.raises(ServiceClosed):
+            svc.query_points(random_points(rng, 8))
+    finally:
+        svc.close()

@@ -90,27 +90,13 @@ class TestMetricsRegistry:
         m.inc("rays", 9)
         m.set_gauge("last_sim_time", 0.5)
         m.set_gauge("last_sim_time", 0.25)
-        assert m.counters["rays"] == 10
-        assert m.gauges["last_sim_time"] == 0.25
+        assert m.counter("rays") == 10
+        assert m.gauge("last_sim_time") == 0.25
 
     def test_observe_creates_histogram(self):
         m = MetricsRegistry()
         m.observe("nodes_per_ray", [1, 2, 4])
-        assert m.histograms["nodes_per_ray"].count == 3
-
-    def test_merge_accumulates(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("rays", 5)
-        b.inc("rays", 7)
-        b.inc("only_b", 1)
-        a.observe("h", [2])
-        b.observe("h", [4, 1000000])
-        b.set_gauge("g", 3.0)
-        a.merge(b)
-        assert a.counters == {"rays": 12, "only_b": 1}
-        assert a.gauges["g"] == 3.0
-        h = a.histograms["h"]
-        assert h.count == 3 and h.min == 2.0 and h.max == 1000000.0
+        assert m.as_dict()["histograms"]["nodes_per_ray"]["count"] == 3
 
     def test_clear(self):
         m = MetricsRegistry()
@@ -160,8 +146,8 @@ class TestIndexIntegration:
         idx = RTSIndex(Boxes(lo, lo + 1.0), seed=1)
         idx.query(Predicate.CONTAINS_POINT, rng.random((200, 2)) * 52)
         m = idx.metrics
-        assert m.counters["query.contains-point.calls"] == 1
-        assert m.counters["query.contains-point.rays"] == 200
-        assert m.counters["query.contains-point.nodes_visited"] > 0
-        assert m.histograms["query.contains-point.nodes_per_ray"].count == 200
-        assert "query.contains-point.last_sim_time" in m.gauges
+        assert m.counter("query.contains-point.calls") == 1
+        assert m.counter("query.contains-point.rays") == 200
+        assert m.counter("query.contains-point.nodes_visited") > 0
+        assert m.as_dict()["histograms"]["query.contains-point.nodes_per_ray"]["count"] == 200
+        assert "query.contains-point.last_sim_time" in m.as_dict()["gauges"]

@@ -58,7 +58,7 @@ def _payload(rng, predicate, n):
 
 def _query_counters(index):
     return {
-        k: v for k, v in index.metrics.counters.items() if k.startswith("query.")
+        k: v for k, v in index.metrics.as_dict()["counters"].items() if k.startswith("query.")
     }
 
 
@@ -220,7 +220,7 @@ class TestPlannedEqualsFixed:
         with RTSIndex(data, dtype=np.float64, seed=3, tracer=tracer) as planned:
             planned.query(Predicate.CONTAINS_POINT, random_points(rng, 8), planner="auto")
             planned.query(Predicate.CONTAINS_POINT, random_points(rng, 8), planner="auto")
-            assert planned.metrics.counters["plan.decisions"] == 2
+            assert planned.metrics.counter("plan.decisions") == 2
         spans = [s for s in tracer.spans() if s.name == "plan.decide"]
         assert len(spans) == 2
         assert all("backend" in s.attrs for s in spans)

@@ -1,7 +1,6 @@
 """TraversalStats unit tests."""
 
 import numpy as np
-import pytest
 
 from repro.rtcore.stats import TraversalStats
 
@@ -17,22 +16,6 @@ def test_empty_counts_noop():
     s.count_nodes(np.empty(0, dtype=np.int64))
     s.count_is(np.empty(0, dtype=np.int64))
     assert s.totals()["nodes_visited"] == 0
-
-
-def test_merge():
-    a = TraversalStats(3)
-    b = TraversalStats(3)
-    a.count_nodes(np.array([0, 1]))
-    b.count_nodes(np.array([1, 2]))
-    b.count_is(np.array([2]))
-    a.merge(b)
-    assert a.nodes_visited.tolist() == [1, 2, 1]
-    assert a.is_invocations.tolist() == [0, 0, 1]
-
-
-def test_merge_size_mismatch():
-    with pytest.raises(ValueError):
-        TraversalStats(2).merge(TraversalStats(3))
 
 
 def test_totals_and_repr():

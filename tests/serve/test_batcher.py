@@ -157,9 +157,9 @@ class TestServiceBatching:
         results = [f.result(timeout=30) for f in futures]
         svc.close()
 
-        assert svc.metrics.counters["serve.batches"] == 1
-        hist = svc.metrics.histograms["serve.batch_size"]
-        assert hist.count == 1 and hist.max == 16
+        assert svc.metrics.counter("serve.batches") == 1
+        hist = svc.metrics.as_dict()["histograms"]["serve.batch_size"]
+        assert hist["count"] == 1 and hist["max"] == 16
         for got, want in zip(results, direct):
             assert_pairs_equal(got.pairs(), want.pairs(), "coalesced")
             assert got.meta["batch_size"] == 16
@@ -181,9 +181,9 @@ class TestServiceBatching:
             svc.start()
             for f in futures:
                 f.result(timeout=60)
-            sim[max_batch] = svc.metrics.counters["serve.sim_time"]
+            sim[max_batch] = svc.metrics.counter("serve.sim_time")
             expected_batches = len(payloads) // max_batch
-            assert svc.metrics.counters["serve.batches"] == expected_batches
+            assert svc.metrics.counter("serve.batches") == expected_batches
             svc.close()
         queries = len(payloads) * 8
         assert sim[16] < sim[1]

@@ -141,9 +141,9 @@ class TestServiceCache:
             assert first.meta["cache_hit"] is False
             assert second.meta["cache_hit"] is True
             assert_pairs_equal(second.pairs(), first.pairs(), "cached")
-            assert svc.metrics.counters["serve.cache.hits"] == 1
+            assert svc.metrics.counter("serve.cache.hits") == 1
             # The hit is served without a launch.
-            assert svc.metrics.counters["serve.batches"] == 1
+            assert svc.metrics.counter("serve.batches") == 1
 
     def test_epoch_bump_invalidates(self, rng):
         data = random_boxes(rng, 300)
@@ -159,7 +159,7 @@ class TestServiceCache:
             # is recomputed against the new snapshot.
             assert after.meta["cache_hit"] is False
             assert after.meta["epoch"] == before.meta["epoch"] + 1
-            assert svc.metrics.counters.get("serve.cache.hits", 0) == 0
+            assert svc.metrics.counter("serve.cache.hits") == 0
             direct = svc.snapshot().query_points(
                 np.ascontiguousarray(pts, dtype=np.float64)
             )
@@ -186,4 +186,4 @@ class TestServiceCache:
             pts = random_points(rng, 20)
             svc.query_points(pts)
             assert svc.query_points(pts).meta["cache_hit"] is False
-            assert "serve.cache.hits" not in svc.metrics.counters
+            assert "serve.cache.hits" not in svc.metrics.as_dict()["counters"]

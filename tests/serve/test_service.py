@@ -93,7 +93,7 @@ class TestEquivalence:
         assert service.epoch == epoch0 + 4
         res = service.query_points(random_points(rng, 50))
         assert res.meta["epoch"] == epoch0 + 4
-        assert service.metrics.counters["serve.mutations"] == 4
+        assert service.metrics.counter("serve.mutations") == 4
 
 
 class TestServedGrid:
@@ -241,7 +241,7 @@ class TestAdmission:
             assert svc.queue_depth == 2
             with pytest.raises(ServiceOverloaded):
                 svc.submit(Predicate.CONTAINS_POINT, pts)
-            assert svc.metrics.counters["serve.rejected"] == 1
+            assert svc.metrics.counter("serve.rejected") == 1
         finally:
             svc.close()
 
@@ -277,7 +277,7 @@ class TestAdmission:
         svc.start()
         with pytest.raises(DeadlineExceeded):
             fut.result(timeout=30)
-        assert svc.metrics.counters["serve.deadline_missed"] == 1
+        assert svc.metrics.counter("serve.deadline_missed") == 1
         svc.close()
 
 
@@ -309,6 +309,14 @@ class TestLifecycle:
             service.submit(Predicate.CONTAINS_POINT, random_points(rng, 4))
         with pytest.raises(ServiceClosed):
             service.insert(random_boxes(rng, 4))
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_close_skips_cancelled_staged_request(self, rng, drain):
+        svc = SpatialQueryService(make_index(rng), autostart=False)
+        fut = svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 4))
+        assert fut.cancel()
+        svc.close(drain=drain)
+        assert fut.cancelled()
 
     def test_close_idempotent(self, service):
         service.close()
@@ -342,10 +350,10 @@ class TestMetrics:
         for _ in range(3):
             service.query_points(random_points(rng, 16))
         m = service.metrics
-        assert m.counters["serve.requests"] == 3
-        assert m.counters["serve.completed"] == 3
-        assert m.counters["serve.batches"] >= 1
-        assert m.counters["serve.sim_time"] > 0
+        assert m.counter("serve.requests") == 3
+        assert m.counter("serve.completed") == 3
+        assert m.counter("serve.batches") >= 1
+        assert m.counter("serve.sim_time") > 0
         q = service.latency_quantiles()
         assert q["p99_us"] >= q["p50_us"] > 0
 
@@ -438,7 +446,57 @@ class TestScheduler:
             assert_pairs_equal(got.pairs(), expected.pairs(), "after failures")
         finally:
             svc.close()
-        assert svc.metrics.counters["serve.batches"] == 1
+        assert svc.metrics.counter("serve.batches") == 1
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_scheduler_fault_fails_clients_and_closes(self, rng, monkeypatch):
+        """A fault outside execute_batch's try (here the cache insert
+        after a batch executed) must not strand clients: the collected
+        batch and the queued requests fail with the error, the service
+        closes, and close() still returns."""
+        svc = SpatialQueryService(
+            make_index(rng, n=300),
+            ServiceConfig(planner=None, cache_size=16),
+            autostart=False,
+        )
+
+        def broken_put(key, result):
+            raise RuntimeError("cache insert failed")
+
+        monkeypatch.setattr(svc.cache, "put", broken_put)
+        try:
+            batch = [
+                svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 8))
+                for _ in range(2)
+            ]
+            queued = svc.submit(Predicate.RANGE_CONTAINS, random_boxes(rng, 4))
+            svc.start()
+            for fut in [*batch, queued]:
+                with pytest.raises(RuntimeError, match="cache insert failed"):
+                    fut.result(timeout=10)
+            with pytest.raises(ServiceClosed):
+                svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 8))
+        finally:
+            svc.close()
+        assert svc._thread is None
+
+    def test_cancelled_request_is_dropped(self, rng):
+        """A client cancelling its queued future drops that request only;
+        completing a cancelled future would raise in the scheduler."""
+        svc = SpatialQueryService(
+            make_index(rng, n=300),
+            ServiceConfig(planner=None, cache_size=0),
+            autostart=False,
+        )
+        try:
+            cancelled, kept = self.stage(svc, rng, 2)
+            assert cancelled.cancel()
+            svc.start()
+            kept.result(timeout=10)
+            svc.query_points(random_points(rng, 8))  # still open
+        finally:
+            svc.close()
+        assert svc.metrics.counter("serve.completed") == 2
 
     @pytest.mark.parametrize("max_batch", [1, 4, 32])
     def test_burst_splits_at_max_batch(self, rng, max_batch):
@@ -458,10 +516,10 @@ class TestScheduler:
         finally:
             svc.close()
         expected_batches = math.ceil(12 / max_batch)
-        assert svc.metrics.counters["serve.batches"] == expected_batches
-        assert svc.metrics.counters["serve.batched_requests"] == 12
-        hist = svc.metrics.histograms["serve.batch_size"]
-        assert hist.count == expected_batches and hist.max == min(max_batch, 12)
+        assert svc.metrics.counter("serve.batches") == expected_batches
+        assert svc.metrics.counter("serve.batched_requests") == 12
+        hist = svc.metrics.as_dict()["histograms"]["serve.batch_size"]
+        assert hist["count"] == expected_batches and hist["max"] == min(max_batch, 12)
         for i, (got, pts) in enumerate(zip(results, payloads)):
             want = snapshot.query(Predicate.CONTAINS_POINT, pts, planner="off")
             assert_pairs_equal(got.pairs(), want.pairs(), f"request {i}")
@@ -489,7 +547,7 @@ class TestScheduler:
                 assert_pairs_equal(fut.result(timeout=120).pairs(), want.pairs(), "good")
         finally:
             svc.close()
-        counters = svc.metrics.counters
+        counters = svc.metrics.as_dict()["counters"]
         assert counters["serve.batch_errors"] == 1
         assert counters["serve.batches"] == 2
         assert counters["serve.completed"] == 2

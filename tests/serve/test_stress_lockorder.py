@@ -4,7 +4,7 @@ Same reader/writer shape as test_stress.py, but every lock built by
 :func:`repro.lockorder.make_lock` is an :class:`OrderedLock` that raises
 the moment any thread — reader, writer, scheduler, or load generator —
 acquires out of the documented global order. A passing run is a runtime
-proof that the static RTS004 graph and the real interleavings agree.
+proof that the real interleavings follow it.
 
 The env flag is read at lock *construction*, so the service must be
 built inside the test (module-level locks like the executor's pool

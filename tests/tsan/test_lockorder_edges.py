@@ -75,27 +75,56 @@ def test_nonreentrant_probe_on_own_lock_keeps_single_entry():
     assert held_ranks() == []
 
 
-def test_rank_violation_raises_and_releases_the_offender():
+def test_rank_violation_raises_before_taking_the_offender():
     high = OrderedLock("obs.metrics", 40)
     low = OrderedLock("serve.service", 10)
     with high:
         with pytest.raises(LockOrderViolation, match="ascending acquisition"):
             low.acquire()
-        # the offending lock was released again, not left held...
+        # the offending lock was never taken...
         assert not low.locked()
         # ...and the holder's bookkeeping still shows only the high lock
         assert held_ranks() == [("obs.metrics", 40)]
-    with low:  # the released lock stays usable
+    with low:  # the lock stays usable
         pass
 
 
-def test_equal_ranks_may_nest():
+def _nested(outer, inner) -> dict:
+    """Take ``outer`` then ``inner`` on a helper thread; what it raised
+    and what it held at that point. A helper thread keeps a lock that
+    wrongly blocks or leaks out of the test's own bookkeeping."""
+    seen = {}
+
+    def run():
+        with outer:
+            try:
+                inner.acquire()
+            except LockOrderViolation as err:
+                seen["err"] = str(err)
+            seen["ids"] = held_lock_ids()
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(5)
+    assert not t.is_alive(), "blocked instead of raising LockOrderViolation"
+    return seen
+
+
+def test_equal_ranks_may_not_nest():
     a = OrderedLock("obs.metrics", 40)
     b = OrderedLock("obs.metrics", 40)
-    with a:
-        with b:
-            assert len(held_lock_ids()) == 2
-    assert held_ranks() == []
+    seen = _nested(a, b)
+    assert "strictly ascending" in seen["err"]
+    assert seen["ids"] == {id(a)}
+    assert not a.locked() and not b.locked()
+
+
+def test_reacquiring_a_held_lock_raises():
+    lock = OrderedLock("serve.service", 10)
+    seen = _nested(lock, lock)
+    assert "re-acquired 'serve.service'" in seen["err"]
+    assert seen["ids"] == {id(lock)}
+    assert not lock.locked()
 
 
 def test_ascending_then_descending_release_any_order():

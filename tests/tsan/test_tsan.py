@@ -128,6 +128,62 @@ def test_consistent_locking_is_silent(monkeypatch):
     assert state["lockset"], "the common guard must survive refinement"
 
 
+def test_catches_lockfree_read(monkeypatch):
+    # Writes hold the lock; a reader on another thread skips it. The
+    # read leaves the candidate lockset empty, so the next locked write
+    # reports — the shape of every unlocked metrics/cache counter read.
+    monkeypatch.setenv("REPRO_TSAN", "1")
+
+    @tsan.instrument("done")
+    class Tally:
+        def __init__(self):
+            self.lock = make_lock("serve.service")
+            self.done = 0
+
+        def bump(self):
+            with self.lock:
+                self.done += 1
+
+        def progress(self):
+            return self.done  # no lock: the seeded race
+
+    t = Tally()
+    t.bump()
+    _run_threads(t.progress)
+    t.bump()
+    hits = [r for r in tsan.races() if r.cls == "Tally" and r.field == "done"]
+    assert hits, tsan.races()
+    assert hits[0].kind == "write"
+
+
+def test_catches_disjoint_guards(monkeypatch):
+    # Each write holds *a* lock, but not the same one.
+    monkeypatch.setenv("REPRO_TSAN", "1")
+
+    @tsan.instrument("state")
+    class TwoGuards:
+        def __init__(self):
+            self.a = make_lock("serve.snapshot")
+            self.b = make_lock("obs.metrics")
+            self.state = 0
+
+        def spin(self):
+            with self.a:
+                self.state += 1
+
+        def reset(self):
+            with self.b:
+                self.state = 0
+
+    g = TwoGuards()
+    _run_threads(
+        lambda: [g.spin() for _ in range(20)],
+        lambda: [g.reset() for _ in range(20)],
+    )
+    hits = [r for r in tsan.races() if r.cls == "TwoGuards" and r.field == "state"]
+    assert hits, tsan.races()
+
+
 def test_lockset_is_by_identity_not_name(monkeypatch):
     # Two *instances* of the same ranked lock protect nothing about each
     # other: guarding with distinct "obs.metrics" locks must still race.
@@ -226,18 +282,26 @@ def test_report_is_once_per_class_field(monkeypatch):
 def test_production_service_is_clean_under_tsan():
     """The real serve/churn classes, imported with REPRO_TSAN=1 up, run a
     reader/writer + compaction workload with zero candidate races — the
-    end-to-end proof that the instrumented fields keep their guards."""
+    end-to-end proof that the instrumented fields keep their guards. An
+    observer thread polls the client-facing inspection calls
+    (``cache.stats()``, ``metrics.as_dict()``, ``latency_quantiles()``
+    and the reprs) while the scheduler writes what they read, so an
+    unlocked read in any of them reports."""
     script = r"""
 import threading
 import numpy as np
 from repro import tsan
 from repro.churn import ChurnConfig
 from repro.core.index import Predicate
+from repro.obs import MetricsRegistry
 from repro.serve import ServiceConfig, SpatialQueryService
+from repro.serve.cache import ResultCache
 from repro.serve.snapshot import EpochSnapshots
 
 assert isinstance(vars(SpatialQueryService)["_pending"], tsan.Shared)
 assert isinstance(vars(EpochSnapshots)["_current"], tsan.Shared)
+assert isinstance(vars(ResultCache)["hits"], tsan.Shared)
+assert isinstance(vars(MetricsRegistry)["_counters"], tsan.Shared)
 
 from repro.core.index import RTSIndex
 from repro.geometry.boxes import Boxes
@@ -251,6 +315,18 @@ config = ServiceConfig(max_batch=4, max_wait=0.001, cache_size=16,
                                          poll_interval=0.001))
 errors = []
 with SpatialQueryService(index, config, retain_snapshots=True) as svc:
+    stop = threading.Event()
+    def observer():
+        try:
+            while True:
+                svc.cache.stats()
+                svc.metrics.as_dict()
+                svc.latency_quantiles()
+                repr(svc), repr(svc.metrics)
+                if stop.is_set():
+                    return
+        except Exception as e:
+            errors.append(e)
     def reader(cid):
         r = np.random.default_rng((9, cid))
         try:
@@ -266,10 +342,17 @@ with SpatialQueryService(index, config, retain_snapshots=True) as svc:
                 svc.insert(Boxes(m, m + 1.0))
         except Exception as e:
             errors.append(e)
+    watcher = threading.Thread(target=observer)
+    watcher.start()
     ts = [threading.Thread(target=reader, args=(c,)) for c in range(3)]
     ts.append(threading.Thread(target=writer))
     for t in ts: t.start()
     for t in ts: t.join()
+    stop.set()
+    watcher.join()
+    # One more scheduler write after the observer's last read, so a read
+    # that left a lockset empty is always followed by a write.
+    svc.query(Predicate.CONTAINS_POINT, rng.random((5, 2)) * 100.0)
 assert not errors, errors
 assert tsan.races() == [], [r.message for r in tsan.races()]
 print("TSAN-CLEAN")
