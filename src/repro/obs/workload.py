@@ -85,13 +85,14 @@ def run_fixed_workload(via_service: bool = False) -> dict:
             return index
         from repro.serve import ServiceConfig, SpatialQueryService
 
-        # max_wait=0: a sequential client gains nothing from lingering.
+        # The scheduler is work-conserving, so this sequential client's
+        # requests each launch as soon as they are queued.
         # planner=None: the gate checks serving *transparency* against
         # the direct-index baseline, not planning policy — a planned
         # batch may legitimately answer on a baseline backend with
         # different (still exact) phase timings.
         # owner: appended to `services`; the finally below closes them.
-        svc = SpatialQueryService(index, ServiceConfig(max_wait=0.0, planner=None))
+        svc = SpatialQueryService(index, ServiceConfig(planner=None))
         services.append(svc)
         return svc
 

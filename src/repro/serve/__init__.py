@@ -19,7 +19,6 @@ is measured by ``perfbench/run.py``. See docs/API.md "Serving" and
 DESIGN.md §9.
 """
 
-from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import ResultCache, query_digest
 from repro.serve.errors import (
     DeadlineExceeded,
@@ -32,7 +31,6 @@ from repro.serve.service import ServiceConfig, SpatialQueryService
 from repro.serve.snapshot import EpochSnapshots
 
 __all__ = [
-    "BatchPolicy",
     "DeadlineExceeded",
     "EpochSnapshots",
     "QueryRequest",

@@ -13,6 +13,11 @@ stays exactly admission order, which keeps the service's launch sequence
 times) bit-identical to a serial client running the same requests
 directly against the index.
 
+Batching is work-conserving: the scheduler never waits for stragglers.
+A batch is whatever compatible prefix queued up while the previous
+batch ran, so a lone request on an idle service launches at once and
+coalescing grows with load on its own.
+
 Scatter relies on the canonical query-major pair order: a batch
 concatenates payloads in request order, so request *i* owns the
 contiguous global query-id range ``[offset_i, offset_i + n_i)`` and its
@@ -21,33 +26,10 @@ pair slice is found with two ``searchsorted`` probes — no per-pair work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.result import QueryResult
 from repro.serve.request import QueryRequest, concat_payloads
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Coalescing knobs.
-
-    ``max_batch`` caps requests per launch (1 = one-request-per-launch,
-    the unbatched baseline); ``max_wait`` is how long the scheduler
-    lingers for more compatible requests once it holds at least one
-    (seconds; 0 dispatches immediately). Waiting only ever happens while
-    the queue is empty — an incompatible head closes the batch at once.
-    """
-
-    max_batch: int = 32
-    max_wait: float = 0.002
-
-    def __post_init__(self):
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
 
 
 def take_compatible(pending, max_batch: int) -> list[QueryRequest]:

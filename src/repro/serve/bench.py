@@ -51,7 +51,6 @@ def run_staged(
         config = ServiceConfig(
             max_queue_depth=max(64, 2 * n_requests),
             max_batch=max_batch,
-            max_wait=0.0,
             cache_size=0,
         )
         with SpatialQueryService(

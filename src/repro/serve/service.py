@@ -28,8 +28,8 @@ this), and makes the snapshot read path lock-free. Each turn of the
 loop collects one batch, pins the snapshot, admits the batch, executes
 it in-process and scatters its result.
 
-Observability: queue depth and epoch gauges, batch-size and latency
-histograms (p50/p99 via ``Histogram.quantile``), cache hit/miss,
+Observability: queue depth and epoch gauges, batch-size, queue-wait
+and latency histograms (p50/p99 via ``Histogram.quantile``), cache hit/miss,
 deadline and batch-error counters on a service-level
 :class:`~repro.obs.MetricsRegistry`; when a tracer is installed each
 launch runs under a ``serve.batch`` span.
@@ -47,7 +47,7 @@ from repro.core.index import Predicate, RTSIndex, check_planner
 from repro.core.result import QueryResult
 from repro.lockorder import make_lock
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.batcher import BatchPolicy, execute_batch, split_batch, take_compatible
+from repro.serve.batcher import execute_batch, split_batch, take_compatible
 from repro.serve.cache import ResultCache, query_digest
 from repro.serve.errors import DeadlineExceeded, ServiceClosed, ServiceOverloaded
 from repro.serve.request import QueryRequest, normalize_payload
@@ -56,16 +56,18 @@ from repro.serve.snapshot import EpochSnapshots
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Service policy knobs (see docs/API.md, "Serving")."""
+    """Service policy knobs (see docs/API.md, "Serving").
+
+    Batching has no time knob: the scheduler is work-conserving and
+    dispatches the compatible FIFO prefix queued when it becomes free,
+    so ``max_batch`` is the only bound on a batch.
+    """
 
     #: Admission bound: requests beyond this queue depth are rejected
     #: with :class:`ServiceOverloaded` instead of queued.
     max_queue_depth: int = 1024
     #: Maximum requests coalesced into one launch (1 = unbatched).
     max_batch: int = 32
-    #: Seconds the scheduler lingers for more compatible requests while
-    #: the queue is empty and the batch is not full.
-    max_wait: float = 0.002
     #: LRU result-cache entries (0 disables the cache).
     cache_size: int = 256
     #: Default per-request deadline in seconds (None = no deadline).
@@ -88,7 +90,8 @@ class ServiceConfig:
     def __post_init__(self):
         if self.max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
-        BatchPolicy(self.max_batch, self.max_wait)  # validates batch knobs
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         check_planner(self.planner)
@@ -147,7 +150,6 @@ class SpatialQueryService:
             # current global ids become the service's public ids.
             index = ChurnIndex.from_index(index, churn=self.config.churn)
         self.snapshots = EpochSnapshots(index, retain_all=retain_snapshots)
-        self.policy = BatchPolicy(self.config.max_batch, self.config.max_wait)
         self.cache = ResultCache(self.config.cache_size)
         self.metrics = MetricsRegistry()
         self._pending: deque[QueryRequest] = deque()
@@ -353,30 +355,19 @@ class SpatialQueryService:
     # -- scheduler ---------------------------------------------------------
 
     def _collect_batch(self, batch: list[QueryRequest]) -> bool:
-        """Block until a batch is ready, filling ``batch`` in place with a
-        FIFO-prefix run of compatible requests (with a bounded linger for
-        stragglers); False once the service is closed and drained. In
-        place, so a fault mid-collection leaves every request taken off
-        the queue in the scheduler's hands."""
+        """Block until a request is queued, then fill ``batch`` in place
+        with the maximal compatible FIFO-prefix run (up to ``max_batch``)
+        and return at once: no linger for stragglers, since requests
+        that arrive while this batch executes coalesce into the next.
+        False once the service is closed and drained. In place, so a
+        fault mid-collection leaves every request taken off the queue in
+        the scheduler's hands."""
         with self._cond:
             while not self._pending and not self._closed:
                 self._cond.wait()
             if not self._pending:
                 return False  # closed and drained
-            batch.extend(take_compatible(self._pending, self.policy.max_batch))
-            if self.policy.max_wait > 0 and len(batch) < self.policy.max_batch:
-                key = batch[0].batch_key()
-                end = time.monotonic() + self.policy.max_wait
-                while len(batch) < self.policy.max_batch and not self._closed:
-                    if self._pending:
-                        if self._pending[0].batch_key() != key:
-                            break  # incompatible head: dispatch now, keep FIFO
-                        batch.append(self._pending.popleft())
-                        continue
-                    remaining = end - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
+            batch.extend(take_compatible(self._pending, self.config.max_batch))
             self.metrics.set_gauge("serve.queue_depth", len(self._pending))
             return True
 
@@ -392,8 +383,12 @@ class SpatialQueryService:
         """Deadline and cache admission for one collected batch: requests
         their clients cancelled while queued are dropped, expired
         requests fail, cache hits complete immediately; the survivors are
-        returned with their cache keys for post-execution insertion."""
+        returned with their cache keys for post-execution insertion.
+        Every admitted request's queue wait (``now - enqueue_t``) is
+        recorded in ``serve.queue_wait_us``, cache hits included, in one
+        histogram update per batch."""
         live: list[tuple[QueryRequest, tuple | None]] = []
+        waits_us: list[float] = []
         for req in batch:
             if not req.future.set_running_or_notify_cancel():
                 continue  # cancelled: completing it would raise
@@ -405,6 +400,7 @@ class SpatialQueryService:
                     )
                 )
                 continue
+            waits_us.append((now - req.enqueue_t) * 1e6)
             key = None
             if self.cache.capacity:
                 key = self.cache.key(
@@ -417,6 +413,7 @@ class SpatialQueryService:
                     continue
                 self.metrics.inc("serve.cache.misses")
             live.append((req, key))
+        self.metrics.observe("serve.queue_wait_us", waits_us)
         return live
 
     def _finish_batch(
@@ -505,5 +502,5 @@ class SpatialQueryService:
     def __repr__(self) -> str:
         return (
             f"SpatialQueryService(epoch={self.epoch}, queue={self.queue_depth}, "
-            f"max_batch={self.policy.max_batch}, cache={self.cache!r})"
+            f"max_batch={self.config.max_batch}, cache={self.cache!r})"
         )

@@ -43,8 +43,7 @@ def test_compaction_stress_under_lock_order_assertions(monkeypatch):
     # the stress window, not just polls.
     churn = ChurnConfig(delta_ratio_max=0.1, refit_wear_max=4,
                         poll_interval=0.0005)
-    config = ServiceConfig(max_queue_depth=128, max_batch=8, max_wait=0.001,
-                           cache_size=16, churn=churn)
+    config = ServiceConfig(max_queue_depth=128, max_batch=8, cache_size=16, churn=churn)
     responses = []
     resp_lock = threading.Lock()
     errors: list[Exception] = []
@@ -126,7 +125,7 @@ def test_poll_under_service_lock_fails_the_query(monkeypatch):
     monkeypatch.setenv("REPRO_TSAN", "1")
     rng = np.random.default_rng(81)
     index = RTSIndex(random_boxes(rng, 200), dtype=np.float64, seed=7)
-    config = ServiceConfig(max_wait=0.0, cache_size=0,
+    config = ServiceConfig(cache_size=0,
                            churn=ChurnConfig(poll_interval=0.0005))
     take_compatible = service_module.take_compatible
     svc = SpatialQueryService(index, config)

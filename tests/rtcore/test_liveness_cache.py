@@ -228,7 +228,7 @@ class TestIndexCache:
             lambda svc: svc.update(np.arange(10, 40), random_boxes(rng, 30, domain=50.0)),
         ]
         with SpatialQueryService(
-            idx, ServiceConfig(max_wait=0.0, planner=None), retain_snapshots=True
+            idx, ServiceConfig(planner=None), retain_snapshots=True
         ) as svc:
             history = []
             for step in steps:

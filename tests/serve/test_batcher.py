@@ -1,14 +1,18 @@
-"""Micro-batching: coalescing policy, scatter correctness, the sim win."""
+"""Micro-batching: the work-conserving dispatch rule, coalescing policy,
+scatter correctness, the sim win."""
 
 from __future__ import annotations
 
+import threading
+import time
 from collections import deque
 
 import numpy as np
 import pytest
 
+import repro.serve.service as service_mod
 from repro.core.index import Predicate, RTSIndex
-from repro.serve import BatchPolicy, ServiceConfig, SpatialQueryService
+from repro.serve import ServiceConfig, SpatialQueryService
 from repro.serve.batcher import split_batch, take_compatible
 from repro.serve.request import QueryRequest, normalize_payload
 
@@ -32,9 +36,10 @@ def make_index(rng, n=500):
 class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatchPolicy(max_batch=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait=-1.0)
+            ServiceConfig(max_batch=0)
+        # No linger knob: the scheduler never waits to fill a batch.
+        with pytest.raises(TypeError):
+            ServiceConfig(max_wait=0.002)
 
     def test_take_compatible_prefix_only(self, rng):
         def pts():
@@ -149,7 +154,7 @@ class TestServiceBatching:
 
         svc = SpatialQueryService(
             RTSIndex(data, dtype=np.float64, seed=4),
-            ServiceConfig(max_batch=16, max_wait=0.0, cache_size=0),
+            ServiceConfig(max_batch=16, cache_size=0),
             autostart=False,
         )
         futures = [svc.submit(Predicate.CONTAINS_POINT, p) for p in payloads]
@@ -174,7 +179,7 @@ class TestServiceBatching:
         for max_batch in (1, 16):
             svc = SpatialQueryService(
                 RTSIndex(data, dtype=np.float64, seed=4),
-                ServiceConfig(max_batch=max_batch, max_wait=0.0, cache_size=0),
+                ServiceConfig(max_batch=max_batch, cache_size=0),
                 autostart=False,
             )
             futures = [svc.submit(Predicate.CONTAINS_POINT, p) for p in payloads]
@@ -188,3 +193,128 @@ class TestServiceBatching:
         queries = len(payloads) * 8
         assert sim[16] < sim[1]
         assert queries / sim[16] > queries / sim[1]
+
+
+class RecordingCondition(threading.Condition):
+    """A Condition that records every ``wait`` timeout it is given."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.timeouts = []
+
+    def wait(self, timeout=None):
+        self.timeouts.append(timeout)
+        return super().wait(timeout)
+
+
+def _wait_for(predicate, timeout=30.0):
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, "timed out"
+        time.sleep(0.001)
+
+
+@pytest.fixture
+def held_launches(monkeypatch):
+    """Record every launch the scheduler makes; the first one blocks
+    until ``release`` is set, holding its batch open."""
+    started, release = threading.Event(), threading.Event()
+    launches = []
+    real = service_mod.execute_batch
+
+    def execute(index, batch, planner=None):
+        launches.append([(r.predicate, r.n_queries) for r in batch])
+        if len(launches) == 1:
+            started.set()
+            assert release.wait(30)
+        return real(index, batch, planner=planner)
+
+    monkeypatch.setattr(service_mod, "execute_batch", execute)
+    yield started, release, launches
+    release.set()
+
+
+class TestDispatch:
+    """The work-conserving rule: dispatch the compatible FIFO prefix that
+    is queued when the scheduler is free, and never wait for more."""
+
+    def test_lone_request_dispatches_without_timed_wait(self, rng):
+        svc = SpatialQueryService(make_index(rng), autostart=False)
+        cond = RecordingCondition(svc._lock)
+        svc._cond = cond
+        svc.start()
+        try:
+            _wait_for(lambda: cond.timeouts)  # scheduler parked, idle
+            got = svc.query_points(random_points(rng, 4), timeout=30)
+        finally:
+            svc.close()
+        assert got.meta["batch_size"] == 1
+        assert cond.timeouts and all(t is None for t in cond.timeouts)
+
+    def test_arrivals_during_a_launch_form_the_next_batch(self, rng, held_launches):
+        started, release, launches = held_launches
+        data = random_boxes(rng, 500)
+        payloads = [random_points(rng, n) for n in (3, 5, 2, 7, 1, 4, 6)]
+        direct_index = RTSIndex(data, dtype=np.float64, seed=4)
+        direct = [direct_index.query_points(p) for p in payloads]
+        svc = SpatialQueryService(
+            RTSIndex(data, dtype=np.float64, seed=4),
+            ServiceConfig(max_batch=4, cache_size=0),
+        )
+        try:
+            futures = [svc.submit(Predicate.CONTAINS_POINT, payloads[0])]
+            assert started.wait(30)
+            # Arrivals from a second client thread while batch 1 runs.
+            client = threading.Thread(
+                target=lambda: futures.extend(
+                    svc.submit(Predicate.CONTAINS_POINT, p) for p in payloads[1:]
+                )
+            )
+            client.start()
+            client.join(timeout=30)
+            assert not client.is_alive()
+            release.set()
+            results = [f.result(timeout=30) for f in futures]
+        finally:
+            svc.close()
+        assert [[n for _, n in launch] for launch in launches] == [
+            [3], [5, 2, 7, 1], [4, 6],
+        ]
+        for got, want in zip(results, direct):
+            assert_pairs_equal(got.pairs(), want.pairs(), "next batch")
+        assert [r.meta["batch_size"] for r in results] == [1, 4, 4, 4, 4, 2, 2]
+
+    def test_incompatible_head_closes_the_batch(self, rng, held_launches):
+        started, release, launches = held_launches
+        svc = SpatialQueryService(make_index(rng), ServiceConfig(cache_size=0))
+        point, contains = Predicate.CONTAINS_POINT, Predicate.RANGE_CONTAINS
+        try:
+            futures = [svc.submit(point, random_points(rng, 1))]
+            assert started.wait(30)
+            futures += [
+                svc.submit(point, random_points(rng, 2)),
+                svc.submit(point, random_points(rng, 3)),
+                svc.submit(contains, random_boxes(rng, 4)),
+                svc.submit(point, random_points(rng, 5)),
+            ]
+            release.set()
+            for f in futures:
+                f.result(timeout=30)
+        finally:
+            svc.close()
+        assert launches == [
+            [(point, 1)], [(point, 2), (point, 3)], [(contains, 4)], [(point, 5)],
+        ]
+
+    def test_idle_queue_wait_is_far_below_the_old_linger(self, rng):
+        """The service records each request's queue wait itself, cache
+        hits included; on an idle service it is dispatch latency, not a
+        2 ms linger."""
+        pts = random_points(rng, 4)
+        with SpatialQueryService(make_index(rng)) as svc:
+            for _ in range(5):
+                svc.query_points(pts, timeout=30)
+            hist = svc.metrics.as_dict()["histograms"]["serve.queue_wait_us"]
+            assert svc.metrics.counter("serve.cache.hits") == 4
+        assert hist["count"] == 5
+        assert hist["min"] < 1000.0  # the removed linger waited 2,000 us

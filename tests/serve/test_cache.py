@@ -133,7 +133,7 @@ class TestServiceCache:
         data = random_boxes(rng, 300)
         with SpatialQueryService(
             RTSIndex(data, dtype=np.float64, seed=6),
-            ServiceConfig(max_wait=0.0, cache_size=16),
+            ServiceConfig(cache_size=16),
         ) as svc:
             pts = random_points(rng, 20)
             first = svc.query_points(pts)
@@ -149,7 +149,7 @@ class TestServiceCache:
         data = random_boxes(rng, 300)
         with SpatialQueryService(
             RTSIndex(data, dtype=np.float64, seed=6),
-            ServiceConfig(max_wait=0.0, cache_size=16),
+            ServiceConfig(cache_size=16),
         ) as svc:
             pts = random_points(rng, 20)
             before = svc.query_points(pts)
@@ -169,7 +169,7 @@ class TestServiceCache:
         data = random_boxes(rng, 300)
         with SpatialQueryService(
             RTSIndex(data, dtype=np.float64, seed=6),
-            ServiceConfig(max_wait=0.0, cache_size=16),
+            ServiceConfig(cache_size=16),
         ) as svc:
             qs = random_boxes(rng, 10)
             svc.query_intersects(qs, k=1)
@@ -181,7 +181,7 @@ class TestServiceCache:
         data = random_boxes(rng, 300)
         with SpatialQueryService(
             RTSIndex(data, dtype=np.float64, seed=6),
-            ServiceConfig(max_wait=0.0, cache_size=0),
+            ServiceConfig(cache_size=0),
         ) as svc:
             pts = random_points(rng, 20)
             svc.query_points(pts)

@@ -22,7 +22,7 @@ from tests.conftest import assert_pairs_equal, random_boxes, random_points
 def _run_service(data, predicate, payloads, max_batch):
     svc = SpatialQueryService(
         RTSIndex(data, dtype=np.float64, seed=3),
-        ServiceConfig(max_batch=max_batch, max_wait=0.0, cache_size=0),
+        ServiceConfig(max_batch=max_batch, cache_size=0),
         autostart=False,
     )
     with svc:

@@ -34,7 +34,7 @@ def assert_results_equal(got, want, context=""):
 
 @pytest.fixture
 def service(rng):
-    svc = SpatialQueryService(make_index(rng), ServiceConfig(max_wait=0.0))
+    svc = SpatialQueryService(make_index(rng), ServiceConfig())
     yield svc
     svc.close()
 
@@ -61,7 +61,7 @@ class TestEquivalence:
         # phase timings are backend-specific.)
         expected = direct.query(predicate, payload, planner="auto")
         with SpatialQueryService(
-            RTSIndex(data, dtype=np.float64, seed=9), ServiceConfig(max_wait=0.0)
+            RTSIndex(data, dtype=np.float64, seed=9), ServiceConfig()
         ) as svc:
             got = svc.query(predicate, payload)
         assert_pairs_equal(got.pairs(), expected.pairs(), predicate.value)
@@ -130,7 +130,7 @@ class TestServedGrid:
     def test_grid_bit_identical(self, rng, builder, ndim, mutate, predicate):
         direct, seed_index = self.twins(rng, builder, ndim, seed=100 + ndim)
         with SpatialQueryService(
-            seed_index, ServiceConfig(max_wait=0.0, planner=None, cache_size=0)
+            seed_index, ServiceConfig(planner=None, cache_size=0)
         ) as svc:
             if mutate:
                 self.mutate(rng, ndim, [svc, direct])
@@ -154,7 +154,7 @@ class TestServedGrid:
         direct, seed_index = self.twins(rng, "fast_build", ndim, seed=42)
         q = random_boxes(rng, 25, d=ndim)
         with SpatialQueryService(
-            seed_index, ServiceConfig(max_wait=0.0, planner=None, cache_size=0)
+            seed_index, ServiceConfig(planner=None, cache_size=0)
         ) as svc:
             got = svc.query_intersects(q)
         want = direct.query(Predicate.RANGE_INTERSECTS, q, planner="off")
@@ -169,7 +169,7 @@ def run_session(cache_size, steps=4):
     rows = []
     with SpatialQueryService(
         RTSIndex(random_boxes(rng, 1200), dtype=np.float64, seed=9),
-        ServiceConfig(max_wait=0.0, planner=None, cache_size=cache_size),
+        ServiceConfig(planner=None, cache_size=cache_size),
     ) as svc:
         for step in range(steps):
             pts = random_points(rng, 250)
@@ -213,7 +213,7 @@ class TestEpochReplay:
         served = []
         with SpatialQueryService(
             make_index(rng, n=800),
-            ServiceConfig(max_wait=0.0, planner=None, cache_size=cache_size),
+            ServiceConfig(planner=None, cache_size=cache_size),
             retain_snapshots=True,
         ) as svc:
             for _ in range(3):
@@ -231,7 +231,7 @@ class TestAdmission:
     def test_overload_rejected(self, rng):
         svc = SpatialQueryService(
             make_index(rng),
-            ServiceConfig(max_queue_depth=2, max_wait=0.0),
+            ServiceConfig(max_queue_depth=2),
             autostart=False,
         )
         try:
@@ -247,7 +247,7 @@ class TestAdmission:
 
     def test_admitted_work_drains_on_start(self, rng):
         svc = SpatialQueryService(
-            make_index(rng), ServiceConfig(max_wait=0.0), autostart=False
+            make_index(rng), ServiceConfig(), autostart=False
         )
         futures = [
             svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 8))
@@ -266,7 +266,7 @@ class TestAdmission:
 
     def test_expired_deadline(self, rng):
         svc = SpatialQueryService(
-            make_index(rng), ServiceConfig(max_wait=0.0), autostart=False
+            make_index(rng), ServiceConfig(), autostart=False
         )
         fut = svc.submit(
             Predicate.CONTAINS_POINT, random_points(rng, 8), timeout=1e-4
@@ -284,7 +284,7 @@ class TestAdmission:
 class TestLifecycle:
     def test_close_drains_pending(self, rng):
         svc = SpatialQueryService(
-            make_index(rng), ServiceConfig(max_wait=0.0), autostart=False
+            make_index(rng), ServiceConfig(), autostart=False
         )
         futures = [
             svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 8))
@@ -296,7 +296,7 @@ class TestLifecycle:
 
     def test_close_without_start_fails_staged(self, rng):
         svc = SpatialQueryService(
-            make_index(rng), ServiceConfig(max_wait=0.0), autostart=False
+            make_index(rng), ServiceConfig(), autostart=False
         )
         fut = svc.submit(Predicate.CONTAINS_POINT, random_points(rng, 8))
         svc.close()
@@ -323,7 +323,7 @@ class TestLifecycle:
         service.close()
 
     def test_context_manager(self, rng):
-        with SpatialQueryService(make_index(rng), ServiceConfig(max_wait=0.0)) as svc:
+        with SpatialQueryService(make_index(rng), ServiceConfig()) as svc:
             assert len(svc.query_points(random_points(rng, 10))) >= 0
         with pytest.raises(ServiceClosed):
             svc.query_points(random_points(rng, 10))
@@ -335,7 +335,7 @@ class TestLifecycle:
         svc = SpatialQueryService(
             RTSIndex(random_boxes(rng, 200), dtype=np.float64, seed=3,
                      parallel=True, n_workers=2),
-            ServiceConfig(max_wait=0.0),
+            ServiceConfig(),
         )
         svc.query_points(random_points(rng, 20))
         # Small batches stay serial, so pin a real pool reference on the
@@ -362,7 +362,7 @@ class TestMetrics:
 
         tracer = Tracer()
         with SpatialQueryService(
-            make_index(rng), ServiceConfig(max_wait=0.0), tracer=tracer
+            make_index(rng), ServiceConfig(), tracer=tracer
         ) as svc:
             svc.query_points(random_points(rng, 16))
         names = [s.name for s in tracer.spans()]
@@ -504,7 +504,7 @@ class TestScheduler:
         launches, and every response equals its direct answer."""
         svc = SpatialQueryService(
             make_index(rng, n=300),
-            ServiceConfig(max_batch=max_batch, max_wait=0.0, planner=None, cache_size=0),
+            ServiceConfig(max_batch=max_batch, planner=None, cache_size=0),
             autostart=False,
         )
         payloads = [random_points(rng, 20) for _ in range(12)]
@@ -530,7 +530,7 @@ class TestScheduler:
         the batches staged around it are served."""
         svc = SpatialQueryService(
             make_index(rng, n=300),
-            ServiceConfig(max_wait=0.0, planner=None, cache_size=0),
+            ServiceConfig(planner=None, cache_size=0),
             autostart=False,
         )
         before, after = random_points(rng, 30), random_points(rng, 30)
@@ -560,7 +560,7 @@ class TestScheduler:
         tracer = Tracer()
         svc = SpatialQueryService(
             make_index(rng, n=300),
-            ServiceConfig(max_batch=4, max_wait=0.0, planner=None, cache_size=0),
+            ServiceConfig(max_batch=4, planner=None, cache_size=0),
             tracer=tracer,
             autostart=False,
         )
@@ -592,7 +592,7 @@ class TestRetainSnapshots:
     def test_retain_all_keeps_every_epoch(self, rng):
         svc = SpatialQueryService(
             make_index(rng, n=200),
-            ServiceConfig(max_wait=0.0, planner=None),
+            ServiceConfig(planner=None),
             retain_snapshots=True,
         )
         pts = random_points(rng, 60)
@@ -612,7 +612,7 @@ class TestRetainSnapshots:
 
     def test_default_retains_nothing(self, rng):
         svc = SpatialQueryService(
-            make_index(rng, n=200), ServiceConfig(max_wait=0.0, planner=None)
+            make_index(rng, n=200), ServiceConfig(planner=None)
         )
         try:
             svc.insert(random_boxes(rng, 10))
@@ -629,7 +629,7 @@ class TestRetainSnapshots:
         svc = SpatialQueryService(
             RTSIndex(random_boxes(rng, 200), dtype=np.float64, seed=3,
                      parallel=True, n_workers=2),
-            ServiceConfig(max_wait=0.0, planner=None),
+            ServiceConfig(planner=None),
             retain_snapshots=retain,
         )
         try:
@@ -655,7 +655,7 @@ class TestConfig:
         has no worker-count field."""
         names = [f.name for f in dataclasses.fields(ServiceConfig)]
         assert names == [
-            "max_queue_depth", "max_batch", "max_wait", "cache_size",
+            "max_queue_depth", "max_batch", "cache_size",
             "default_timeout", "planner", "churn",
         ]
         with pytest.raises(TypeError):

@@ -30,8 +30,7 @@ N_WRITES = 10
 def test_snapshot_isolation_under_concurrent_writes():
     rng = np.random.default_rng(2024)
     index = RTSIndex(random_boxes(rng, 350), dtype=np.float64, seed=11)
-    config = ServiceConfig(max_queue_depth=256, max_batch=8, max_wait=0.001,
-                           cache_size=32)
+    config = ServiceConfig(max_queue_depth=256, max_batch=8, cache_size=32)
     responses = []  # (predicate, payload, k, result)
     resp_lock = threading.Lock()
     errors = []
@@ -123,7 +122,7 @@ def test_cache_never_crosses_epochs_under_writes():
 
     with SpatialQueryService(
         index,
-        ServiceConfig(max_wait=0.0, cache_size=8),
+        ServiceConfig(cache_size=8),
         retain_snapshots=True,
     ) as svc:
 

@@ -35,8 +35,7 @@ def test_stress_under_lock_order_assertions(monkeypatch):
     monkeypatch.setenv("REPRO_TSAN", "1")
     rng = np.random.default_rng(77)
     index = RTSIndex(random_boxes(rng, 300), dtype=np.float64, seed=7)
-    config = ServiceConfig(max_queue_depth=128, max_batch=8, max_wait=0.001,
-                           cache_size=16)
+    config = ServiceConfig(max_queue_depth=128, max_batch=8, cache_size=16)
     responses = []
     resp_lock = threading.Lock()
     errors: list[Exception] = []

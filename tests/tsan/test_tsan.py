@@ -310,7 +310,7 @@ rng = np.random.default_rng(9)
 mins = rng.random((200, 2)) * 100.0
 boxes = Boxes(mins, mins + 1.0 + rng.random((200, 2)))
 index = RTSIndex(boxes, dtype=np.float64, seed=7)
-config = ServiceConfig(max_batch=4, max_wait=0.001, cache_size=16,
+config = ServiceConfig(max_batch=4, cache_size=16,
                        churn=ChurnConfig(delta_ratio_max=0.1, refit_wear_max=4,
                                          poll_interval=0.001))
 errors = []
