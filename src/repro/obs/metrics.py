@@ -44,15 +44,19 @@ class Histogram:
         self.max: float | None = None
 
     def observe(self, values) -> None:
-        """Fold an array (or scalar) of observations into the histogram."""
+        """Fold an array (or scalar) of observations into the histogram.
+
+        Bucket i holds values in (2^(i-1), 2^i]; values <= 1 land in
+        bucket 0, values above the last edge in the inf bucket. The
+        bucket is read exactly off the binary exponent (``frexp``: a
+        value ``m * 2^e`` with ``0.5 <= m < 1`` is at most ``2^e``, and
+        equals ``2^(e-1)`` when ``m == 0.5``).
+        """
         arr = np.atleast_1d(np.asarray(values))
         if arr.size == 0:
             return
-        # Bucket i holds values in (2^(i-1), 2^i]; values <= 1 land in
-        # bucket 0, values above the last edge in the inf bucket.
-        clipped = np.maximum(arr.astype(np.float64), 1.0)
-        idx = np.ceil(np.log2(clipped)).astype(np.int64)
-        idx = np.clip(idx, 0, _BUCKET_POWERS)
+        m, e = np.frexp(np.maximum(arr.astype(np.float64), 1.0))
+        idx = np.minimum(e - (m == 0.5), _BUCKET_POWERS)
         self.buckets += np.bincount(idx, minlength=_BUCKET_POWERS + 1)
         self.count += int(arr.size)
         self.total += int(arr.sum())

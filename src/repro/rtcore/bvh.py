@@ -164,7 +164,6 @@ class BVH(PairMajorNodes):
         q_mins: np.ndarray,
         q_maxs: np.ndarray,
         stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Classic software box-overlap traversal (no rays).
 
@@ -174,13 +173,21 @@ class BVH(PairMajorNodes):
         range queries — RT cores cannot run it, which is exactly the
         translation challenge LibRTS solves with diagonal rays. Work is
         counted in the same units as ray traversal (one node visit per
-        box-box test).
+        box-box test); the kernel's candidates are every primitive of a
+        hit leaf, so the same overlap test then runs on each candidate's
+        own box.
         """
+        overlap = kernel.BoxOverlap(q_mins, q_maxs)
         cand = kernel.traverse(
             [kernel.HeapTopology(self)] if self.n_prims else [],
-            kernel.BoxOverlap(q_mins, q_maxs),
+            overlap,
             q_mins.shape[0],
             stats,
-            stat_ids,
         )
-        return cand.rows[cand.aabb_hit], cand.prims[cand.aabb_hit]
+        hit = overlap.test(
+            cand.rows,
+            [c[cand.prims] for c in self.boxes.mins.T],
+            [c[cand.prims] for c in self.boxes.maxs.T],
+            None,
+        )
+        return cand.rows[hit], cand.prims[hit]

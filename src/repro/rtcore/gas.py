@@ -95,10 +95,11 @@ class GeometryAS:
         tmins: np.ndarray,
         tmaxs: np.ndarray,
         stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
         tracer=None,
     ) -> Candidates:
         """Cast rays into this GAS; candidate ``prims`` are local ids."""
-        return self.bvh.traverse(
-            origins, dirs, tmins, tmaxs, stats, stat_ids, tracer=tracer
-        )
+        return self.bvh.traverse(origins, dirs, tmins, tmaxs, stats, tracer=tracer)
+
+    def prim_boxes(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
+        """``(mins, maxs)`` of each candidate's own primitive AABB."""
+        return self.boxes.mins[cand.prims], self.boxes.maxs[cand.prims]

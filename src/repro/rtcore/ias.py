@@ -45,7 +45,10 @@ class InstanceAS:
     """
 
     def __init__(self, instances: list[Instance] | None = None):
-        self.instances: list[Instance] = list(instances or [])
+        self.instances: list[Instance] = []
+        self._gas_of: dict[int, GeometryAS] = {}
+        for inst in instances or []:
+            self.add_instance(inst.gas, inst.instance_id)
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -62,10 +65,27 @@ class InstanceAS:
 
     def add_instance(self, gas: GeometryAS, instance_id: int | None = None) -> Instance:
         """Link a GAS into the IAS (rebuilding an IAS is cheap: it stores
-        links, not primitives)."""
+        links, not primitives). Instance ids are unique: an IS shader
+        tells the instances' primitives apart by them."""
         inst = Instance(gas, instance_id if instance_id is not None else len(self.instances))
+        if inst.instance_id in self._gas_of:
+            raise ValueError(f"instance id {inst.instance_id} is already linked")
+        self._gas_of[inst.instance_id] = gas
         self.instances.append(inst)
         return inst
+
+    def prim_boxes(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
+        """``(mins, maxs)`` of each candidate's own primitive AABB, read
+        from the GAS its instance id names. ``cand`` is a non-empty
+        result of :meth:`traverse`, which returns candidates in instance
+        order, so each run of one id is one gather."""
+        ids = cand.instance_ids
+        cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+        runs = [(self._gas_of[int(ids[a])].boxes, cand.prims[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return tuple(
+            np.concatenate([getattr(boxes, side)[prims] for boxes, prims in runs])
+            for side in ("mins", "maxs")
+        )
 
     def traverse(
         self,
@@ -74,7 +94,6 @@ class InstanceAS:
         tmins: np.ndarray,
         tmaxs: np.ndarray,
         stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
         tracer=None,
     ) -> Candidates:
         """Cast rays through the two-level structure.
@@ -93,7 +112,6 @@ class InstanceAS:
                 kernel.RaySlab(origins, dirs, tmins, tmaxs),
                 origins.shape[0],
                 stats,
-                stat_ids,
                 [inst.instance_id for inst in insts],
             )
         with tracer.span(
@@ -102,6 +120,6 @@ class InstanceAS:
             n_instances=len(self.instances),
         ) as sp:
             before = counter_snapshot(stats)
-            out = self.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
+            out = self.traverse(origins, dirs, tmins, tmaxs, stats)
             record_delta(sp, before, stats)
         return out

@@ -4,8 +4,8 @@ A launch descends a BVH as a frontier of *hit inner nodes*: the root is
 tested against every ray, and each later step tests both children of
 every hit inner node as one ``(2, P)`` block (row 0 the left child, row
 1 the right, one column per ``(ray, parent)`` pair). Leaf hits become
-per-primitive IS candidates, inner hits the next step's parents. The
-per-ray node visit and IS counts recorded in
+per-primitive IS candidates (:class:`Candidates`), inner hits the next
+step's parents. The per-ray node visit and IS counts recorded in
 :class:`~repro.rtcore.stats.TraversalStats` are exactly what each
 hardware thread would perform under the single-ray programming model:
 every tested pair adds two node visits to its ray.
@@ -54,7 +54,8 @@ and broadcast over the pair axis, ``1/dir`` and the zero-direction masks
 are taken once per launch, a launch whose ray intervals are all equal
 compares against scalars, and the coordinate axes are unrolled into
 elementwise ops (:func:`repro.geometry.ray.slab_axes`) under one
-``np.errstate`` per launch.
+``np.errstate`` per launch; the axes fold with plain ``np.fmax`` /
+``np.fmin``, since only the hit mask is read.
 """
 
 from __future__ import annotations
@@ -64,40 +65,37 @@ from itertools import accumulate
 import numpy as np
 
 from repro.geometry.boxes import Boxes
-from repro.geometry.dtypes import promote64
-from repro.geometry.ray import box_live, fmax_first, slab_axes, slab_hit
+from repro.geometry.ray import box_live, slab_axes, slab_hit
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore.stats import TraversalStats
 
 
 class Candidates:
-    """IS-shader candidates produced by one traversal.
+    """IS-shader candidates produced by one traversal: *potential* hits.
 
-    ``rows`` indexes the launch's ray batch, ``prims`` are primitive ids
-    local to the traversed structure, ``t_enter`` the box entry parameter,
-    and ``aabb_hit`` whether the ray actually meets the primitive's AABB
-    (OptiX invokes the IS shader on *potential* hits, footnote 2 of the
-    paper, so with leaf sizes above one some candidates carry
-    ``aabb_hit = False``). Box-overlap traversals carry no ``t_enter``
-    (``None``). ``instance_ids`` is what ``optixGetInstanceId`` returns
+    ``rows`` indexes the launch's ray batch and ``prims`` are primitive
+    ids local to the traversed structure. A candidate is every primitive
+    of a leaf the ray (or query box) hit; with leaf sizes above one the
+    ray need not meet the primitive's own box (OptiX invokes the IS
+    shader on potential hits, footnote 2 of the paper), so the exact
+    test is the caller's, as in LibRTS's IS shaders. The kernel computes
+    no ``t``. ``instance_ids`` is what ``optixGetInstanceId`` returns
     for each candidate: an IAS launch sets it, a launch into one
     structure leaves it ``None`` (an empty result carries an empty
     column either way).
     """
 
-    __slots__ = ("rows", "prims", "t_enter", "aabb_hit", "instance_ids")
+    __slots__ = ("rows", "prims", "instance_ids")
 
-    def __init__(self, rows, prims, t_enter, aabb_hit, instance_ids=None):
+    def __init__(self, rows, prims, instance_ids=None):
         self.rows = rows
         self.prims = prims
-        self.t_enter = t_enter
-        self.aabb_hit = aabb_hit
         self.instance_ids = instance_ids
 
     @classmethod
     def empty(cls) -> "Candidates":
         e = np.empty(0, dtype=np.int64)
-        return cls(e, e.copy(), promote64(np.empty(0)), np.empty(0, dtype=bool), e.copy())
+        return cls(e, e.copy(), e.copy())
 
     @classmethod
     def concat(cls, parts: list["Candidates"]) -> "Candidates":
@@ -110,9 +108,6 @@ class Candidates:
         return cls(
             np.concatenate([p.rows for p in parts]),
             np.concatenate([p.prims for p in parts]),
-            None if parts[0].t_enter is None
-            else np.concatenate([p.t_enter for p in parts]),
-            np.concatenate([p.aabb_hit for p in parts]),
             None if parts[0].instance_ids is None
             else np.concatenate([p.instance_ids for p in parts]),
         )
@@ -223,17 +218,13 @@ class PairMajorNodes:
         tmins: np.ndarray,
         tmaxs: np.ndarray,
         stats: TraversalStats,
-        stat_ids: np.ndarray | None = None,
         tracer=None,
     ) -> Candidates:
         """Cast a batch of rays; return IS-shader candidates.
 
-        ``stat_ids`` maps local ray rows to counter slots in ``stats``
-        (used by IAS sub-launches and Ray Multicast, where several
-        simulated rays share a logical query). ``tracer`` records the
-        traversal as a ``bvh.traverse`` span with counter deltas;
-        observation is read-only, results are identical with or without
-        it.
+        ``tracer`` records the traversal as a ``bvh.traverse`` span with
+        counter deltas; observation is read-only, results are identical
+        with or without it.
         """
         if tracer is None or not tracer.enabled:
             return traverse(
@@ -241,7 +232,6 @@ class PairMajorNodes:
                 RaySlab(origins, dirs, tmins, tmaxs),
                 origins.shape[0],
                 stats,
-                stat_ids,
             )
         with tracer.span(
             "bvh.traverse",
@@ -250,7 +240,7 @@ class PairMajorNodes:
             n_prims=self.n_prims,
         ) as sp:
             before = counter_snapshot(stats)
-            out = self.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
+            out = self.traverse(origins, dirs, tmins, tmaxs, stats)
             record_delta(sp, before, stats)
         return out
 
@@ -259,10 +249,10 @@ class PairMajorNodes:
 
 
 class _Topology:
-    """Views of a structure's pair-major node storage and primitive
-    boxes. Built per launch; holds no copies."""
+    """Views of a structure's pair-major node storage. Built per launch;
+    holds no copies."""
 
-    __slots__ = ("n_prims", "lo", "hi", "root_lo", "root_hi", "root_live", "live", "boxes")
+    __slots__ = ("n_prims", "lo", "hi", "root_lo", "root_hi", "root_live", "live")
 
     def __init__(self, bvh):
         self.n_prims = bvh.n_prims
@@ -270,7 +260,6 @@ class _Topology:
         self.root_lo, self.root_hi = root_lo[:, None], root_hi[:, None]
         self.root_live = bvh.node_live[-1:]
         self.live = bvh.node_live[:-1].reshape(2, self.lo.shape[-1])
-        self.boxes = bvh.boxes
 
 
 class HeapTopology(_Topology):
@@ -278,9 +267,7 @@ class HeapTopology(_Topology):
 
     Node 0 is the root, children of *i* are ``2i+1``/``2i+2`` (pair *i*),
     and node ``first_leaf + j`` is leaf slot *j* of ``leaf_prims``
-    (``-1`` marks padding). With one primitive per leaf the leaf box *is*
-    the primitive box, so leaf hits become candidates without a second
-    test.
+    (``-1`` marks padding).
     """
 
     __slots__ = ("first_leaf", "leaf_prims")
@@ -299,27 +286,16 @@ class HeapTopology(_Topology):
     def child_pairs(self, nodes: np.ndarray) -> np.ndarray:
         return nodes
 
-    def wants_t_enter(self, first_child: int) -> bool:
-        """Whether leaf hits of the level starting at node
-        ``first_child`` become candidates with the node test's
-        ``t_enter``. Every level of a complete tree sits at one depth,
-        so its first node decides."""
-        return self.leaf_prims.shape[1] == 1 and first_child >= self.first_leaf
-
-    def leaf_candidates(self, rows, nodes, t_enter):
-        """``(rows, prims, t_enter)`` of a batch of leaf hits; ``t_enter``
-        is ``None`` when the primitives still need their own test."""
+    def leaf_candidates(self, rows, nodes):
+        """``(rows, prims)`` of a batch of leaf hits."""
         leaves = nodes - self.first_leaf
         if self.leaf_prims.shape[1] == 1:
             prims = self.leaf_prims[leaves, 0]
-            valid = prims >= 0
-            if t_enter is not None:
-                t_enter = t_enter[valid]
-            return rows[valid], prims[valid], t_enter
-        prims = self.leaf_prims[leaves].reshape(-1)
-        rows = np.repeat(rows, self.leaf_prims.shape[1])
+        else:
+            prims = self.leaf_prims[leaves].reshape(-1)
+            rows = np.repeat(rows, self.leaf_prims.shape[1])
         valid = prims >= 0
-        return rows[valid], prims[valid], None
+        return rows[valid], prims[valid]
 
 
 class ExplicitTopology(_Topology):
@@ -345,15 +321,12 @@ class ExplicitTopology(_Topology):
     def child_pairs(self, nodes: np.ndarray) -> np.ndarray:
         return (self.left[nodes] - 1) >> 1
 
-    def wants_t_enter(self, first_child: int) -> bool:
-        return False
-
-    def leaf_candidates(self, rows, nodes, t_enter):
+    def leaf_candidates(self, rows, nodes):
         sizes = self.count[nodes]
         sc = np.concatenate([[0], np.cumsum(sizes[:-1])])
         offs = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(sc, sizes)
         prims = self.perm[np.repeat(self.start[nodes], sizes) + offs]
-        return np.repeat(rows, sizes), prims, None
+        return np.repeat(rows, sizes), prims
 
 
 # -- node tests ----------------------------------------------------------------
@@ -403,15 +376,12 @@ class RaySlab:
         self.tmins = _uniform(tmins)
         self.tmaxs = _uniform(tmaxs)
 
-    def test(self, rows, box_lo, box_hi, live, want_t):
-        """``(t_enter, hit)`` of rays ``rows`` against per-axis box bounds
+    def test(self, rows, box_lo, box_hi, live):
+        """Hit mask of rays ``rows`` against per-axis box bounds
         ``box_lo``/``box_hi``, each ``rows``-aligned or a block whose
         last axis is (a ``(2, len(rows))`` sibling block, or several
         structures' roots as ``(n, 1)``; the ray side broadcasts over
-        the leading axes). ``live`` is the boxes' gathered liveness, or
-        ``None`` to derive it from the bounds. ``t_enter`` is ``None``
-        unless ``want_t``: only then is it folded with the reduction's
-        tie rule (its bits are observable)."""
+        the leading axes). ``live`` is the boxes' gathered liveness."""
         invs = None if self.invs is None else self.invs.take(rows, axis=1)
         if self.inv_rows is not None:
             invs = [None if j is None else invs[j] for j in self.inv_rows]
@@ -424,32 +394,10 @@ class RaySlab:
             pars,
             box_lo,
             box_hi,
-            enter_fold=fmax_first if want_t else np.fmax,
+            enter_fold=np.fmax,
             exit_fold=np.fmin,
         )
-        if live is None:
-            live = box_live(box_lo, box_hi)
-        hit = slab_hit(
-            t_enter, t_exit, _at(self.tmins, rows), _at(self.tmaxs, rows), live
-        )
-        return (t_enter if want_t else None), hit
-
-    def segment_t(self, t_enter, rows, box_dtype):
-        """``t_enter`` of a block that fused several structures' rows,
-        restricted to one structure whose tested rows were ``rows``, in
-        the dtype a test over ``rows`` alone returns. A masked
-        zero-direction axis widens the whole block to float64 when any
-        of its rays is parallel (:func:`~repro.geometry.ray.slab_axes`);
-        the values are computed in the narrower type, so narrowing a
-        segment without a parallel ray back is exact. An axis every ray
-        is parallel to widens every block alike."""
-        if (
-            not self.masks
-            or any(p is True for p in self.parallels)
-            or any(p[rows].any() for p in self.masks)
-        ):
-            return t_enter
-        return t_enter.astype(np.result_type(box_dtype, self.origins, self.invs), copy=False)
+        return slab_hit(t_enter, t_exit, _at(self.tmins, rows), _at(self.tmaxs, rows), live)
 
 
 class BoxOverlap:
@@ -460,12 +408,15 @@ class BoxOverlap:
     def __init__(self, q_mins, q_maxs):
         self.queries = np.stack((q_mins.T, q_maxs.T), axis=1)
 
-    def test(self, rows, box_lo, box_hi, live, want_t):
+    def test(self, rows, box_lo, box_hi, live):
+        """Overlap mask of queries ``rows`` against per-axis box bounds
+        (aligned as for :meth:`RaySlab.test`); ``live`` is the boxes'
+        liveness, or ``None`` to derive it from the bounds."""
         hit = box_live(box_lo, box_hi) if live is None else live
         for b_lo, b_hi, (q_lo, q_hi) in zip(box_lo, box_hi, self.queries.take(rows, axis=2)):
             hit = hit & (b_lo <= q_hi)
             hit &= b_hi >= q_lo
-        return None, hit
+        return hit
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -489,31 +440,11 @@ def _hits_parent_major(hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat >> 1, flat & 1
 
 
-def _leaf_hits(topo, test, stats, stat_ids, rows, nodes, t_enter) -> Candidates:
-    """IS candidates of one structure's leaf hits ``(rows, nodes)``;
-    ``t_enter`` is the leaf test's entry parameter when the leaf box is
-    the primitive box, else the primitives are tested on their own
-    boxes (that result is ``aabb_hit``)."""
-    c_rows, prims, t = topo.leaf_candidates(rows, nodes, t_enter)
-    stats.count_is(c_rows if stat_ids is None else stat_ids[c_rows])
-    if t is not None:
-        return Candidates(c_rows, prims, t, np.ones(len(c_rows), dtype=bool))
-    t, p_hit = test.test(
-        c_rows,
-        [c[prims] for c in topo.boxes.mins.T],
-        [c[prims] for c in topo.boxes.maxs.T],
-        None,
-        True,
-    )
-    return Candidates(c_rows, prims, t, p_hit)
-
-
 def traverse(
     topos,
     test,
     m: int,
     stats: TraversalStats,
-    stat_ids: np.ndarray | None,
     instance_ids=None,
 ) -> Candidates:
     """Run one launch of ``m`` rows through the structures ``topos``
@@ -525,14 +456,12 @@ def traverse(
     each later step concatenates the child pairs of every structure's
     frontier segment into one ``(d, 2, P)`` block, so a level costs one
     node test however many structures the launch holds. Every root
-    test counts one node visit for ``stat_ids[row]``, and every
-    ``(row, parent)`` pair whose children are tested counts two; every
-    candidate primitive of a hit leaf counts one IS invocation.
-    Candidates come out structure by structure in ``topos`` order, each
-    level by level in frontier order (parent-major, children of a node
-    in left, right order): exactly a separate launch per structure,
-    concatenated. Primitives of leaves whose box is not the primitive
-    box are tested on their own boxes (that result is ``aabb_hit``).
+    test counts one node visit for its row, and every ``(row, parent)``
+    pair whose children are tested counts two; every candidate
+    primitive of a hit leaf counts one IS invocation. Candidates come
+    out structure by structure in ``topos`` order, each level by level
+    in frontier order (parent-major, children of a node in left, right
+    order): exactly a separate launch per structure, concatenated.
     ``instance_ids`` (one per structure) fills the candidates'
     ``instance_ids`` column. An empty launch visits nothing.
     """
@@ -542,7 +471,6 @@ def traverse(
     out: list[list[Candidates]] = [[] for _ in range(n)]
     with np.errstate(invalid="ignore", over="ignore"):
         rows = np.arange(m, dtype=np.int64)
-        wants = [topo.wants_t_enter(0) for topo in topos]
         if n == 1:
             root = topos[0].root_lo, topos[0].root_hi, topos[0].root_live
         else:
@@ -551,69 +479,62 @@ def traverse(
                 np.stack([topo.root_hi for topo in topos], axis=1),
                 np.stack([topo.root_live for topo in topos]),
             )
-        t_enter, hit = test.test(rows, *root, any(wants))
-        stats.count_nodes(rows if stat_ids is None else stat_ids, per_entry=n)
+        hit = test.test(rows, *root)
+        stats.count_nodes(rows, per_entry=n)
         if n == 1:
-            t_enter, hit = [t_enter], [hit]
+            hit = [hit]
         # The frontier: per structure with hits, ``(topo, its candidate
-        # parts, rows, nodes, t_enter)``.
+        # parts, rows, nodes)``.
         frontier = []
-        for k, (topo, parts, h, want) in enumerate(zip(topos, out, hit, wants)):
+        for topo, parts, h in zip(topos, out, hit):
             r = rows[h]
             if len(r):
-                t = t_enter[k][h] if want else None
-                frontier.append((topo, parts, r, np.zeros(len(r), dtype=np.int64), t))
+                frontier.append((topo, parts, r, np.zeros(len(r), dtype=np.int64)))
         while frontier:
             segs = []
-            for topo, parts, rows, nodes, t_hit in frontier:
+            for topo, parts, rows, nodes in frontier:
                 leaf = topo.leaves(nodes)
                 if leaf is not None:
-                    t = None if t_hit is None else t_hit[leaf]
-                    parts.append(
-                        _leaf_hits(topo, test, stats, stat_ids, rows[leaf], nodes[leaf], t)
-                    )
+                    c_rows, prims = topo.leaf_candidates(rows[leaf], nodes[leaf])
+                    stats.count_is(c_rows)
+                    parts.append(Candidates(c_rows, prims))
                     rows, nodes = rows[~leaf], nodes[~leaf]
                     if not len(rows):
                         continue
-                pairs = topo.child_pairs(nodes)
-                want = topo.wants_t_enter(2 * int(pairs[0]) + 1)
-                segs.append((topo, parts, rows, pairs, want))
+                segs.append((topo, parts, rows, topo.child_pairs(nodes)))
             single = len(segs) == 1
             if single:
-                topo, parts, rows, pairs, want_t = segs[0]
+                topo, parts, rows, pairs = segs[0]
                 lo = topo.lo.take(pairs, axis=2)
                 hi = topo.hi.take(pairs, axis=2)
                 live = topo.live.take(pairs, axis=1)
             elif segs:
-                seg_topos, _, seg_rows, seg_pairs, seg_wants = zip(*segs)
+                seg_topos, _, seg_rows, seg_pairs = zip(*segs)
                 rows = np.concatenate(seg_rows)
                 pairs = np.concatenate(seg_pairs)
                 gathered = list(zip(seg_topos, seg_pairs))
                 lo = np.concatenate([t.lo.take(p, axis=2) for t, p in gathered], axis=2)
                 hi = np.concatenate([t.hi.take(p, axis=2) for t, p in gathered], axis=2)
                 live = np.concatenate([t.live.take(p, axis=1) for t, p in gathered], axis=1)
-                want_t = any(seg_wants)
             else:
                 break
-            t_enter, hit = test.test(rows, lo, hi, live, want_t)
-            stats.count_nodes(rows if stat_ids is None else stat_ids[rows], per_entry=2)
+            hit = test.test(rows, lo, hi, live)
+            stats.count_nodes(rows, per_entry=2)
             parent, side = _hits_parent_major(hit)
-            t_hit = None if t_enter is None else t_enter[side, parent]
             nodes = pairs[parent]
             nodes <<= 1
             nodes += side
             nodes += 1
             rows = rows[parent]
             if single:
-                frontier = [(topo, parts, rows, nodes, t_hit)] if len(rows) else []
+                frontier = [(topo, parts, rows, nodes)] if len(rows) else []
                 continue
             # ``parent`` ascends, so each segment's hits are one slice.
             ends = np.searchsorted(parent, list(accumulate(map(len, seg_rows))))
             frontier, a = [], 0
-            for (topo, parts, tested, _, want), b in zip(segs, ends.tolist()):
+            for (topo, parts, _, _), b in zip(segs, ends.tolist()):
                 if a < b:
-                    t = test.segment_t(t_hit[a:b], tested, lo.dtype) if want else None
-                    frontier.append((topo, parts, rows[a:b], nodes[a:b], t))
+                    frontier.append((topo, parts, rows[a:b], nodes[a:b]))
                 a = b
     cand = Candidates.concat([c for part in out for c in part])
     if instance_ids is not None:

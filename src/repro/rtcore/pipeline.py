@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.geometry.ray import Rays
+from repro.geometry.ray import Rays, ray_aabb_interval
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.ias import InstanceAS
@@ -42,8 +42,15 @@ class IsContext:
     ``optixGetPrimitiveIndex()`` (local to the hit GAS), ``instance_ids``
     is ``optixGetInstanceId()``, ``ray_rows`` identifies the casting
     thread, ``payload`` is the per-ray payload registers, ``rays`` exposes
-    origin/direction, and ``t_enter``/``aabb_hit`` describe the primitive
-    AABB test.
+    origin/direction, and ``t_enter``/``aabb_hit`` describe the test of
+    the candidate's ray against the candidate's own primitive AABB, which
+    a potential hit (:class:`~repro.rtcore.kernel.Candidates`) may miss.
+
+    The launch computes both columns with one
+    :func:`~repro.geometry.ray.ray_aabb_interval` call over all its
+    candidate pairs, so ``t_enter`` has that call's dtype: the
+    coordinate dtype, or float64 when any candidate's ray has a zero
+    direction component.
     """
 
     ray_rows: np.ndarray
@@ -104,14 +111,12 @@ class Pipeline:
         rays: Rays,
         payload: Optional[np.ndarray] = None,
         stats: Optional[TraversalStats] = None,
-        stat_ids: Optional[np.ndarray] = None,
         tracer=None,
     ) -> LaunchResult:
         """Cast ``rays`` and run the shader table over the hits.
 
-        ``stats``/``stat_ids`` allow several launches to accumulate into
-        shared logical-query counters (Ray Multicast casts k simulated
-        rays per query thread slot). ``tracer`` records the launch as a
+        ``stats`` (one slot per ray) lets several launches accumulate
+        into one set of counters. ``tracer`` records the launch as a
         ``pipeline.launch`` span carrying the counter deltas of the
         whole launch, traversal and shaders included.
         """
@@ -120,18 +125,17 @@ class Pipeline:
                 stats = TraversalStats(len(rays))
             with tracer.span("pipeline.launch", n_rays=len(rays)) as sp:
                 before = counter_snapshot(stats)
-                out = self._launch(rays, payload, stats, stat_ids, tracer)
+                out = self._launch(rays, payload, stats, tracer)
                 record_delta(sp, before, stats)
                 sp.attrs["n_hits"] = len(out)
             return out
-        return self._launch(rays, payload, stats, stat_ids, None)
+        return self._launch(rays, payload, stats, None)
 
     def _launch(
         self,
         rays: Rays,
         payload: Optional[np.ndarray],
         stats: Optional[TraversalStats],
-        stat_ids: Optional[np.ndarray],
         tracer,
     ) -> LaunchResult:
         m = len(rays)
@@ -141,11 +145,17 @@ class Pipeline:
             raise ValueError("payload must have one row per ray")
 
         cand = self.traversable.traverse(
-            rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, stat_ids,
-            tracer=tracer,
+            rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, tracer=tracer
         )
         ray_rows, prim_ids = cand.rows, cand.prims
-        t_enter, aabb_hit = cand.t_enter, cand.aabb_hit
+        if len(cand):
+            box_mins, box_maxs = self.traversable.prim_boxes(cand)
+        else:
+            box_mins = box_maxs = rays.origins[:0]
+        t_enter, _, aabb_hit = ray_aabb_interval(
+            rays.origins[ray_rows], rays.dirs[ray_rows],
+            rays.tmins[ray_rows], rays.tmaxs[ray_rows], box_mins, box_maxs,
+        )
         # A launch into a bare GAS has no instances: its candidates
         # report instance id 0.
         instance_ids = cand.instance_ids
@@ -183,8 +193,7 @@ class Pipeline:
             payload=payload,
             stats=stats,
         )
-        counter_ids = stat_ids if stat_ids is not None else np.arange(m, dtype=np.int64)
-        stats.count_results(counter_ids[committed.ray_rows])
+        stats.count_results(committed.ray_rows)
 
         if self.programs.any_hit is not None and len(committed):
             self.programs.any_hit(committed)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.boxes import Boxes
+from repro.geometry.ray import ray_aabb_hit
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +72,19 @@ def assert_pairs_equal(got: tuple, expected: tuple, context: str = "") -> None:
     )
 
 
-def per_instance_traverse(ias, origins, dirs, tmins, tmaxs, stats, stat_ids=None, tracer=None):
+def aabb_hit_pairs(cand, boxes: Boxes, rays) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, prims)`` of the traversal candidates ``cand`` whose ray
+    meets the candidate primitive's own AABB: what the IS context's
+    ``aabb_hit`` keeps (candidates are potential hits)."""
+    r, p = cand.rows, cand.prims
+    hit = ray_aabb_hit(
+        rays.origins[r], rays.dirs[r], rays.tmins[r], rays.tmaxs[r],
+        boxes.mins[p], boxes.maxs[p],
+    )
+    return r[hit], p[hit]
+
+
+def per_instance_traverse(ias, origins, dirs, tmins, tmaxs, stats, tracer=None):
     """An IAS launch as one separate single-structure launch per
     non-empty instance, concatenated in instance order: the reference
     the IAS's one-frontier launch must reproduce bit for bit
@@ -82,7 +95,7 @@ def per_instance_traverse(ias, origins, dirs, tmins, tmaxs, stats, stat_ids=None
     parts = []
     for inst in ias.instances:
         if len(inst.gas):
-            cand = inst.gas.traverse(origins, dirs, tmins, tmaxs, stats, stat_ids)
+            cand = inst.gas.traverse(origins, dirs, tmins, tmaxs, stats)
             cand.instance_ids = np.full(len(cand), inst.instance_id, dtype=np.int64)
             parts.append(cand)
     return Candidates.concat(parts)

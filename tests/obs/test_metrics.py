@@ -7,8 +7,27 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import Histogram, MetricsRegistry
+
+_POWERS = st.integers(0, 62).map(lambda k: 2.0**k)
+
+#: One observation: exact powers of two and their neighbours, values
+#: <= 1, values above 2^20, ints and floats.
+_ONE_VALUE = st.one_of(
+    _POWERS,
+    _POWERS.map(lambda p: float(np.nextafter(p, np.inf))),
+    _POWERS.map(lambda p: float(np.nextafter(p, -np.inf))),
+    st.integers(0, 62).map(lambda k: 1 << k),
+    st.integers(0, 62).map(lambda k: (1 << k) + 1),
+    st.floats(-1e6, 1.0),
+    st.integers(-(2**40), 1),
+    st.floats(2.0**20, 1e300),
+    st.integers(2**20, 2**62),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
 
 
 class TestHistogram:
@@ -81,6 +100,30 @@ class TestHistogram:
         assert len(d["bucket_le"]) == len(d["bucket_counts"])
         assert d["bucket_le"][-1] == float("inf")
         assert sum(d["bucket_counts"]) == 3
+
+
+@given(st.lists(_ONE_VALUE, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_one_value_lands_in_its_documented_bucket(values):
+    """A scalar folds exactly as a one-element array, into the bucket
+    the documented rule names: bucket i holds (2^(i-1), 2^i], <= 1 in
+    bucket 0, above 2^20 in the inf bucket."""
+    scalar, array = Histogram(), Histogram()
+    for v in values:
+        before = scalar.buckets.copy()
+        scalar.observe(v)
+        array.observe(np.array([v]))
+        assert np.array_equal(scalar.buckets, array.buckets)
+        assert (scalar.count, scalar.total) == (array.count, array.total)
+        assert (scalar.min, scalar.max) == (array.min, array.max)
+        [i] = np.nonzero(scalar.buckets - before)[0]
+        x = float(v)
+        if x <= 1.0:
+            assert i == 0
+        elif x > 2.0**20:
+            assert i == len(scalar.buckets) - 1
+        else:
+            assert 2.0 ** (i - 1) < x <= 2.0**i
 
 
 class TestMetricsRegistry:

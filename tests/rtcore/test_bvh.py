@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.boxes import Boxes
 from repro.geometry.ray import Rays
 from repro.geometry.segment import diagonal, join_segment_intersects_box
-from repro.geometry.predicates import join_contains_point, join_intersects_box
+from repro.geometry.predicates import join_contains_point
 from repro.rtcore.bvh import BVH, _next_pow2
 from repro.rtcore.stats import TraversalStats
-from tests.conftest import random_boxes, random_points
+from tests.conftest import aabb_hit_pairs, random_boxes, random_points
 
 
 def canonical(rows, prims):
@@ -128,9 +128,10 @@ class TestTraversalOracle:
         rays = Rays.point_rays(pts)
         stats = TraversalStats(len(pts))
         out = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
-        rows, prims = out.rows[out.aabb_hit], out.prims[out.aabb_hit]
-        # aabb_hit=True candidates are exactly the point-in-box pairs
-        # (point rays register only Case-2, origin-inside, hits).
+        rows, prims = aabb_hit_pairs(out, boxes, rays)
+        # Candidates whose ray meets their box are exactly the
+        # point-in-box pairs (point rays register only Case-2,
+        # origin-inside, hits).
         oracle_r, oracle_p = join_contains_point(boxes, pts)
         assert canonical(rows, prims) == canonical(oracle_p, oracle_r)
 
@@ -141,21 +142,42 @@ class TestTraversalOracle:
         p1, p2 = diagonal(queries)
         bvh = BVH(boxes, leaf_size=leaf_size)
         stats = TraversalStats(len(queries))
-        out = bvh.traverse(
-            p1, p2 - p1, np.zeros(len(queries)), np.ones(len(queries)), stats
-        )
-        rows, prims = out.rows[out.aabb_hit], out.prims[out.aabb_hit]
+        rays = Rays.segment_rays(p1, p2)
+        out = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
+        rows, prims = aabb_hit_pairs(out, boxes, rays)
         si, bi = join_segment_intersects_box(p1, p2, boxes)
         assert canonical(rows, prims) == canonical(si, bi)
 
-    def test_traverse_boxes_matches_oracle(self, rng):
+    @pytest.mark.parametrize("leaf_size", [1, 4])
+    def test_traverse_boxes_matches_oracle(self, rng, leaf_size):
+        """Box traversal returns exactly the closed-overlap pairs: the
+        kernel's leaf candidates are filtered on their own boxes, so
+        the other primitives of a hit leaf, deleted primitives and
+        primitives inverted on one axis never come back."""
         boxes = random_boxes(rng, 400)
         queries = random_boxes(rng, 200, max_extent=10.0)
-        bvh = BVH(boxes, leaf_size=4)
+        # Queries touching a primitive exactly on a face or a corner.
+        queries.mins[:20] = boxes.maxs[:20]
+        queries.maxs[20:30, 0] = boxes.mins[20:30, 0]
+        bvh = BVH(boxes, leaf_size=leaf_size)
+        boxes.degenerate(np.arange(30, 60))
+        inverted = np.arange(60, 90)
+        boxes.mins[inverted, 1], boxes.maxs[inverted, 1] = (
+            boxes.maxs[inverted, 1].copy(), boxes.mins[inverted, 1].copy(),
+        )
+        bvh.refit()
         stats = TraversalStats(len(queries))
         rows, prims = bvh.traverse_boxes(queries.mins, queries.maxs, stats)
-        oracle_r, oracle_q = join_intersects_box(boxes, queries)
-        assert canonical(rows, prims) == canonical(oracle_q, oracle_r)
+        b_lo, b_hi = boxes.mins[None], boxes.maxs[None]
+        q_lo, q_hi = queries.mins[:, None], queries.maxs[:, None]
+        overlap = ((b_lo <= q_hi) & (b_hi >= q_lo) & (b_lo <= b_hi)).all(axis=-1)
+        want_rows, want_prims = np.nonzero(overlap)
+        assert canonical(rows, prims) == canonical(want_rows, want_prims)
+        assert len(rows) and not np.isin(prims, np.arange(30, 90)).any()
+        if leaf_size == 1:
+            assert stats.is_invocations.sum() == len(rows)
+        else:
+            assert stats.is_invocations.sum() > len(rows)
 
     def test_float32(self, rng):
         boxes = random_boxes(rng, 200, dtype=np.float32)
@@ -165,9 +187,7 @@ class TestTraversalOracle:
         stats = TraversalStats(len(pts))
         out = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
         oracle_r, oracle_p = join_contains_point(boxes, pts)
-        assert canonical(out.rows[out.aabb_hit], out.prims[out.aabb_hit]) == canonical(
-            oracle_p, oracle_r
-        )
+        assert canonical(*aabb_hit_pairs(out, boxes, rays)) == canonical(oracle_p, oracle_r)
 
 
 class TestWorkCounting:
@@ -188,19 +208,7 @@ class TestWorkCounting:
         stats = TraversalStats(100)
         out = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
         assert stats.is_invocations.sum() == len(out)
-        assert out.aabb_hit.sum() <= len(out)
-
-    def test_stat_ids_remap(self, rng):
-        """Sub-launches can accumulate into shared logical slots."""
-        boxes = random_boxes(rng, 50)
-        bvh = BVH(boxes)
-        pts = random_points(rng, 10)
-        rays = Rays.point_rays(pts)
-        stats = TraversalStats(5)
-        ids = np.arange(10, dtype=np.int64) % 5
-        bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats, ids)
-        assert stats.nodes_visited.sum() > 0
-        assert stats.n_rays == 5
+        assert len(aabb_hit_pairs(out, boxes, rays)[0]) < len(out)
 
 
 class TestRefit:
@@ -225,9 +233,7 @@ class TestRefit:
         stats = TraversalStats(200)
         out = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
         oracle_r, oracle_p = join_contains_point(boxes, pts)
-        assert canonical(out.rows[out.aabb_hit], out.prims[out.aabb_hit]) == canonical(
-            oracle_p, oracle_r
-        )
+        assert canonical(*aabb_hit_pairs(out, boxes, rays)) == canonical(oracle_p, oracle_r)
 
     def test_refit_degrades_traversal_quality(self, rng):
         """The Figure 10(c) mechanism: after shuffling primitive
@@ -256,7 +262,7 @@ class TestRefit:
         rays = Rays.point_rays(pts)
         stats = TraversalStats(20)
         out = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
-        hit_prims = set(out.prims[out.aabb_hit].tolist())
+        hit_prims = set(out.prims.tolist())
         assert not (hit_prims & set(range(20)))
 
 
@@ -264,7 +270,7 @@ class TestRefit:
 @settings(max_examples=60, deadline=None)
 def test_traversal_completeness_property(n, leaf_size, seed):
     """For arbitrary box sets and leaf sizes, the BVH must surface every
-    true point containment as an aabb_hit candidate."""
+    true point containment as a candidate."""
     r = np.random.default_rng(seed)
     boxes = random_boxes(r, n)
     pts = random_points(r, 20)

@@ -17,7 +17,7 @@ from repro.rtcore.ias import InstanceAS
 from repro.rtcore.kernel import Candidates, PairMajorNodes
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
-from tests.conftest import random_boxes, random_points
+from tests.conftest import aabb_hit_pairs, random_boxes, random_points
 
 
 def point_hits(traversable, pts, n_stats=None):
@@ -42,7 +42,7 @@ class TestGAS:
         gas = GeometryAS(boxes)
         gas.degenerate_primitives(np.array([3]))
         out, _ = point_hits(gas, center)
-        assert 3 not in out.prims[out.aabb_hit].tolist()
+        assert 3 not in out.prims.tolist()
 
     def test_rebuild_resets_refit_count(self, rng):
         gas = GeometryAS(random_boxes(rng, 20))
@@ -149,13 +149,10 @@ class TestIASIdentity:
             assert all(len(c) for _, c in parts)
             assert np.array_equal(hits.rows, np.concatenate([c.rows for _, c in parts]))
             assert np.array_equal(hits.prims, np.concatenate([c.prims for _, c in parts]))
-            want_t = np.concatenate([c.t_enter for _, c in parts])
-            assert hits.t_enter.dtype == want_t.dtype
-            assert hits.t_enter.tobytes() == want_t.tobytes()
-            assert np.array_equal(
-                hits.aabb_hit, np.concatenate([c.aabb_hit for _, c in parts])
-            )
-            assert not hits.aabb_hit.all()
+            # Leaves of two hold potential hits the ray misses.
+            rays = Rays(origins, dirs, tmins, tmaxs)
+            n_hit = sum(len(aabb_hit_pairs(c, gases[i].boxes, rays)[0]) for i, c in parts)
+            assert 0 < n_hit < len(hits)
             assert np.array_equal(
                 hits.instance_ids, np.concatenate([np.full(len(c), i) for i, c in parts])
             )
@@ -196,7 +193,6 @@ class TestIASIdentity:
         assert isinstance(hits, Candidates) and len(hits) == 0
         for col in (hits.rows, hits.prims, hits.instance_ids):
             assert col.dtype == np.int64 and len(col) == 0
-        assert hits.aabb_hit.dtype == bool and len(hits.t_enter) == 0
         assert stats.nodes_visited.sum() == 0
 
     @pytest.mark.parametrize("builder", ["fast_build", "fast_trace"])
@@ -249,17 +245,13 @@ class TestLaunchPath:
     def test_concat_keeps_instance_column(self):
         def part(rows, iid):
             rows = np.asarray(rows, dtype=np.int64)
-            return Candidates(
-                rows, rows + 10, rows.astype(np.float64), np.ones(len(rows), dtype=bool),
-                np.full(len(rows), iid, dtype=np.int64),
-            )
+            return Candidates(rows, rows + 10, np.full(len(rows), iid, dtype=np.int64))
 
         out = Candidates.concat([part([0, 2], 3), part([1], 7)])
         assert out.rows.tolist() == [0, 2, 1]
         assert out.prims.tolist() == [10, 12, 11]
         assert out.instance_ids.tolist() == [3, 3, 7]
-        assert out.t_enter.tolist() == [0.0, 2.0, 1.0]
-        # A box-overlap launch into one structure: no t_enter, no ids.
-        plain = Candidates.concat([Candidates(np.array([4]), np.array([9]), None, np.array([True]))])
-        assert plain.instance_ids is None and plain.t_enter is None
+        # A launch into one structure carries no instance ids.
+        plain = Candidates.concat([Candidates(np.array([4]), np.array([9]))])
+        assert plain.instance_ids is None
         assert len(Candidates.concat([])) == 0

@@ -3,8 +3,10 @@
 ``_ref_*`` below are verbatim copies of the per-structure frontier loops
 and the reduce-based slab test as they stood before
 :mod:`repro.rtcore.kernel` existed. Every traversal must reproduce them
-exactly: candidate rows and prims in order, ``t_enter`` bit for bit (and
-dtype), ``aabb_hit``, and every per-ray counter.
+exactly: candidate rows and prims in order and every per-ray counter.
+The loops also compute each candidate's ``t_enter`` and ``aabb_hit``;
+:class:`TestPipelineHitParameters` holds the shader pipeline, which
+derives them, to those values bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from repro.geometry.boxes import Boxes
 from repro.geometry.ray import Rays, ray_aabb_interval
 from repro.rtcore import kernel
 from repro.rtcore.bvh import BVH
+from repro.rtcore.gas import GeometryAS
+from repro.rtcore.ias import InstanceAS
+from repro.rtcore.pipeline import Pipeline, ShaderPrograms
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
 
@@ -246,11 +251,9 @@ def _same_bits(a, b):
 
 
 def _check(cand, ref, stats, ref_stats):
-    rows, prims, t_enter, aabb_hit = ref
+    rows, prims, _t_enter, _aabb_hit = ref
     assert np.array_equal(cand.rows, rows)
     assert np.array_equal(cand.prims, prims)
-    _same_bits(cand.t_enter, t_enter)
-    assert np.array_equal(cand.aabb_hit, aabb_hit)
     for name in ("nodes_visited", "is_invocations", "results_emitted"):
         assert np.array_equal(getattr(stats, name), getattr(ref_stats, name))
 
@@ -347,20 +350,6 @@ class TestRayTraversal:
         _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
 
     @pytest.mark.parametrize("cls,leaf_size", CASES)
-    def test_stat_ids_remap(self, rng, cls, leaf_size):
-        boxes = _boxes(rng, 150, 2, np.float32, n_deleted=10)
-        bvh = cls(boxes, leaf_size=leaf_size)
-        rays = _rays(rng, boxes, "mixed")
-        # Several simulated rays share one logical counter slot, as in
-        # Ray Multicast and IAS sub-launches.
-        stat_ids = rng.integers(0, 13, size=len(rays))
-        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
-        stats, ref_stats = TraversalStats(13), TraversalStats(13)
-        cand = bvh.traverse(*args, stats, stat_ids)
-        ref = _reference(cls)(bvh, *args, ref_stats, stat_ids)
-        _check(cand, ref, stats, ref_stats)
-
-    @pytest.mark.parametrize("cls,leaf_size", CASES)
     def test_empty_batch_and_empty_structure(self, rng, cls, leaf_size):
         d = 2
         empty_rays = Rays(np.empty((0, d)), np.empty((0, d)))
@@ -442,8 +431,9 @@ class TestRayTraversal:
         args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
         stats, ref_stats = TraversalStats(len(rays)), TraversalStats(len(rays))
         cand = bvh.traverse(*args, stats)
-        _check(cand, _reference(cls)(bvh, *args, ref_stats), stats, ref_stats)
-        assert not cand.aabb_hit.any()
+        ref = _reference(cls)(bvh, *args, ref_stats)
+        _check(cand, ref, stats, ref_stats)
+        assert not ref[3].any()
         # Inside the root: one visit, plus the dead pair when the root is
         # inner (with a leaf root both primitives become IS candidates).
         inside = 3 if bvh.n_nodes > 1 else 1
@@ -473,16 +463,14 @@ class TestBoxTraversal:
         # Queries touching primitives exactly on a face.
         pick = rng.choice(np.nonzero(~boxes.is_degenerate())[0], size=10)
         q.mins[:10, 0] = boxes.maxs[pick, 0]
-        stat_ids = rng.integers(0, 31, size=len(q))
-        for ids, n_slots in ((None, len(q)), (stat_ids, 31)):
-            stats, ref_stats = TraversalStats(n_slots), TraversalStats(n_slots)
-            rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats, ids)
-            r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats, ids)
-            assert len(rows) > 0
-            assert np.array_equal(rows, r_rows) and np.array_equal(prims, r_prims)
-            assert rows.dtype == r_rows.dtype and prims.dtype == r_prims.dtype
-            assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
-            assert np.array_equal(stats.is_invocations, ref_stats.is_invocations)
+        stats, ref_stats = TraversalStats(len(q)), TraversalStats(len(q))
+        rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats)
+        r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats)
+        assert len(rows) > 0
+        assert np.array_equal(rows, r_rows) and np.array_equal(prims, r_prims)
+        assert rows.dtype == r_rows.dtype and prims.dtype == r_prims.dtype
+        assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
+        assert np.array_equal(stats.is_invocations, ref_stats.is_invocations)
 
     def test_empty(self, rng):
         bvh = BVH(_boxes(rng, 10, 2, np.float64, 0))
@@ -514,3 +502,84 @@ class TestBoxTraversal:
         assert len(rows) == len(r_rows) == 0
         assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
         assert np.array_equal(stats.is_invocations, ref_stats.is_invocations)
+
+
+# -- the shader pipeline's hit parameters --------------------------------------
+
+PIPELINE_BUILDS = [
+    pytest.param("fast_build", 1, id="fast_build-leaf1"),
+    pytest.param("fast_build", 2, id="fast_build-leaf2"),
+    pytest.param("fast_build", 4, id="fast_build-leaf4"),
+    pytest.param("fast_trace", 2, id="fast_trace"),
+]
+
+
+def _recorded_is_context(traversable, rays):
+    """The IS context a pipeline launch of ``rays`` hands its shader."""
+    seen = []
+
+    def record(ctx):
+        seen.append(ctx)
+        return ctx.aabb_hit
+
+    Pipeline(traversable, ShaderPrograms(intersection=record)).launch(rays)
+    [ctx] = seen
+    return ctx
+
+
+class TestPipelineHitParameters:
+    """The kernel computes no ``t``; the pipeline derives ``t_enter`` and
+    ``aabb_hit`` per candidate. Both must equal what the frozen loops
+    computed during traversal: ``t_enter`` bit for bit as float64, in
+    the dtype :func:`ray_aabb_interval` gives over the candidate pairs
+    (float64 when any candidate's ray has a zero direction component)."""
+
+    @pytest.mark.parametrize("builder,leaf_size", PIPELINE_BUILDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["point", "segment", "mixed"])
+    @pytest.mark.parametrize("scene", ["gas", "ias"])
+    def test_matches_reference(self, rng, scene, kind, d, dtype, builder, leaf_size):
+        # The IAS: four instances, one empty, ids out of order.
+        sizes = [301] if scene == "gas" else [120, 0, 301, 60]
+        gases = [
+            GeometryAS(
+                _boxes(rng, n, d, dtype, n_deleted=n // 10) if n else Boxes.empty(d, dtype),
+                leaf_size=leaf_size,
+                builder=builder,
+            )
+            for n in sizes
+        ]
+        ids = [0] if scene == "gas" else [9 - 2 * i for i in range(len(gases))]
+        if scene == "gas":
+            traversable = gases[0]
+        else:
+            traversable = InstanceAS()
+            for gas, iid in zip(gases, ids):
+                traversable.add_instance(gas, instance_id=iid)
+        rays = _rays(rng, max(gases, key=len).boxes, kind)
+        args = (rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+
+        parts = []
+        for gas, iid in zip(gases, ids):
+            if len(gas):
+                rows, prims, t, hit = _reference(type(gas.bvh))(
+                    gas.bvh, *args, TraversalStats(len(rays))
+                )
+                parts.append((rows, prims, np.full(len(rows), iid), t, hit,
+                              gas.boxes.mins[prims], gas.boxes.maxs[prims]))
+        rows, prims, iids, t, hit, lo, hi = (np.concatenate(col) for col in zip(*parts))
+
+        ctx = _recorded_is_context(traversable, rays)
+        assert len(ctx) > 0
+        assert np.array_equal(ctx.ray_rows, rows)
+        assert np.array_equal(ctx.prim_ids, prims)
+        assert np.array_equal(ctx.instance_ids, iids)
+        assert np.array_equal(ctx.aabb_hit, hit)
+        _same_bits(ctx.t_enter.astype(np.float64), t.astype(np.float64))
+        interval_t = ray_aabb_interval(
+            rays.origins[rows], rays.dirs[rows], rays.tmins[rows], rays.tmaxs[rows], lo, hi
+        )[0]
+        assert ctx.t_enter.dtype == interval_t.dtype
+        parallel = (rays.dirs[rows] == 0.0).any()
+        assert ctx.t_enter.dtype == (np.float64 if parallel else dtype)

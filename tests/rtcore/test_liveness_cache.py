@@ -23,7 +23,7 @@ from repro.rtcore.bvh import BVH
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
 
-from tests.conftest import assert_pairs_equal, random_boxes, random_points
+from tests.conftest import aabb_hit_pairs, assert_pairs_equal, random_boxes, random_points
 
 STRUCTURES = [
     pytest.param(BVH, 1, id="bvh-leaf1"),
@@ -41,7 +41,7 @@ def _hit_pairs(bvh, rays):
     """Sorted (ray, prim) pairs whose AABB the ray meets."""
     stats = TraversalStats(len(rays))
     cand = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
-    rows, prims = cand.rows[cand.aabb_hit], cand.prims[cand.aabb_hit]
+    rows, prims = aabb_hit_pairs(cand, bvh.boxes, rays)
     order = np.lexsort((prims, rows))
     return rows[order], prims[order]
 

@@ -121,13 +121,19 @@ class TestIASLaunch:
         res = pipe.launch(Rays.point_rays(random_points(rng, 100)))
         assert set(res.instance_ids.tolist()) <= {0, 1}
 
-    def test_shared_stats_with_stat_ids(self, gas, rng):
-        from repro.rtcore.stats import TraversalStats
-
-        pipe = Pipeline(gas, ShaderPrograms())
-        pts = random_points(rng, 20)
-        stats = TraversalStats(10)
-        ids = np.arange(20, dtype=np.int64) % 10
-        pipe.launch(Rays.point_rays(pts), stats=stats, stat_ids=ids)
-        assert stats.n_rays == 10
-        assert stats.nodes_visited.sum() > 0
+    def test_one_gas_under_two_ids_and_a_duplicate_id_rejected(self, rng):
+        """The IS context reads each candidate's box from the GAS its
+        instance id names: one GAS may sit under several ids, but linking
+        an id twice is rejected, so no id names two GASes."""
+        boxes = random_boxes(rng, 50)
+        shared = GeometryAS(boxes)
+        ias = InstanceAS()
+        ias.add_instance(shared, instance_id=0)
+        ias.add_instance(shared, instance_id=4)
+        pts = boxes.centers()
+        res = Pipeline(ias, ShaderPrograms()).launch(Rays.point_rays(pts))
+        single = Pipeline(shared, ShaderPrograms()).launch(Rays.point_rays(pts))
+        assert len(res) == 2 * len(single) > 0
+        with pytest.raises(ValueError, match="instance id 4"):
+            ias.add_instance(GeometryAS(random_boxes(rng, 50)), instance_id=4)
+        assert [inst.instance_id for inst in ias.instances] == [0, 4]

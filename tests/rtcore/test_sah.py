@@ -13,18 +13,16 @@ from repro.rtcore.bvh import BVH
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.sah import SAHBVH
 from repro.rtcore.stats import TraversalStats
-from tests.conftest import assert_pairs_equal, random_boxes, random_points
+from tests.conftest import aabb_hit_pairs, assert_pairs_equal, random_boxes, random_points
 
 
 def point_candidates(bvh, pts):
     rays = Rays.point_rays(pts)
     stats = TraversalStats(len(pts))
     c = bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
-    order = np.lexsort((c.prims[c.aabb_hit], c.rows[c.aabb_hit]))
-    return (
-        list(zip(c.rows[c.aabb_hit][order].tolist(), c.prims[c.aabb_hit][order].tolist())),
-        stats,
-    )
+    rows, prims = aabb_hit_pairs(c, bvh.boxes, rays)
+    order = np.lexsort((prims, rows))
+    return list(zip(rows[order].tolist(), prims[order].tolist())), stats
 
 
 class TestCorrectness:
