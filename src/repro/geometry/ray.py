@@ -103,51 +103,6 @@ def fmin_first(acc, x):
     return np.where((acc <= x) | np.isnan(x), acc, x)
 
 
-def slab_axes(
-    origins, invs, parallels, box_mins, box_maxs,
-    enter_fold=fmax_first, exit_fold=fmin_first,
-):
-    """The slab test over per-axis columns: ``(t_enter, t_exit)``.
-
-    Each of the first five arguments is a sequence with one entry per
-    axis: origin coordinates, reciprocal directions, zero-direction flags
-    and box bounds (all broadcast-compatible). ``parallels[a]`` is
-    ``None`` when no ray has a zero component on axis *a*, ``True`` when
-    every ray does (``invs[a]`` is then unused), and a boolean mask
-    otherwise. The axes fold left to right with ``enter_fold`` /
-    ``exit_fold``; the defaults follow the tie rule of a reduction over
-    the coordinate axis, so the results are bit-identical to it. Plain
-    ``np.fmax``/``np.fmin`` agree in value (signed zeros aside), which is
-    all a hit test needs. Callers run it under
-    ``np.errstate(invalid="ignore", over="ignore")``: overflow to inf in
-    the t products is the correct saturating behaviour for near-parallel
-    rays (the traversal kernel enters that state once per launch).
-    """
-    t_enter = t_exit = None
-    for o, inv, par, lo, hi in zip(origins, invs, parallels, box_mins, box_maxs):
-        # A ray parallel to a slab (zero direction component) never
-        # enters or leaves it: the axis contributes (-inf, +inf) when the
-        # origin lies within the slab (closed) and an empty interval
-        # otherwise. Handling this explicitly avoids the 0 * inf = NaN
-        # corner when the origin sits exactly on a slab boundary.
-        if par is True:
-            inside = (lo <= o) & (o <= hi)
-            near = np.where(inside, -np.inf, np.inf)
-            far = np.where(inside, np.inf, -np.inf)
-        else:
-            t1 = (lo - o) * inv
-            t2 = (hi - o) * inv
-            near = np.fmin(t1, t2)
-            far = np.fmax(t1, t2)
-            if par is not None and par.any():
-                inside = (lo <= o) & (o <= hi)
-                near = np.where(par, np.where(inside, -np.inf, np.inf), near)
-                far = np.where(par, np.where(inside, np.inf, -np.inf), far)
-        t_enter = near if t_enter is None else enter_fold(t_enter, near)
-        t_exit = far if t_exit is None else exit_fold(t_exit, far)
-    return t_enter, t_exit
-
-
 def slab_hit(t_enter, t_exit, tmins, tmaxs, live):
     """Hit mask of a slab interval against the ray's ``[tmin, tmax]``.
 
@@ -188,18 +143,34 @@ def ray_aabb_interval(
     ``t_enter`` is the box entry parameter (negative when the origin is
     inside the box — Case 2); hardware reports the committed hit at
     ``max(t_enter, tmin)``. See :func:`ray_aabb_hit` for the hit semantics.
-    The coordinate axis is unrolled (:func:`slab_axes`).
+    The coordinate axis is unrolled. A ray parallel to a slab (zero
+    direction component) never enters or leaves it: the axis contributes
+    ``(-inf, +inf)`` when the origin lies within the slab (closed) and an
+    empty interval otherwise, which avoids the ``0 * inf = NaN`` corner
+    of an origin on a slab face; its Python-float infinities make
+    ``t_enter`` float64 when any ray has a zero component. The axes fold
+    with :func:`fmax_first`/:func:`fmin_first`, so the results are
+    bit-identical to a reduction over the coordinate axis. Overflow to
+    inf in the ``t`` products saturates correctly for near-parallel rays.
     """
-    d = dirs.shape[-1]
-    dir_cols = [dirs[..., a] for a in range(d)]
-    with np.errstate(divide="ignore", over="ignore"):
-        invs = [1.0 / c for c in dir_cols]
-    parallels = [c == 0.0 for c in dir_cols]
-    o = [origins[..., a] for a in range(d)]
-    lo = [box_mins[..., a] for a in range(d)]
-    hi = [box_maxs[..., a] for a in range(d)]
-    with np.errstate(invalid="ignore", over="ignore"):
-        t_enter, t_exit = slab_axes(o, invs, parallels, lo, hi)
+    lo = [box_mins[..., a] for a in range(dirs.shape[-1])]
+    hi = [box_maxs[..., a] for a in range(dirs.shape[-1])]
+    t_enter = t_exit = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, (b_lo, b_hi) in enumerate(zip(lo, hi)):
+            o, c = origins[..., a], dirs[..., a]
+            inv = 1.0 / c
+            t1 = (b_lo - o) * inv
+            t2 = (b_hi - o) * inv
+            near = np.fmin(t1, t2)
+            far = np.fmax(t1, t2)
+            par = c == 0.0
+            if par.any():
+                inside = (b_lo <= o) & (o <= b_hi)
+                near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+                far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+            t_enter = near if t_enter is None else fmax_first(t_enter, near)
+            t_exit = far if t_exit is None else fmin_first(t_exit, far)
     hit = slab_hit(t_enter, t_exit, tmins, tmaxs, box_live(lo, hi))
     return t_enter, t_exit, hit
 

@@ -53,9 +53,11 @@ whenever the node boxes change. The ray side is gathered once per parent
 and broadcast over the pair axis, ``1/dir`` and the zero-direction masks
 are taken once per launch, a launch whose ray intervals are all equal
 compares against scalars, and the coordinate axes are unrolled into
-elementwise ops (:func:`repro.geometry.ray.slab_axes`) under one
-``np.errstate`` per launch; the axes fold with plain ``np.fmax`` /
-``np.fmin``, since only the hit mask is read.
+elementwise ops under one ``np.errstate`` per launch. An axis every ray
+is parallel to (the y axis of point and contains rays) is an inside mask
+with no ``t`` products, and the others fold in place with plain
+``np.fmax``/``np.fmin`` in the coordinate dtype, since only the hit mask
+is read (:class:`RaySlab`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from itertools import accumulate
 import numpy as np
 
 from repro.geometry.boxes import Boxes
-from repro.geometry.ray import box_live, slab_axes, slab_hit
+from repro.geometry.ray import box_live, slab_hit
 from repro.obs.tracer import counter_snapshot, record_delta
 from repro.rtcore.stats import TraversalStats
 
@@ -345,34 +347,38 @@ def _at(a, rows: np.ndarray):
 class RaySlab:
     """The ray-AABB slab test over one launch's rays.
 
-    Built once per launch: origins as a ``(d, m)`` block and ``1/dir``
-    as one for the non-parallel axes (so a step gathers the ray side
-    with two ``take`` calls), the zero-direction masks taken once (an
-    axis is flagged ``True`` when every ray is parallel to it, e.g. the
-    y axis of point rays, and then skips the t products), and
-    ``tmins``/``tmaxs`` kept as scalars when the launch's intervals are
-    all equal. ``inv_rows`` is ``None`` when every axis has a ``1/dir``
-    row, and a step passes ``parallels`` as is when no axis holds a
-    per-ray mask (``masks``).
+    Built once per launch: origins as a ``(d, m)`` block, ``1/dir`` as
+    one for the axes some ray is not parallel to (so a step gathers the
+    ray side with two ``take`` calls), and ``tmins``/``tmaxs`` kept as
+    scalars when the launch's intervals are all equal. ``axes`` holds per
+    axis ``None`` when every ray is parallel to it (e.g. the y axis of
+    point rays), else ``(row of invs, zero-direction mask or None)``.
+
+    A ray parallel to an axis never enters or leaves its slab, so that
+    axis is an inside test (closed, on the origin) ANDed into the hit,
+    with no ``t`` products; the other axes' folds are clamped with
+    ``fmax(t_enter, -inf)``/``fmin(t_exit, +inf)``, which turns a NaN
+    fold into the unbounded interval as the parallel axis's ``(-inf,
+    +inf)`` term would. An axis with a per-ray mask patches only the
+    parallel rays' columns to ``(-inf, +inf)`` and ANDs
+    ``inside | ~parallel`` into the hit. Every fold stays in the
+    coordinate dtype.
     """
 
-    __slots__ = ("origins", "invs", "inv_rows", "parallels", "masks", "tmins", "tmaxs")
+    __slots__ = ("origins", "invs", "axes", "tmins", "tmaxs")
 
     def __init__(self, origins, dirs, tmins, tmaxs):
         self.origins = np.ascontiguousarray(origins.T)
-        invs, self.inv_rows, self.parallels = [], [], []
+        invs, self.axes = [], []
         with np.errstate(divide="ignore", over="ignore"):
             for col in dirs.T:
                 par = col == 0.0
-                every = par.all()
-                self.inv_rows.append(None if every else len(invs))
-                self.parallels.append(True if every else (par if par.any() else None))
-                if not every:
+                if par.all():
+                    self.axes.append(None)
+                else:
+                    self.axes.append((len(invs), par if par.any() else None))
                     invs.append(1.0 / col)
         self.invs = np.array(invs) if invs else None
-        if None not in self.inv_rows:
-            self.inv_rows = None
-        self.masks = [p for p in self.parallels if isinstance(p, np.ndarray)]
         self.tmins = _uniform(tmins)
         self.tmaxs = _uniform(tmaxs)
 
@@ -382,22 +388,39 @@ class RaySlab:
         last axis is (a ``(2, len(rows))`` sibling block, or several
         structures' roots as ``(n, 1)``; the ray side broadcasts over
         the leading axes). ``live`` is the boxes' gathered liveness."""
+        origins = self.origins.take(rows, axis=1)
         invs = None if self.invs is None else self.invs.take(rows, axis=1)
-        if self.inv_rows is not None:
-            invs = [None if j is None else invs[j] for j in self.inv_rows]
-        pars = self.parallels
-        if self.masks:
-            pars = [p if p is None or p is True else p[rows] for p in pars]
-        t_enter, t_exit = slab_axes(
-            self.origins.take(rows, axis=1),
-            invs,
-            pars,
-            box_lo,
-            box_hi,
-            enter_fold=np.fmax,
-            exit_fold=np.fmin,
-        )
-        return slab_hit(t_enter, t_exit, _at(self.tmins, rows), _at(self.tmaxs, rows), live)
+        hit = live
+        t_enter = t_exit = None
+        clamp = False
+        for o, axis, lo, hi in zip(origins, self.axes, box_lo, box_hi):
+            if axis is None:
+                hit = hit & (lo <= o)
+                hit &= o <= hi
+                clamp = True
+                continue
+            j, par = axis
+            t1 = (lo - o) * invs[j]
+            t2 = (hi - o) * invs[j]
+            near = np.fmin(t1, t2)
+            far = np.fmax(t1, t2, out=t1)
+            if par is not None:
+                par = par[rows]
+                if par.any():
+                    near[..., par] = -np.inf
+                    far[..., par] = np.inf
+                    hit = hit & ((lo <= o) & (o <= hi) | ~par)
+            if t_enter is None:
+                t_enter, t_exit = near, far
+            else:
+                np.fmax(t_enter, near, out=t_enter)
+                np.fmin(t_exit, far, out=t_exit)
+        if t_enter is None:
+            t_enter, t_exit = -np.inf, np.inf
+        elif clamp:
+            np.fmax(t_enter, -np.inf, out=t_enter)
+            np.fmin(t_exit, np.inf, out=t_exit)
+        return slab_hit(t_enter, t_exit, _at(self.tmins, rows), _at(self.tmaxs, rows), hit)
 
 
 class BoxOverlap:
