@@ -8,10 +8,10 @@ kernels, so threads scale. The shard parts are reduced by the caller's
 launch (:func:`repro.core.queries.launch.merge_launch`), the same
 reduction serial launches use.
 
-Shard sizing is one static rule (:func:`plan_shards`): large batches
-are split into ~4 shards per worker so the pool can balance uneven
-per-query work, while batches below a minimum size stay serial
-(sharding overhead would dominate). Pools are keyed by worker count and
+Shard sizing is one static rule (:func:`plan_shards`): one shard per
+worker, more only when a shard would pass :data:`MAX_SHARD_ROWS` rows (a
+shard's cost follows its working set, not the worker count), and batches
+below a minimum size stay serial. Pools are keyed by worker count and
 reused across queries; constructing a :class:`ChunkedExecutor` is cheap
 and never spawns threads by itself.
 """
@@ -30,10 +30,9 @@ from repro.lockorder import make_lock
 #: would outweigh any traversal overlap on such small launches.
 MIN_SHARD_SIZE = 1024
 
-#: Target shards per worker. More shards than workers lets the pool
-#: rebalance when per-query work is skewed (the paper's load-imbalance
-#: regime), at slightly higher merge cost.
-SHARDS_PER_WORKER = 4
+#: Largest shard, in rows; wider launches split into more shards per
+#: worker so each shard's traversal temporaries stay cache-sized.
+MAX_SHARD_ROWS = 16_384
 
 _pools: dict[int, ThreadPoolExecutor] = {}
 _pool_refs: dict[int, int] = {}
@@ -101,16 +100,16 @@ def shard_queries(n: int, n_shards: int) -> list[np.ndarray]:
 def plan_shards(n: int, n_workers: int) -> list[np.ndarray]:
     """The shard plan for a batch of ``n`` queries over ``n_workers``.
 
-    Targets :data:`SHARDS_PER_WORKER` shards per worker for load
-    balance, but never cuts shards below :data:`MIN_SHARD_SIZE` queries;
-    batches too small to fill two minimum shards run serially as a
-    single shard. This is the one fan-out rule: every sharded launch,
-    planned or not, uses it.
+    One shard per worker, more only when a shard would exceed
+    :data:`MAX_SHARD_ROWS` rows (extra small shards cost more than they
+    balance; big ones spill out of cache), and none under
+    :data:`MIN_SHARD_SIZE` rows, so smaller batches run serially. This
+    is the one fan-out rule: every sharded launch, planned or not, uses it.
     """
     if n_workers <= 1 or n < 2 * MIN_SHARD_SIZE:
         return shard_queries(n, 1)
-    n_shards = min(n_workers * SHARDS_PER_WORKER, n // MIN_SHARD_SIZE)
-    return shard_queries(n, max(1, n_shards))
+    per_worker = -(-n // (n_workers * MAX_SHARD_ROWS))  # ceiling division
+    return shard_queries(n, min(n // MIN_SHARD_SIZE, n_workers * per_worker))
 
 
 class ChunkedExecutor:

@@ -17,8 +17,8 @@ compaction trigger is a *priced decision* rather than a bare threshold:
   horizon of expected future queries.
 
 Compaction fires on drift when the integrated excess exceeds the rebuild
-cost. Both inputs come from live EWMAs, so the decision adapts to the
-workload: a rarely-queried index tolerates more drift than a hot one.
+cost. The drift and cast-time inputs are live EWMAs, but the horizon is
+a fixed query count, so query rate never enters the decision.
 """
 
 from __future__ import annotations

@@ -39,12 +39,32 @@ N_QUERIES = 1_400
 STATS_KEYS = ("stats_obj", "forward_stats_obj", "backward_stats_obj")
 
 
-@pytest.fixture
-def sharded_executor(monkeypatch):
-    """Aggressively small shards so even test-sized batches fan out."""
+class RecordingExecutor(ChunkedExecutor):
+    """A :class:`ChunkedExecutor` that records each launch's shard count."""
+
+    def __init__(self, n_workers: int):
+        super().__init__(n_workers)
+        self.plans = []
+
+    def plan(self, n):
+        shards = super().plan(n)
+        self.plans.append(len(shards))
+        return shards
+
+
+@pytest.fixture(params=["per-worker", "over-cap"])
+def sharded_executor(request, monkeypatch):
+    """Aggressively small shards so even test-sized batches fan out:
+    one shard per worker, or ("over-cap") a row cap far below the batch,
+    so every launch queues more shards than the pool has workers."""
     monkeypatch.setattr(executor_mod, "MIN_SHARD_SIZE", 64)
-    with ChunkedExecutor(4) as ex:
+    over_cap = request.param == "over-cap"
+    if over_cap:
+        monkeypatch.setattr(executor_mod, "MAX_SHARD_ROWS", 128)
+    with RecordingExecutor(2 if over_cap else 4) as ex:
         yield ex
+    if over_cap:
+        assert ex.plans and all(n > ex.n_workers for n in ex.plans), ex.plans
 
 
 def make_index(ndim: int, seed: int = 5) -> RTSIndex:

@@ -1,11 +1,13 @@
 """Parallel executor tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.parallel import (
+    MAX_SHARD_ROWS,
     MIN_SHARD_SIZE,
-    SHARDS_PER_WORKER,
     ChunkedExecutor,
     plan_shards,
     shard_queries,
@@ -29,6 +31,16 @@ class TestSharding:
         assert sum(len(s) for s in shard_queries(0, 4)) == 0
 
 
+def rule_shard_count(n: int, n_workers: int) -> int:
+    """The fan-out rule written out: serial under two minimum shards,
+    else one shard per worker times the row-cap multiple, never more
+    than ``n // MIN_SHARD_SIZE``."""
+    if n_workers <= 1 or n < 2 * MIN_SHARD_SIZE:
+        return 1
+    per_worker = math.ceil(n / (n_workers * MAX_SHARD_ROWS))
+    return min(n // MIN_SHARD_SIZE, n_workers * per_worker)
+
+
 class TestShardPlanning:
     def test_serial_when_single_worker(self):
         assert len(plan_shards(1_000_000, 1)) == 1
@@ -37,40 +49,61 @@ class TestShardPlanning:
         # Batches under 2x the minimum shard size are not worth sharding.
         assert len(plan_shards(2 * MIN_SHARD_SIZE - 1, 8)) == 1
 
-    def test_shards_scale_with_workers(self):
+    def test_one_shard_per_worker_up_to_the_row_cap(self):
+        assert len(plan_shards(4 * MAX_SHARD_ROWS, 4)) == 4
+        # One row more and every worker takes a second shard.
+        assert len(plan_shards(4 * MAX_SHARD_ROWS + 1, 4)) == 8
+
+    def test_shards_scale_with_rows(self):
         shards = plan_shards(1_000_000, 4)
-        assert len(shards) == 16  # 4 shards per worker
+        assert len(shards) == 4 * math.ceil(1_000_000 / (4 * MAX_SHARD_ROWS))
+        assert max(len(s) for s in shards) <= MAX_SHARD_ROWS
         assert np.array_equal(np.concatenate(shards), np.arange(1_000_000))
 
     def test_min_shard_size_caps_shard_count(self):
-        # 4096 queries over 8 workers would give 32 shards of 128 each;
+        # 4096 queries over 8 workers would give 8 shards of 512 each;
         # the floor caps it at n // MIN_SHARD_SIZE.
         shards = plan_shards(4 * MIN_SHARD_SIZE, 8)
         assert len(shards) == 4
         assert all(len(s) >= MIN_SHARD_SIZE for s in shards)
 
     @pytest.mark.parametrize(
+        "n,n_shards",
+        [(10_000, 2), (5_000, 2), (2_000, 1), (200_000, 14)],
+        ids=["points", "contains", "forward-cast", "backward-cast"],
+    )
+    def test_batch_skew_plans(self, n, n_shards):
+        """batch-skew's launches at 2 workers: the point and contains
+        batches split once per worker, the 2k forward cast stays serial
+        and the 200k-ray backward cast is cut by the row cap."""
+        assert len(plan_shards(n, 2)) == n_shards
+
+    @pytest.mark.parametrize(
         "n,n_workers",
-        [(5, 4), (2 * MIN_SHARD_SIZE, 2), (10_000, 3), (1_000_003, 7)],
+        [(5, 4), (2 * MIN_SHARD_SIZE, 2), (10_000, 3), (200_000, 2),
+         (1_000_003, 7), (50_000, 64)],
     )
     def test_shards_are_contiguous_and_cover_the_batch(self, n, n_workers):
         shards = plan_shards(n, n_workers)
-        assert len(shards) <= max(1, n_workers * SHARDS_PER_WORKER)
-        assert all(len(s) >= MIN_SHARD_SIZE for s in shards) or len(shards) == 1
+        assert len(shards) == rule_shard_count(n, n_workers)
+        if len(shards) > 1:
+            assert all(MIN_SHARD_SIZE <= len(s) <= MAX_SHARD_ROWS for s in shards)
         assert np.array_equal(
             np.concatenate(shards), np.arange(n, dtype=np.int64)
         )
 
     def test_rule_reads_module_constants(self, monkeypatch):
-        """``plan_shards`` reads ``MIN_SHARD_SIZE``/``SHARDS_PER_WORKER``
+        """``plan_shards`` reads ``MIN_SHARD_SIZE``/``MAX_SHARD_ROWS``
         at call time, so lowering them forces small batches to shard."""
         from repro.parallel import executor
 
         assert len(plan_shards(200, 4)) == 1
         monkeypatch.setattr(executor, "MIN_SHARD_SIZE", 10)
-        assert len(plan_shards(200, 4)) == 4 * SHARDS_PER_WORKER
-        monkeypatch.setattr(executor, "SHARDS_PER_WORKER", 1)
         assert len(plan_shards(200, 4)) == 4
+        monkeypatch.setattr(executor, "MAX_SHARD_ROWS", 25)
+        assert len(plan_shards(200, 4)) == 8
+        monkeypatch.setattr(executor, "MAX_SHARD_ROWS", 1)
+        assert len(plan_shards(200, 4)) == 20  # the floor: 200 // 10
 
     def test_executor_plan_is_the_rule(self):
         ex = ChunkedExecutor(3)
