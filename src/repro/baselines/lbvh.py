@@ -12,7 +12,9 @@ semantics (no multicast, so skewed queries stall warps).
 Queries are the classic software formulations: containment descent for
 points and centers, box-overlap descent for Range-Intersects (one pass —
 software traversal has no translation challenge, it simply cannot run on
-RT cores).
+RT cores). :func:`lbvh_launch` runs them over several trees at once; the
+planner's LBVH route (:mod:`repro.plan.backends`) uses it over one tree
+per GAS.
 """
 
 from __future__ import annotations
@@ -28,8 +30,54 @@ from repro.geometry.predicates import (
 from repro.geometry.ray import Rays
 from repro.perfmodel.build import BuildModel
 from repro.perfmodel.platforms import GPUPlatform, software_gpu_platform
+from repro.rtcore import kernel
 from repro.rtcore.bvh import BVH
 from repro.rtcore.stats import TraversalStats
+
+#: Primitives per LBVH leaf.
+LEAF_SIZE = 4
+
+
+def lbvh_launch(bvhs, offsets, kind: str, queries, mins, maxs, stats: TraversalStats):
+    """One software launch of a query batch over LBVHs in lockstep.
+
+    ``kind`` is ``"point"`` (``queries`` an ``(m, d)`` point array),
+    ``"contains"`` or ``"intersects"`` (``queries`` a :class:`Boxes`),
+    in the trees' coordinate dtype. Points and the contains queries'
+    centers cast point rays; intersects queries descend by box overlap.
+    Candidate primitive ``p`` of ``bvhs[j]`` is slot ``offsets[j] + p``
+    of ``mins``/``maxs``, the boxes the exact predicate then reads (a
+    degenerate box there drops the slot). Returns the ``(slots, rows)``
+    of the exact pairs in candidate order, with their results counted in
+    ``stats``.
+    """
+    if kind == "intersects":
+        test = kernel.BoxOverlap(queries.mins, queries.maxs)
+    else:
+        origins = queries if kind == "point" else queries.centers()
+        rays = Rays.point_rays(np.ascontiguousarray(origins, dtype=mins.dtype))
+        test = kernel.RaySlab(rays.origins, rays.dirs, rays.tmins, rays.tmaxs)
+    live = [j for j, bvh in enumerate(bvhs) if bvh.n_prims]
+    cand = kernel.traverse(
+        [kernel.HeapTopology(bvhs[j]) for j in live],
+        test,
+        len(queries),
+        stats,
+        [offsets[j] for j in live],
+    )
+    slots = cand.instance_ids + cand.prims
+    rows = cand.rows
+    if kind == "point":
+        keep = pairwise_box_contains_point(mins[slots], maxs[slots], queries[rows])
+    elif kind == "contains":
+        keep = pairwise_box_contains_box(
+            mins[slots], maxs[slots], queries.mins[rows], queries.maxs[rows]
+        )
+    else:
+        keep = test.test(rows, [c[slots] for c in mins.T], [c[slots] for c in maxs.T], None)
+    rows = rows[keep]
+    stats.count_results(rows)
+    return slots[keep], rows
 
 
 class LBVHIndex(SpatialBaseline):
@@ -40,7 +88,7 @@ class LBVHIndex(SpatialBaseline):
     def __init__(
         self,
         data: Boxes,
-        leaf_size: int = 4,
+        leaf_size: int = LEAF_SIZE,
         platform: GPUPlatform | None = None,
     ):
         super().__init__(data)
@@ -54,37 +102,18 @@ class LBVHIndex(SpatialBaseline):
     def n_nodes(self) -> int:
         return self.bvh.n_nodes
 
-    def point_query(self, points: np.ndarray) -> BaselineResult:
-        pts = np.ascontiguousarray(points, dtype=self.data.dtype)
-        rays = Rays.point_rays(pts)
-        stats = TraversalStats(len(pts))
-        cand = self.bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
-        keep = pairwise_box_contains_point(
-            self.data.mins[cand.prims], self.data.maxs[cand.prims], pts[cand.rows]
+    def _query(self, kind: str, queries) -> BaselineResult:
+        stats = TraversalStats(len(queries))
+        r, q = lbvh_launch(
+            [self.bvh], [0], kind, queries, self.data.mins, self.data.maxs, stats
         )
-        r, q = cand.prims[keep], cand.rows[keep]
-        stats.count_results(q)
         return BaselineResult(r, q, self.platform.query_time(stats, self.n_nodes))
 
+    def point_query(self, points: np.ndarray) -> BaselineResult:
+        return self._query("point", np.ascontiguousarray(points, dtype=self.data.dtype))
+
     def contains_query(self, queries: Boxes) -> BaselineResult:
-        q = queries.astype(self.data.dtype)
-        centers = np.ascontiguousarray(q.centers(), dtype=self.data.dtype)
-        rays = Rays.point_rays(centers)
-        stats = TraversalStats(len(q))
-        cand = self.bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, stats)
-        keep = pairwise_box_contains_box(
-            self.data.mins[cand.prims],
-            self.data.maxs[cand.prims],
-            q.mins[cand.rows],
-            q.maxs[cand.rows],
-        )
-        r, qi = cand.prims[keep], cand.rows[keep]
-        stats.count_results(qi)
-        return BaselineResult(r, qi, self.platform.query_time(stats, self.n_nodes))
+        return self._query("contains", queries.astype(self.data.dtype))
 
     def intersects_query(self, queries: Boxes) -> BaselineResult:
-        q = queries.astype(self.data.dtype)
-        stats = TraversalStats(len(q))
-        rows, prims = self.bvh.traverse_boxes(q.mins, q.maxs, stats)
-        stats.count_results(rows)
-        return BaselineResult(prims, rows, self.platform.query_time(stats, self.n_nodes))
+        return self._query("intersects", queries.astype(self.data.dtype))

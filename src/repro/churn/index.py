@@ -326,8 +326,8 @@ class ChurnIndex(RTSIndex):
         Only the global view buffers change: exact predicates and
         ``live_ids`` stop reporting the slot immediately, while the main
         BVH keeps traversing the stale geometry until compaction. The
-        z-flattened shadow IAS mirrors GAS geometry, which is untouched,
-        so the cache stays valid. Priced at zero simulated seconds — the
+        z-flattened shadow IAS and the main GAS's planner LBVH mirror GAS
+        geometry, which is untouched, so both stay valid. Priced at zero simulated seconds — the
         deferred cost surfaces as traversal drift, which is the point.
         """
         self._deleted[slots] = True

@@ -222,9 +222,6 @@ class RTSIndex:
             )
         self.n_workers = int(n_workers) if n_workers is not None else default_workers()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: The planner's built LBVH, keyed by backend name and validated
-        #: against :attr:`epoch`.
-        self._baseline_cache: dict = {}
         #: Session-level metrics (counters, gauges, per-ray work
         #: histograms), accumulated across every query on this index.
         self.metrics = MetricsRegistry()
@@ -397,9 +394,10 @@ class RTSIndex:
         The fork clones the RNG state (deterministic k prediction
         continues exactly where the parent left off) and starts with no
         executor of its own; ``metrics`` and ``tracer`` are shared so
-        session-level observability spans epochs. The baseline-structure
-        cache is *not* shared: entries are epoch-validated, and a fresh
-        dict keeps twins from racing on one another's rebuilds.
+        session-level observability spans epochs. A shared GAS keeps its
+        planner LBVH (:attr:`GeometryAS.lbvh
+        <repro.rtcore.gas.GeometryAS.lbvh>`), so the twins share that
+        too; the copy-on-write copy of a GAS starts without one.
 
         Forking preserves the concrete class: a subclass fork is an
         instance of the subclass, and :meth:`_fork_extra` lets it copy
@@ -414,7 +412,6 @@ class RTSIndex:
             setattr(new, attr, getattr(self, attr))
         new.rng = copy.deepcopy(self.rng)
         new._executor = new._new_executor()
-        new._baseline_cache = {}
         new._gases = list(self._gases)
         new._ias = InstanceAS.from_gases(new._gases)
         new._prefix = self._prefix.copy()
@@ -443,7 +440,7 @@ class RTSIndex:
         no geometry). ``copy.deepcopy`` preserves BVH topology and
         ``refit_count`` exactly, so a mutation applied to a fork yields
         bit-identical traversal counters to the same mutation applied
-        in place."""
+        in place. The copy carries no planner LBVH."""
         touched = [int(b) for b in batches if int(b) in self._shared_gases]
         if not touched:
             return

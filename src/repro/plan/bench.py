@@ -35,7 +35,7 @@ from repro.obs.tracer import Tracer
 #: pipeline's fixed launch/build overheads matter most. Large cells: few
 #: big batches. Points and contains stay on the RT pipeline (ratio 1.0
 #: by construction — shard planning never moves simulated time); the
-#: intersects cells route to the LBVH, whose per-epoch build amortizes
+#: intersects cells route to the LBVH, whose one build amortizes
 #: over the batch sequence.
 CELLS = [
     dict(name="point-small", predicate="contains-point", n_rects=600,

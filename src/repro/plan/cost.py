@@ -4,8 +4,8 @@ This is the planner's valuation layer. For a batch it produces one
 :class:`BackendEstimate` per candidate backend from the closed-form
 analytic estimates of :mod:`repro.perfmodel.querycost` (traversal-shape
 priors over the calibration constants). The planner layers the LBVH's
-amortized build charge on top, charged only when the cached structure is
-stale for the index's current epoch.
+amortized build charge on top, charged only for the GASes whose LBVH is
+not built yet.
 
 Two backends are candidates for every predicate: the RT simulator (the
 index's native path) and the software-GPU LBVH baseline, which answers

@@ -15,8 +15,8 @@ result/counter invariant, and the planner never consumes the index's
 RNG — so a planned query returns bit-identical pairs to the equivalent
 fixed-config run, and decision quality only moves *simulated time* (and
 wall-clock). A decision is a pure function of the batch shape and the
-index's state (live count, epoch-keyed baseline cache, churn drift), so
-the planner holds no state and needs no lock.
+index's state (live count, which GASes already carry their LBVH, churn
+drift), so the planner holds no state and needs no lock.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from repro.plan.cost import LBVH, RT, BackendEstimate, analytic_estimates
 #: planner from flapping when two estimates are within noise.
 HYSTERESIS = 0.7
 
-#: Expected reuses of a freshly built LBVH at one epoch; its build cost
-#: is charged at 1/this per batch until actually built.
+#: Expected reuses of a freshly built GAS LBVH; its build cost is
+#: charged at 1/this per batch until actually built.
 BUILD_AMORTIZATION = 64
 
 
@@ -95,15 +95,16 @@ class QueryPlanner:
         drift = float(index.rt_traversal_factor())
         if drift > 1.0:
             # Structure-quality degradation (the churn index's observed
-            # traversal drift) taxes only the RT pipeline — the LBVH
-            # rebuilds per epoch, so the two-structure fan-out gets
-            # priced out exactly when its wasted traversal says so. Drift
-            # is measured in nodes per ray, so it scales the data-side
-            # traversal work, not launch floors or builds.
+            # traversal drift) taxes only the RT pipeline. The LBVH route
+            # walks the same delta fan-out and tombstones, but the drift
+            # EWMAs are fed by RT counters alone; until drift is measured
+            # from the structure itself, an LBVH tax would be a guess.
+            # Drift is measured in nodes per ray, so it scales the
+            # data-side traversal work, not launch floors or builds.
             rt = estimates[RT]
             rt.query_s += (drift - 1.0) * rt.detail["traversal_s"]
             rt.detail["traversal_factor"] = drift
-        estimates[LBVH].build_s = _build_charge(index, n_live)
+        estimates[LBVH].build_s = _build_charge(index)
 
         if forced is None and (
             estimates[LBVH].total_s < HYSTERESIS * estimates[RT].total_s
@@ -123,14 +124,16 @@ class QueryPlanner:
         return plan
 
 
-def _build_charge(index, n_live: int) -> float:
-    """Amortized LBVH build cost at the current epoch: zero when its
-    cached structure is fresh, else 1/amortization of the full build
-    (structures are reused across batches per epoch)."""
-    cached = index._baseline_cache.get(LBVH)
-    if cached is not None and cached.epoch == index.epoch:
-        return 0.0
-    return BuildModel.lbvh_build(n_live) / BUILD_AMORTIZATION
+def _build_charge(index) -> float:
+    """Amortized LBVH build cost: 1/amortization of the builds of the
+    non-empty GASes whose LBVH is not built yet (zero once every one
+    is; a built LBVH lives until its GAS's geometry changes)."""
+    unbuilt = sum(
+        BuildModel.lbvh_build(len(gas))
+        for gas in index._gases
+        if len(gas) and gas.lbvh is None
+    )
+    return unbuilt / BUILD_AMORTIZATION
 
 
 def _emit(index, plan: QueryPlan) -> None:

@@ -39,7 +39,6 @@ from repro.geometry.boxes import Boxes
 from repro.geometry.morton import morton_order
 from repro.rtcore import kernel
 from repro.rtcore.kernel import PairMajorNodes
-from repro.rtcore.stats import TraversalStats
 
 
 def _next_pow2(x: int) -> int:
@@ -156,38 +155,3 @@ class BVH(PairMajorNodes):
         and recompute boxes (restores BVH quality after heavy updates)."""
         self._sort()
         self.refit()
-
-    # -- traversal -----------------------------------------------------------
-
-    def traverse_boxes(
-        self,
-        q_mins: np.ndarray,
-        q_maxs: np.ndarray,
-        stats: TraversalStats,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Classic software box-overlap traversal (no rays).
-
-        Descends every node whose box overlaps the query box and returns
-        ``(query_rows, prim_ids)`` candidate pairs whose primitive AABBs
-        overlap. This is how a software BVH like the LBVH baseline answers
-        range queries — RT cores cannot run it, which is exactly the
-        translation challenge LibRTS solves with diagonal rays. Work is
-        counted in the same units as ray traversal (one node visit per
-        box-box test); the kernel's candidates are every primitive of a
-        hit leaf, so the same overlap test then runs on each candidate's
-        own box.
-        """
-        overlap = kernel.BoxOverlap(q_mins, q_maxs)
-        cand = kernel.traverse(
-            [kernel.HeapTopology(self)] if self.n_prims else [],
-            overlap,
-            q_mins.shape[0],
-            stats,
-        )
-        hit = overlap.test(
-            cand.rows,
-            [c[cand.prims] for c in self.boxes.mins.T],
-            [c[cand.prims] for c in self.boxes.maxs.T],
-            None,
-        )
-        return cand.rows[hit], cand.prims[hit]

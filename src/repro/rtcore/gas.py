@@ -39,6 +39,13 @@ class GeometryAS:
        counts matter (see docs/API.md, "Builder presets").
     """
 
+    #: The planner's LBVH over :attr:`boxes`, or ``None`` until a planned
+    #: batch needs it (:func:`repro.plan.backends.gas_lbvh`). It is
+    #: published whole by one assignment, so concurrent readers of a
+    #: shared GAS see either no tree or a finished one. Every geometry
+    #: change drops it, and copies never carry it (:meth:`__getstate__`).
+    lbvh = None
+
     def __init__(self, boxes: Boxes, leaf_size: int = 1, builder: str = "fast_build"):
         self.boxes = boxes
         self.builder = builder
@@ -66,6 +73,13 @@ class GeometryAS:
     def __len__(self) -> int:
         return len(self.boxes)
 
+    def __getstate__(self) -> dict:
+        """Copies leave the LBVH behind: a copy-on-write copy is made to
+        be refit."""
+        state = dict(self.__dict__)
+        state.pop("lbvh", None)
+        return state
+
     @property
     def ndim(self) -> int:
         return self.boxes.ndim
@@ -75,6 +89,7 @@ class GeometryAS:
         self.boxes.overwrite(ids, new)
         self.bvh.refit()
         self.refit_count += 1
+        self.lbvh = None
 
     def degenerate_primitives(self, ids: np.ndarray) -> None:
         """Collapse primitives to unhittable extents and refit (§4.2
@@ -82,11 +97,13 @@ class GeometryAS:
         self.boxes.degenerate(ids)
         self.bvh.refit()
         self.refit_count += 1
+        self.lbvh = None
 
     def rebuild(self) -> None:
         """Full rebuild at current coordinates (restores quality)."""
         self.bvh.rebuild()
         self.refit_count = 0
+        self.lbvh = None
 
     def traverse(
         self,

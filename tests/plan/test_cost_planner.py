@@ -81,10 +81,10 @@ class TestPlannerPolicy:
             r = ix.query(Predicate.RANGE_INTERSECTS, payload, planner="auto")
             assert r.meta["plan"]["backend"] == "rt"
 
-    def test_build_charged_once_per_epoch(self, rng):
-        """The first plan at an epoch charges the amortized LBVH build;
-        after the structure is built, re-planning the same workload
-        charges zero."""
+    def test_build_charged_until_built(self, rng):
+        """The first plan charges the amortized LBVH build; after the
+        GAS's LBVH is built, re-planning the same workload charges
+        zero."""
         data = random_boxes(rng, 600)
         payload = random_boxes(rng, 8, max_extent=2.0)
         with RTSIndex(data, dtype=np.float64, seed=1) as ix:

@@ -17,6 +17,7 @@ import pytest
 from repro.churn import ChurnIndex
 from repro.core.index import Predicate, RTSIndex
 from repro.parallel.executor import plan_shards
+from repro.perfmodel.build import BuildModel
 
 from tests.conftest import assert_pairs_equal, random_boxes, random_points
 
@@ -178,9 +179,10 @@ class TestPlannedEqualsFixed:
 
         assert run() == run()
 
-    def test_mutation_invalidates_baseline_cache(self, rng):
+    def test_insert_builds_only_the_new_batch_lbvh(self, rng):
         """After an insert, a planned LBVH answer reflects the new
-        rectangles (the epoch-keyed structure cache rebuilt)."""
+        rectangles: the new batch's GAS builds its LBVH, and the first
+        batch's LBVH is reused."""
         data = random_boxes(rng, 600)
         extra = random_boxes(rng, 50)
         payload = random_boxes(rng, 8, max_extent=2.0)
@@ -191,6 +193,7 @@ class TestPlannedEqualsFixed:
             after = planned.query(Predicate.RANGE_INTERSECTS, payload, planner="auto")
             assert after.meta["plan"]["backend"] == "lbvh"
             assert after.meta["backend_built_now"] is True
+            assert after.meta["backend_build_s"] == BuildModel.lbvh_build(len(extra))
         with RTSIndex(data, dtype=np.float64, seed=3) as fixed:
             fixed.insert(extra)
             want = fixed.query(Predicate.RANGE_INTERSECTS, payload, planner="off")

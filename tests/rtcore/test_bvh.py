@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.lbvh import lbvh_launch
 from repro.geometry.boxes import Boxes
 from repro.geometry.ray import Rays
 from repro.geometry.segment import diagonal, join_segment_intersects_box
@@ -95,7 +96,8 @@ class TestPairMajorStorage:
         assert float_bytes() == bvh.node_bytes == want
         rays = Rays.segment_rays(random_points(rng, 50, d=d), random_points(rng, 50, d=d))
         bvh.traverse(rays.origins, rays.dirs, rays.tmins, rays.tmaxs, TraversalStats(50))
-        bvh.traverse_boxes(boxes.mins[:20], boxes.maxs[:20], TraversalStats(20))
+        lbvh_launch([bvh], [0], "intersects", boxes[:20], boxes.mins, boxes.maxs,
+                    TraversalStats(20))
         assert float_bytes() == want
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 100])
@@ -149,11 +151,12 @@ class TestTraversalOracle:
         assert canonical(rows, prims) == canonical(si, bi)
 
     @pytest.mark.parametrize("leaf_size", [1, 4])
-    def test_traverse_boxes_matches_oracle(self, rng, leaf_size):
-        """Box traversal returns exactly the closed-overlap pairs: the
-        kernel's leaf candidates are filtered on their own boxes, so
-        the other primitives of a hit leaf, deleted primitives and
-        primitives inverted on one axis never come back."""
+    def test_box_overlap_launch_matches_oracle(self, rng, leaf_size):
+        """The LBVH's box-overlap launch returns exactly the
+        closed-overlap pairs: the kernel's leaf candidates are filtered
+        on their own boxes, so the other primitives of a hit leaf,
+        deleted primitives and primitives inverted on one axis never
+        come back."""
         boxes = random_boxes(rng, 400)
         queries = random_boxes(rng, 200, max_extent=10.0)
         # Queries touching a primitive exactly on a face or a corner.
@@ -167,7 +170,9 @@ class TestTraversalOracle:
         )
         bvh.refit()
         stats = TraversalStats(len(queries))
-        rows, prims = bvh.traverse_boxes(queries.mins, queries.maxs, stats)
+        prims, rows = lbvh_launch(
+            [bvh], [0], "intersects", queries, boxes.mins, boxes.maxs, stats
+        )
         b_lo, b_hi = boxes.mins[None], boxes.maxs[None]
         q_lo, q_hi = queries.mins[:, None], queries.maxs[:, None]
         overlap = ((b_lo <= q_hi) & (b_hi >= q_lo) & (b_lo <= b_hi)).all(axis=-1)

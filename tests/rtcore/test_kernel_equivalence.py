@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.lbvh import lbvh_launch
 from repro.geometry.boxes import Boxes
 from repro.geometry.ray import Rays, ray_aabb_interval
 from repro.rtcore import kernel
@@ -155,6 +156,12 @@ def _ref_sah_traverse(bvh, origins, dirs, tmins, tmaxs, stats, stat_ids=None):
         kids[1::2] = bvh.right[nodes[inner]]
         nodes = kids
     return _ref_concat(out)
+
+
+def _box_launch(bvh, q, stats):
+    """The LBVH's box-overlap launch over one tree: ``(rows, prims)``."""
+    prims, rows = lbvh_launch([bvh], [0], "intersects", q, bvh.boxes.mins, bvh.boxes.maxs, stats)
+    return rows, prims
 
 
 def _ref_traverse_boxes(bvh, q_mins, q_maxs, stats, stat_ids=None):
@@ -464,7 +471,7 @@ class TestBoxTraversal:
         pick = rng.choice(np.nonzero(~boxes.is_degenerate())[0], size=10)
         q.mins[:10, 0] = boxes.maxs[pick, 0]
         stats, ref_stats = TraversalStats(len(q)), TraversalStats(len(q))
-        rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats)
+        rows, prims = _box_launch(bvh, q, stats)
         r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats)
         assert len(rows) > 0
         assert np.array_equal(rows, r_rows) and np.array_equal(prims, r_prims)
@@ -475,7 +482,7 @@ class TestBoxTraversal:
     def test_empty(self, rng):
         bvh = BVH(_boxes(rng, 10, 2, np.float64, 0))
         e = np.empty((0, 2))
-        rows, prims = bvh.traverse_boxes(e, e, TraversalStats(0))
+        rows, prims = _box_launch(bvh, Boxes(e, e), TraversalStats(0))
         assert len(rows) == len(prims) == 0 and rows.dtype == np.int64
 
     @pytest.mark.parametrize("leaf_size", [1, 4])
@@ -485,7 +492,7 @@ class TestBoxTraversal:
         assert not bvh.node_live.any()
         q = _boxes(rng, 40, 2, np.float32, n_deleted=0)
         stats, ref_stats = TraversalStats(len(q)), TraversalStats(len(q))
-        rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats)
+        rows, prims = _box_launch(bvh, q, stats)
         r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats)
         assert len(rows) == len(r_rows) == 0 and len(prims) == len(r_prims) == 0
         assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
@@ -497,7 +504,7 @@ class TestBoxTraversal:
         bvh = BVH(boxes, leaf_size=leaf_size)
         q = Boxes([[0.5, 0.5], [2.0, 2.0], [9.0, 9.0]], [[3.5, 3.5], [2.5, 2.5], [9.5, 9.5]])
         stats, ref_stats = TraversalStats(len(q)), TraversalStats(len(q))
-        rows, prims = bvh.traverse_boxes(q.mins, q.maxs, stats)
+        rows, prims = _box_launch(bvh, q, stats)
         r_rows, r_prims = _ref_traverse_boxes(bvh, q.mins, q.maxs, ref_stats)
         assert len(rows) == len(r_rows) == 0
         assert np.array_equal(stats.nodes_visited, ref_stats.nodes_visited)
