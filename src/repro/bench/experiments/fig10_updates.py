@@ -144,8 +144,8 @@ def fig10c(config: BenchConfig) -> FigureResult:
         t_intersects = idx.query_intersects(qi).sim_time
         # The same trace absorbed by the LSM-style delta index: the main
         # GAS is never refit (old slots tombstone, new ones land in the
-        # delta), so its slowdown is the read tax the drift trigger in
-        # repro.churn prices against a compaction.
+        # delta), so its slowdown is the read tax a compaction in
+        # repro.churn pays off.
         # owner: serial bench index, no pool refs; dropped per iteration
         cix = ChurnIndex(data, dtype=np.float32)
         cix.update(np.asarray(ids), moved)
@@ -170,7 +170,6 @@ def fig10c(config: BenchConfig) -> FigureResult:
     result.notes.append(
         "churn_point: same update trace absorbed by repro.churn.ChurnIndex "
         "(tombstones + delta GAS, main never refit); churn_point_compacted: "
-        "after folding the delta back in — the recovery a drift-triggered "
-        "compaction buys"
+        "after folding the delta back in — the recovery a compaction buys"
     )
     return result

@@ -13,10 +13,10 @@ the way LSM trees do for ordered storage:
   and a stable public-id remap at emission, so responses are
   bit-identical to a monolithic index over the same live set;
 - a **compactor** folds the delta back into one fresh main build when a
-  trigger fires: delta-size ratio, cumulative delta-refit wear, or
-  observed traversal drift (``nodes_visited``/ray vs the clean baseline
-  from the :mod:`repro.obs` counters) priced against the rebuild cost by
-  :mod:`repro.perfmodel.compaction`.
+  structural trigger fires: churn debt (live delta slots plus
+  tombstones) over the delta-size ratio, or cumulative delta-refit
+  wear. Both read the structure alone, so the compaction schedule is a
+  function of the mutation sequence, whatever reads ran in between.
 
 :class:`BackgroundCompactor` runs that trigger loop against a
 :class:`~repro.serve.SpatialQueryService` (enabled with
@@ -27,6 +27,6 @@ See docs/DESIGN.md §13 and docs/API.md ("Churn") for the full contract.
 """
 
 from repro.churn.compactor import BackgroundCompactor
-from repro.churn.index import ChurnConfig, ChurnIndex, ChurnState
+from repro.churn.index import ChurnConfig, ChurnIndex
 
-__all__ = ["ChurnIndex", "ChurnConfig", "ChurnState", "BackgroundCompactor"]
+__all__ = ["ChurnIndex", "ChurnConfig", "BackgroundCompactor"]

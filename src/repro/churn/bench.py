@@ -1,51 +1,28 @@
-"""Churn benchmark: write absorption and read latency under sustained
-mutation, with drift-triggered compaction.
+"""Churn benchmark: write absorption and read cost under sustained
+mutation, with structure-triggered compaction.
 
-Two workloads, which :mod:`repro.bench.gate` runs as the ``churn``
-section of ``BENCH_gate.json``:
-
-- **staged** — a deterministic, simulated-time churn loop. One
-  :class:`~repro.churn.ChurnIndex` absorbs a scripted tombstone-heavy
-  mutation trace (the safety caps — delta ratio, refit wear — are set
-  unreachable, so the ONLY way a compaction can fire is the priced
-  counter-drift trigger evaluated by :meth:`maybe_compact` after each
-  read wave). A plain :class:`~repro.core.index.RTSIndex` mirror replays
-  the identical trace through the refit path, pricing the write side of
-  the LSM trade: the mirror pays a GAS refit per touched batch, the
-  churn index tombstones main-resident deletes for free. Every number is
-  simulated and seeded, so the gate commits this section and checks it
-  bit-for-bit (same compaction rounds, same trigger evidence, same
-  times).
-
-- **concurrent** — the same drift-only policy behind a real
-  :class:`~repro.serve.SpatialQueryService` with the
-  :class:`~repro.churn.BackgroundCompactor` polling. Reader waves drive
-  the drift EWMAs (reads ARE the sensor) until the compactor fires and
-  publishes a compacted epoch while reads keep flowing. Its timing
-  depends on the machine, so it is never committed; the gate checks its
-  invariants only.
+:func:`run_staged` is the ``churn`` section of ``BENCH_gate.json``
+(:mod:`repro.bench.gate`): a deterministic, simulated-time churn loop.
+One :class:`~repro.churn.ChurnIndex` on the default
+:class:`~repro.churn.ChurnConfig` absorbs a scripted tombstone-heavy
+mutation trace, and :meth:`~repro.churn.ChurnIndex.maybe_compact` runs
+after each round, so compactions fire where the delta-ratio or
+refit-wear trigger says. A plain :class:`~repro.core.index.RTSIndex`
+mirror replays the identical trace through the refit path, pricing the
+write side of the LSM trade: the mirror pays a GAS refit per touched
+batch, the churn index tombstones main-resident deletes for free. Every
+number is simulated and seeded, so the gate commits this section and
+checks it bit-for-bit (same compaction rounds, same trigger evidence,
+same times).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.churn import ChurnConfig, ChurnIndex
+from repro.churn import ChurnIndex
 from repro.core.index import RTSIndex
 from repro.geometry.boxes import Boxes
-
-#: The drift-only trigger policy both workloads run: safety caps out of
-#: reach, so every compaction these workloads see is a priced counter-drift
-#: decision — the property the gate exists to protect.
-DRIFT_ONLY = dict(
-    delta_ratio_max=1e9,
-    refit_wear_max=10**9,
-    drift_threshold=1.10,
-    min_observations=3,
-    horizon=500_000,
-)
 
 
 def _boxes(rng: np.random.Generator, n: int, domain: float = 100.0) -> Boxes:
@@ -65,23 +42,18 @@ def run_staged(
     """The deterministic churn loop (see module docstring).
 
     Each round: delete a contiguous slice of the original main structure
-    (tombstones — the drift source), insert a small batch (delta
-    fan-out), run one point-query wave over a fixed payload (feeding the
-    drift EWMAs), then ``maybe_compact()``. The identical trace replays
-    against a plain refit-path mirror for the write-cost comparison;
-    pair counts are asserted equal on every wave while running.
+    (tombstones), insert a small batch (delta fan-out), run one
+    point-query wave over a fixed payload, then ``maybe_compact()``. The
+    identical trace replays against a plain refit-path mirror for the
+    write-cost comparison; pair counts are asserted equal on every wave
+    while running.
     """
     rng = np.random.default_rng(seed)
     data = _boxes(rng, n_rects)
     pts = (rng.random((queries_per_wave, 2)) * 104.0).astype(np.float32)
-    churn = ChurnConfig(**DRIFT_ONLY)
     # owner: serial bench indexes, no pool refs; dropped with the frame
-    ix = ChurnIndex(data, dtype=np.float32, seed=seed, churn=churn)
+    ix = ChurnIndex(data, dtype=np.float32, seed=seed)
     mirror = RTSIndex(data, dtype=np.float32, seed=seed)  # owner: ditto
-
-    # Clean-baseline wave: the drift EWMAs compare every later (dirty)
-    # observation against the traversal quality recorded here.
-    ix.query_points(pts)
 
     rounds = []
     compactions = []
@@ -117,7 +89,6 @@ def run_staged(
                 "round": r,
                 "live": ix.n_rects,
                 "delta_fraction": ix.delta_fraction(),
-                "drift_factor": ix.rt_traversal_factor(),
                 "churn_write_s": churn_write_s,
                 "mirror_write_s": mirror_write_s,
                 "churn_delete_s": churn_delete_s,
@@ -140,7 +111,6 @@ def run_staged(
         "insert_per_round": insert_per_round,
         "queries_per_wave": queries_per_wave,
         "seed": seed,
-        "policy": DRIFT_ONLY,
         "rounds": rounds,
         "compactions": compactions,
         "write_sim_s_churn": churn_total,
@@ -154,59 +124,3 @@ def run_staged(
         "read_per_query_us_peak": drifted_peak,
         "read_per_query_us_post_compaction": min(post) if post else None,
     }
-
-
-def run_concurrent(
-    *,
-    n_rects: int = 4_000,
-    queries_per_wave: int = 200,
-    delete_fraction: float = 0.7,
-    deadline_s: float = 60.0,
-    seed: int = 12,
-) -> dict:
-    """Drift-triggered compaction behind the real serving stack.
-
-    A clean read wave seeds the baseline EWMAs; a tombstone-heavy delete
-    then degrades traversal quality; reader waves keep flowing until the
-    background compactor prices the observed drift above a rebuild and
-    publishes a compacted epoch. Reported: the structural facts the
-    gate checks (how many compactions, the trigger evidence, reads
-    before publication, answers across it).
-    """
-    from repro.serve import ServiceConfig, SpatialQueryService
-
-    rng = np.random.default_rng(seed)
-    # owner: the service below; close() releases every published snapshot
-    seed_index = RTSIndex(_boxes(rng, n_rects), dtype=np.float32, seed=seed)
-    pts = (rng.random((queries_per_wave, 2)) * 104.0).astype(np.float32)
-    churn = ChurnConfig(**DRIFT_ONLY, poll_interval=0.001)
-    config = ServiceConfig(churn=churn, cache_size=0)
-
-    with SpatialQueryService(seed_index, config) as svc:
-        svc.query_points(pts)  # clean baseline observation
-        svc.delete(np.arange(int(n_rects * delete_fraction)))
-        reads_before = 1
-        deadline = time.monotonic() + deadline_s
-        last_pre = None
-        while svc.compactor.n_compactions == 0 and time.monotonic() < deadline:
-            last_pre = svc.query_points(pts)
-            reads_before += 1
-        fired = svc.compactor.n_compactions
-        summary = svc.compactor.last_summary
-        after = svc.query_points(pts)
-        stable = (
-            last_pre is not None and last_pre.pair_set() == after.pair_set()
-        )
-        return {
-            "n_rects": n_rects,
-            "delete_fraction": delete_fraction,
-            "queries_per_wave": queries_per_wave,
-            "seed": seed,
-            "compactions": fired,
-            "trigger": (summary or {}).get("trigger"),
-            "compacted_epoch": (summary or {}).get("epoch"),
-            "reads_before_compaction": reads_before,
-            "read_epoch_after": after.meta["epoch"],
-            "answers_stable_across_compaction": bool(stable),
-        }
-

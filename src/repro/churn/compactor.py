@@ -2,8 +2,8 @@
 
 :class:`BackgroundCompactor` owns one daemon thread that periodically
 evaluates :meth:`~repro.churn.ChurnIndex.compaction_due` on the
-service's *published snapshot* (a read-only decision — no locks beyond
-the drift-state EWMA lock) and, when a trigger fires, routes the
+service's *published snapshot* (a read-only decision over its
+structure, taking no lock) and, when a trigger fires, routes the
 compaction through :meth:`~repro.serve.SpatialQueryService.compact`.
 That path is the ordinary single-writer mutation path: the compaction
 runs on a copy-on-write fork and publishes atomically as a new epoch,
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @tsan.instrument("_stopping", "_thread", "_n_compactions", "_last_summary")
 class BackgroundCompactor:
-    """Drift-watching compaction thread over a ``SpatialQueryService``.
+    """Trigger-polling compaction thread over a ``SpatialQueryService``.
 
     ``service`` only needs ``snapshot()`` and ``compact(reason=...)``,
     so tests can drive a stub. Constructed (and owned) by the service

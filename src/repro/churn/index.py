@@ -11,8 +11,8 @@ is *delta*. The three write paths then become:
   view buffers are degenerated (so exact IS-shader predicates and
   ``live_ids`` drop the slot immediately) but the main GAS keeps its
   stale geometry and is **never refit**. Rays keep traversing the stale
-  AABB until compaction; that wasted traversal is precisely the drift
-  the compactor watches. Delta-resident deletes use the native
+  AABB until compaction, which the delta-ratio trigger bounds by
+  counting tombstones as churn debt. Delta-resident deletes use the native
   degenerate-and-refit path — delta GASes are small, so refits there
   are cheap and their wear is bounded by the refit-wear trigger.
 - **update** — delta-resident slots refit natively; main-resident (and
@@ -33,22 +33,21 @@ epoch, pairs, k-resolution and ``results_emitted`` (plus the whole
 backward pass of Range-Intersects) are bit-identical to the compacted
 reference. Forward-side ``nodes_visited``/``is_invocations`` agree at
 every *compacted* epoch and drift upward between compactions — by
-design: that divergence is the signal, not an error.
+design: that surplus is the deferred cost compaction pays off.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import tsan
 from repro.core.index import OpRecord, RTSIndex, _coerce_boxes
 from repro.geometry.boxes import Boxes
-from repro.lockorder import make_lock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.perfmodel.compaction import compaction_build_cost, priced_drift_decision
+from repro.perfmodel.compaction import compaction_build_cost
 from repro.rtcore.gas import GeometryAS
 from repro.rtcore.ias import InstanceAS
 
@@ -57,8 +56,8 @@ from repro.rtcore.ias import InstanceAS
 class ChurnConfig:
     """Compaction-trigger policy for a :class:`ChurnIndex`.
 
-    The first two triggers are unconditional safety caps; the third is
-    the priced decision (:mod:`repro.perfmodel.compaction`).
+    Both triggers read the structure only, so when a compaction fires
+    depends on the mutation sequence, never on which reads ran.
     """
 
     #: Fire when churn debt — live delta slots plus main tombstones —
@@ -67,17 +66,6 @@ class ChurnConfig:
     #: Fire when cumulative delta-GAS refits since the last compaction
     #: exceed this count (the §4.2 refit-quality wear cap).
     refit_wear_max: int = 64
-    #: Minimum observed traversal drift (live nodes/ray over the clean
-    #: baseline) before the priced drift decision is even evaluated.
-    drift_threshold: float = 1.15
-    #: Future queries the compaction build cost is amortized over in the
-    #: priced drift decision.
-    horizon: int = 512
-    #: Drifted-state query observations required before the drift
-    #: trigger may fire (EWMAs need samples to mean anything).
-    min_observations: int = 8
-    #: EWMA smoothing factor for the drift/cost observations.
-    alpha: float = 0.3
     #: Background compactor poll interval in seconds.
     poll_interval: float = 0.002
 
@@ -86,98 +74,10 @@ class ChurnConfig:
             raise ValueError("delta_ratio_max must be positive")
         if self.refit_wear_max < 1:
             raise ValueError("refit_wear_max must be >= 1")
-        if self.drift_threshold < 1.0:
-            raise ValueError("drift_threshold must be >= 1.0")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.poll_interval <= 0.0:
-            raise ValueError("poll_interval must be positive")
-
-
-@tsan.instrument("query_s", "n_clean", "n_live",
-                 containers=("clean_npr", "live_npr"))
-class ChurnState:
-    """Drift EWMAs shared across an index and all its forks.
-
-    ``repro.serve`` mutates by forking the current snapshot, so any
-    state that must accumulate *across* epochs has to be shared by
-    reference, exactly like the metrics registry. Guarded by the
-    ``churn.state`` lock (rank 38 — see :mod:`repro.lockorder`): the
-    compactor reads it while holding its own lock, the planner reads it
-    to price a batch, and queries write it at result-record time.
-
-    Two traversal-quality EWMAs are kept per predicate: ``clean`` is
-    updated only while the structure is clean (single main GAS, no
-    tombstones, no delta-refit wear — i.e. at seed and right after a
-    compaction) and serves as the baseline; ``live`` always tracks the
-    current level. Their ratio is the drift factor. The quality metric
-    is nodes visited per ray *normalized by the ideal log2 depth of the
-    live set* (:meth:`ChurnIndex._traversal_quality`): delta fan-out
-    raises raw nodes/ray directly, while tombstones leave raw traversal
-    flat but shrink the live set a clean structure would be built over —
-    normalizing by the ideal depth registers both as drift. A per-query
-    cast-time EWMA feeds the priced compaction decision
-    (:meth:`ChurnIndex.compaction_due`); the planner reads only the
-    drift factor.
-    """
-
-    def __init__(self, alpha: float = 0.3):
-        self.alpha = float(alpha)
-        self.lock = make_lock("churn.state")
-        self.clean_npr: dict[str, float] = {}
-        self.live_npr: dict[str, float] = {}
-        self.query_s: float | None = None
-        self.n_clean = 0
-        self.n_live = 0
-
-    def _ewma(self, prev: float | None, x: float) -> float:
-        return x if prev is None else (1.0 - self.alpha) * prev + self.alpha * x
-
-    def observe(self, pred: str, nodes_per_ray: float, per_query_s: float, clean: bool) -> None:
-        """Fold one query's traversal level into the EWMAs."""
-        with self.lock:
-            if clean:
-                self.clean_npr[pred] = self._ewma(self.clean_npr.get(pred), nodes_per_ray)
-                # A clean observation *is* the current live level.
-                self.live_npr[pred] = self.clean_npr[pred]
-                self.n_clean += 1
-            else:
-                self.live_npr[pred] = self._ewma(self.live_npr.get(pred), nodes_per_ray)
-                self.n_live += 1
-            self.query_s = self._ewma(self.query_s, per_query_s)
-
-    def drift_factor(self) -> float:
-        """Worst per-predicate live/clean nodes-per-ray ratio, >= 1."""
-        with self.lock:
-            worst = 1.0
-            for pred, live in self.live_npr.items():
-                clean = self.clean_npr.get(pred)
-                if clean is not None and clean > 0.0:
-                    worst = max(worst, live / clean)
-            return worst
-
-    def snapshot(self) -> dict:
-        with self.lock:
-            return {
-                "clean_npr": dict(self.clean_npr),
-                "live_npr": dict(self.live_npr),
-                "query_s": self.query_s,
-                "n_clean": self.n_clean,
-                "n_live": self.n_live,
-            }
-
-    def reset(self) -> None:
-        """Re-anchor after a compaction: the structure is clean again, so
-        the live level snaps back to the baseline (which is kept — new
-        clean observations keep refining it) and the drifted-observation
-        count restarts."""
-        with self.lock:
-            self.live_npr = dict(self.clean_npr)
-            self.n_live = 0
+        # nan would make the compactor's wait return at once (a busy
+        # poll); inf overflows the wait and kills the compactor thread.
+        if not (math.isfinite(self.poll_interval) and self.poll_interval > 0.0):
+            raise ValueError("poll_interval must be positive and finite")
 
 
 class ChurnIndex(RTSIndex):
@@ -199,7 +99,6 @@ class ChurnIndex(RTSIndex):
         self._main_batches = 0
         self._delta_refits = 0
         self._n_tombstones = 0
-        self._state = ChurnState(alpha=self.churn.alpha)
         super().__init__(None, **kwargs)
         if data is not None:
             self.insert(data)
@@ -230,7 +129,6 @@ class ChurnIndex(RTSIndex):
         self._main_batches = self.n_batches
         self._delta_refits = 0
         self._n_tombstones = 0
-        self._state = ChurnState(alpha=self.churn.alpha)
         return self
 
     # -- structure split ---------------------------------------------------------
@@ -253,8 +151,7 @@ class ChurnIndex(RTSIndex):
     @property
     def is_clean(self) -> bool:
         """True when the structure equals its own compacted form: no
-        delta batches, no tombstones, no delta-refit wear. Gates the
-        clean-baseline EWMA in :class:`ChurnState`."""
+        delta batches, no tombstones, no delta-refit wear."""
         return (
             self.n_batches == self._main_batches
             and self._n_tombstones == 0
@@ -270,10 +167,6 @@ class ChurnIndex(RTSIndex):
         delta_live = int((~self._deleted[self._main_cut:]).sum())
         return (delta_live + self._n_tombstones) / n_live
 
-    def rt_traversal_factor(self) -> float:
-        """Observed drift multiplier for the planner's RT estimate."""
-        return self._state.drift_factor()
-
     def _gauges(self) -> None:
         m = self.metrics
         m.set_gauge("churn.delta_fraction", self.delta_fraction())
@@ -283,13 +176,18 @@ class ChurnIndex(RTSIndex):
 
     def describe(self) -> dict:
         out = super().describe()
+        # A structural drift estimate, not a measurement: a ray descends
+        # every GAS root, so the GASes' summed ideal depths (tombstoned
+        # slots still counted) over the ideal depth of one tree on the
+        # live set. >= 1, and exactly 1.0 once compacted.
+        depth = sum(math.log2(max(len(gas), 2)) for gas in self._gases)
         out["churn"] = {
             "main_batches": self._main_batches,
             "delta_batches": self.n_delta_batches,
             "tombstones": self._n_tombstones,
             "delta_refits": self._delta_refits,
             "delta_fraction": self.delta_fraction(),
-            "drift_factor": self._state.drift_factor(),
+            "drift_factor": max(depth, 1.0) / math.log2(max(self.n_rects, 2)),
             "clean": self.is_clean,
         }
         return out
@@ -470,7 +368,6 @@ class ChurnIndex(RTSIndex):
             self.epoch += 1
             sim = compaction_build_cost(len(live))
             self.op_log.append(OpRecord("compact", len(live), sim))
-            self._state.reset()
             self.metrics.inc("churn.compactions")
             self.metrics.inc(f"churn.compactions.{reason}")
             self.metrics.inc("churn.compact_sim_time", sim)
@@ -495,43 +392,31 @@ class ChurnIndex(RTSIndex):
 
         Forks (cloning the RNG mid-stream, so k prediction continues
         identically) and compacts the fork. Observability is detached —
-        fresh metrics, null tracer, private drift state — so building the
-        reference never perturbs the index under test.
+        fresh metrics, null tracer — so building the reference never
+        perturbs the index under test.
         """
         twin = self.fork()
         twin.metrics = MetricsRegistry()
         twin.tracer = NULL_TRACER
-        twin._state = ChurnState(alpha=self.churn.alpha)
         twin.compact(reason="reference")
         return twin
 
     # -- triggers ----------------------------------------------------------------
 
     def compaction_due(self) -> dict | None:
-        """Evaluate the three compaction triggers, read-only.
+        """Evaluate the two compaction triggers, read-only.
 
-        Returns ``None`` or a dict with ``reason`` (``"delta-ratio"``,
-        ``"refit-wear"`` or ``"counter-drift"``) plus the trigger's
-        evidence. The drift trigger additionally requires the priced
-        decision to fire (integrated excess > rebuild cost)."""
+        Returns ``None`` or a dict with ``reason`` (``"delta-ratio"`` or
+        ``"refit-wear"``) plus the trigger's evidence. Both read the
+        structure alone, so the answer is a function of the mutation
+        sequence since the last compaction."""
         cfg = self.churn
         fraction = self.delta_fraction()
         if fraction > cfg.delta_ratio_max:
             return {"reason": "delta-ratio", "delta_fraction": fraction}
         if self._delta_refits > cfg.refit_wear_max:
             return {"reason": "refit-wear", "delta_refits": self._delta_refits}
-        state = self._state.snapshot()
-        if state["n_live"] < cfg.min_observations or state["query_s"] is None:
-            return None
-        drift = self._state.drift_factor()
-        if drift < cfg.drift_threshold:
-            return None
-        decision = priced_drift_decision(
-            self.n_rects, drift, state["query_s"], cfg.horizon
-        )
-        if not decision.fire:
-            return None
-        return {"reason": "counter-drift", **decision.to_meta()}
+        return None
 
     def maybe_compact(self) -> dict | None:
         """Compact iff a trigger is due (the synchronous form of the
@@ -543,50 +428,15 @@ class ChurnIndex(RTSIndex):
         summary["trigger"] = due
         return summary
 
-    # -- observation hook --------------------------------------------------------
-
-    def _traversal_quality(self, nodes_per_ray: float) -> float:
-        """Nodes/ray over the ideal log2 depth of the live set — the
-        structure-quality number the drift EWMAs track. Delta batches
-        raise nodes/ray directly (every ray visits every GAS root);
-        tombstones leave raw traversal flat while the live set shrinks,
-        so dividing by the ideal depth of *today's* live set makes both
-        read as quality loss against a freshly compacted structure."""
-        return nodes_per_ray / float(np.log2(max(self.n_rects, 2)))
-
-    def _record_metrics(self, predicate, result) -> None:
-        """Feed the drift EWMAs from the counters every query already
-        produces. Forward/R-side traversal is what compaction resets, so
-        only that pass's nodes/ray and cast time are observed; planner
-        baseline answers carry no traversal counters and are skipped."""
-        super()._record_metrics(predicate, result)
-        stats = result.meta.get("stats_obj")
-        cast_s = result.phases.get("cast", 0.0)
-        if stats is None:
-            stats = result.meta.get("forward_stats_obj")
-            cast_s = result.phases.get("forward_cast", 0.0)
-        if stats is None or stats.n_rays == 0:
-            return
-        nodes_per_ray = float(stats.nodes_visited.sum()) / float(stats.n_rays)
-        per_query_s = float(cast_s) / float(stats.n_rays)
-        self._state.observe(
-            predicate.value,
-            self._traversal_quality(nodes_per_ray),
-            per_query_s,
-            clean=self.is_clean,
-        )
-
     # -- fork --------------------------------------------------------------------
 
     def _fork_extra(self, new: "RTSIndex") -> None:
         """Carry churn state across the copy-on-write fork: id maps are
-        copied (each epoch owns its slot layout), while the config and
-        the drift EWMAs are shared by reference like the metrics
-        registry — drift accumulates across published epochs."""
+        copied (each epoch owns its slot layout), the config is shared
+        by reference."""
         new.churn = self.churn
         new._canon_id = self._canon_id.copy()
         new._pub_slot = self._pub_slot.copy()
         new._main_batches = self._main_batches
         new._delta_refits = self._delta_refits
         new._n_tombstones = self._n_tombstones
-        new._state = self._state

@@ -295,15 +295,6 @@ class RTSIndex:
     def last_op(self) -> OpRecord | None:
         return self.op_log[-1] if self.op_log else None
 
-    def rt_traversal_factor(self) -> float:
-        """Multiplier the planner applies to the RT pipeline's analytic
-        query estimate for structure-quality degradation. The plain
-        index always answers at its built quality (refits are priced per
-        mutation, not per query), so the factor is 1; a
-        :class:`~repro.churn.ChurnIndex` returns its observed traversal
-        drift (live nodes/ray over the clean baseline, >= 1)."""
-        return 1.0
-
     def memory_usage(self) -> dict[str, int]:
         """Approximate bytes held by the index, by component (primitive
         buffers, BVH node arrays, bookkeeping, and — in 3-D, once a
@@ -402,7 +393,7 @@ class RTSIndex:
         Forking preserves the concrete class: a subclass fork is an
         instance of the subclass, and :meth:`_fork_extra` lets it copy
         its own bookkeeping (``repro.churn.ChurnIndex`` carries its
-        public-id map and shared drift state across epochs this way).
+        public-id map and trigger counters across epochs this way).
         """
         new = object.__new__(type(self))
         for attr in (

@@ -21,17 +21,13 @@ reverse)::
     10  serve.service     admission queue + scheduler condition
     20  serve.snapshot    single-writer publish lock
     30  serve.cache       result-cache LRU
-    38  churn.state       churn drift EWMAs (traversal baselines)
     40  obs.metrics       counter/gauge/histogram registry
     45  obs.tracer        child-span registration
     60  parallel.pools    module-level thread-pool registry
 
 The compactor lock sits *below* the serve locks because a compaction
 decision ends in ``SpatialQueryService._mutate`` (service lock, then the
-snapshot publish lock); the churn drift state sits between the serve
-locks and the obs leaves so both the compactor (pricing a compaction) and
-the query path (recording observations) may read it while holding their
-own locks.
+snapshot publish lock).
 
 Leaf subsystems (metrics, tracer, pools) sit at high ranks: anything may
 record a metric while holding its own lock, but a metrics callback must
@@ -51,7 +47,6 @@ RANKS: dict[str, int] = {
     "serve.service": 10,
     "serve.snapshot": 20,
     "serve.cache": 30,
-    "churn.state": 38,
     "obs.metrics": 40,
     "obs.tracer": 45,
     "parallel.pools": 60,

@@ -33,14 +33,10 @@ def _log2(n: int) -> float:
     return float(np.log2(max(int(n), 2)))
 
 
-def _lane_seconds(total_ops: float) -> float:
-    """Aggregate op units through the GPU lane throughput."""
-    return total_ops / (C.GPU_LANE_THROUGHPUT * machine_scale())
-
-
 def _gpu_seconds(total_ops: float) -> float:
-    """One launch: lane time plus the launch floor."""
-    return _lane_seconds(total_ops) + C.GPU_LAUNCH_OVERHEAD
+    """One launch: op units through the GPU lane throughput plus the
+    launch floor."""
+    return total_ops / (C.GPU_LANE_THROUGHPUT * machine_scale()) + C.GPU_LAUNCH_OVERHEAD
 
 
 def _cast_ops(n_rays: int, node_cost: float, n_prims: int) -> float:
@@ -55,14 +51,9 @@ def _cast_ops(n_rays: int, node_cost: float, n_prims: int) -> float:
     return n_rays * per_ray
 
 
-def rt_cast_cost(n_queries: int, n_prims: int) -> tuple[float, dict]:
-    """One hardware-traversal launch (point / Range-Contains shape).
-
-    Returns ``(seconds, detail)``; ``detail["traversal_s"]`` is the
-    data-side traversal work without the launch floor, the part a
-    degraded structure (churn drift) slows down."""
-    ops = _cast_ops(n_queries, C.RT_NODE_OP, n_prims)
-    return _gpu_seconds(ops), {"traversal_s": _lane_seconds(ops)}
+def rt_cast_cost(n_queries: int, n_prims: int) -> float:
+    """One hardware-traversal launch (point / Range-Contains shape)."""
+    return _gpu_seconds(_cast_ops(n_queries, C.RT_NODE_OP, n_prims))
 
 
 def rt_intersects_cost(
@@ -76,9 +67,7 @@ def rt_intersects_cost(
     k chosen by Eq. 3 exactly as the in-query predictor would for the
     prior selectivity. Returns ``(seconds, detail)`` where ``detail``
     carries the predicted k and the forward/backward op split (the cast
-    *emphasis* the planner records with its decision). Only the forward
-    cast traverses the data structure, so ``detail["traversal_s"]`` is
-    its work without the launch floor.
+    *emphasis* the planner records with its decision).
     """
     est_total = C.PRIOR_INTERSECTS_SELECTIVITY * n_prims * n_queries
     k = predict_k(n_queries, n_prims, est_total, w=w)
@@ -101,7 +90,6 @@ def rt_intersects_cost(
         "forward_ops": float(fwd_ops),
         "backward_ops": float(bwd_ops),
         "bvh_build_s": float(bvh_build),
-        "traversal_s": _lane_seconds(fwd_ops),
     }
     return total, detail
 

@@ -62,7 +62,7 @@ def analytic_estimates(
     if predicate is Predicate.RANGE_INTERSECTS:
         rt_s, detail = querycost.rt_intersects_cost(n_q, n_p, w=w)
     else:
-        rt_s, detail = querycost.rt_cast_cost(n_q, n_p)
+        rt_s, detail = querycost.rt_cast_cost(n_q, n_p), {}
     return {
         RT: BackendEstimate(RT, rt_s, detail=detail),
         LBVH: BackendEstimate(LBVH, querycost.lbvh_query_cost(n_q, n_p)),

@@ -15,8 +15,8 @@ result/counter invariant, and the planner never consumes the index's
 RNG — so a planned query returns bit-identical pairs to the equivalent
 fixed-config run, and decision quality only moves *simulated time* (and
 wall-clock). A decision is a pure function of the batch shape and the
-index's state (live count, which GASes already carry their LBVH, churn
-drift), so the planner holds no state and needs no lock.
+index's state (live count and which GASes already carry their LBVH),
+so the planner holds no state and needs no lock.
 """
 
 from __future__ import annotations
@@ -92,18 +92,6 @@ class QueryPlanner:
             forced = "empty-index"
 
         estimates = analytic_estimates(predicate, n_queries, n_live, w=index.w)
-        drift = float(index.rt_traversal_factor())
-        if drift > 1.0:
-            # Structure-quality degradation (the churn index's observed
-            # traversal drift) taxes only the RT pipeline. The LBVH route
-            # walks the same delta fan-out and tombstones, but the drift
-            # EWMAs are fed by RT counters alone; until drift is measured
-            # from the structure itself, an LBVH tax would be a guess.
-            # Drift is measured in nodes per ray, so it scales the
-            # data-side traversal work, not launch floors or builds.
-            rt = estimates[RT]
-            rt.query_s += (drift - 1.0) * rt.detail["traversal_s"]
-            rt.detail["traversal_factor"] = drift
         estimates[LBVH].build_s = _build_charge(index)
 
         if forced is None and (

@@ -26,20 +26,6 @@ def doc(gate_run):
     return copy.deepcopy(gate_run[0])
 
 
-def good_concurrent() -> dict:
-    return {
-        "compactions": 1,
-        "trigger": {
-            "reason": "counter-drift",
-            "drift": 1.2,
-            "excess_s": 3e-3,
-            "rebuild_s": 6e-4,
-        },
-        "reads_before_compaction": 4,
-        "answers_stable_across_compaction": True,
-    }
-
-
 def test_committed_baseline_exists():
     assert gate.BASELINE.exists(), (
         "BENCH_gate.json missing; run `python -m repro.bench.gate --write`"
@@ -150,35 +136,33 @@ def test_changed_compaction_schedule_fails(doc):
 
 
 def test_churn_claims_hold_on_the_run(doc):
-    assert gate.churn_claims(doc["churn"]["staged"], good_concurrent()) == []
+    assert gate.churn_claims(doc["churn"]["staged"]) == []
 
 
-def test_non_counter_drift_trigger_fails(doc):
-    concurrent = good_concurrent()
-    concurrent["trigger"]["reason"] = "delta-ratio"
-    failures = gate.churn_claims(doc["churn"]["staged"], concurrent)
-    assert len(failures) == 1 and "counter-drift" in failures[0]
+def test_trace_without_compaction_fails(doc):
     staged = doc["churn"]["staged"]
-    for c in staged["compactions"]:
-        c["reason"] = "refit-wear"
-    failures = gate.churn_claims(staged, good_concurrent())
-    assert len(failures) == 1 and "no counter-drift compaction" in failures[0]
+    staged["compactions"] = []
+    failures = gate.churn_claims(staged)
+    assert len(failures) == 1 and "no compaction" in failures[0]
 
 
 @pytest.mark.parametrize(
     "edit, needle",
     [
-        (lambda c: c.update(compactions=0), "no compaction fired"),
-        (lambda c: c["trigger"].update(drift=1.0), "below threshold"),
-        (lambda c: c["trigger"].update(excess_s=6e-4), "did not pay"),
-        (lambda c: c.update(reads_before_compaction=1), "no reads proceeded"),
-        (lambda c: c.update(answers_stable_across_compaction=False), "answers changed"),
+        (lambda s: s.update(write_sim_speedup=1.0), "writes not cheaper"),
+        (lambda s: s.update(write_sim_speedup=0.5), "writes not cheaper"),
+        (lambda s: s.update(write_sim_speedup=float("nan")), "writes not cheaper"),
+        (
+            lambda s: s.update(delete_sim_s_churn=s["delete_sim_s_mirror"]),
+            "tombstone deletes",
+        ),
+        (lambda s: s.update(delete_sim_s_churn=float("nan")), "tombstone deletes"),
     ],
 )
-def test_concurrent_invariants_fail(doc, edit, needle):
-    concurrent = good_concurrent()
-    edit(concurrent)
-    failures = gate.churn_claims(doc["churn"]["staged"], concurrent)
+def test_staged_invariants_fail(doc, edit, needle):
+    staged = doc["churn"]["staged"]
+    edit(staged)
+    failures = gate.churn_claims(staged)
     assert len(failures) == 1 and needle in failures[0]
 
 
@@ -186,7 +170,7 @@ def test_churn_write_and_delete_bounds_fail(doc):
     staged = doc["churn"]["staged"]
     staged["write_sim_speedup"] = 1.0
     staged["delete_sim_s_churn"] = staged["delete_sim_s_mirror"]
-    failures = gate.churn_claims(staged, good_concurrent())
+    failures = gate.churn_claims(staged)
     assert len(failures) == 2
 
 

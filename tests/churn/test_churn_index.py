@@ -1,12 +1,15 @@
 """Unit tests for the churn index: public-id plumbing, tombstone vs
-delta-refit routing, the three compaction triggers, and state export."""
+delta-refit routing, the two compaction triggers, and state export."""
 
 import numpy as np
 import pytest
 
 from repro.churn import ChurnConfig, ChurnIndex
 from repro.core.index import Predicate, RTSIndex
-from repro.perfmodel.compaction import compaction_build_cost, priced_drift_decision
+from repro.perfmodel.build import BuildModel
+from repro.perfmodel.compaction import compaction_build_cost
+from repro.plan.cost import analytic_estimates
+from repro.plan.planner import QueryPlanner
 from tests.conftest import random_boxes, random_points
 
 
@@ -23,13 +26,12 @@ class TestConfig:
         "bad",
         [
             {"delta_ratio_max": 0.0},
+            {"delta_ratio_max": float("nan")},
             {"refit_wear_max": 0},
-            {"drift_threshold": 0.9},
-            {"horizon": -1},
-            {"min_observations": 0},
-            {"alpha": 0.0},
-            {"alpha": 1.5},
             {"poll_interval": 0.0},
+            {"poll_interval": -1.0},
+            {"poll_interval": float("nan")},
+            {"poll_interval": float("inf")},
         ],
     )
     def test_validation(self, bad):
@@ -171,6 +173,15 @@ class TestCompaction:
         assert ix.metrics.counter("churn.compactions.manual") == 1
         assert ix.metrics.gauge("churn.delta_fraction") == 0.0
 
+    def test_build_cost_prices_the_live_set(self):
+        """A compaction costs one GAS build over the live set plus the
+        single-instance IAS relink, so it grows with the live count."""
+        assert compaction_build_cost(1000) == pytest.approx(
+            BuildModel.optix_gas_build(1000) + BuildModel.ias_build(1)
+        )
+        costs = [compaction_build_cost(n) for n in (10, 1_000, 100_000)]
+        assert 0.0 < costs[0] < costs[1] < costs[2]
+
 
 class TestTriggers:
     def test_delta_ratio_trigger(self, rng):
@@ -193,80 +204,50 @@ class TestTriggers:
         due = ix.compaction_due()
         assert due is not None and due["reason"] == "refit-wear"
 
-    def test_drift_trigger_is_priced(self, rng):
-        """The drift trigger only fires when the integrated excess beats
-        the rebuild cost — seed the shared EWMA state directly and check
-        both sides of the price."""
-        cfg = ChurnConfig(
-            delta_ratio_max=100.0,
-            refit_wear_max=10**6,
-            drift_threshold=1.1,
-            min_observations=1,
-            horizon=1000,
+    def test_ratio_reported_before_wear(self, rng):
+        """With both triggers due, the summary names the delta ratio."""
+        ix = make_index(
+            rng, 100, churn=ChurnConfig(refit_wear_max=1, delta_ratio_max=0.1)
         )
-        # Below threshold: no trigger regardless of price.
-        ix = make_index(rng, 100, churn=cfg)
-        ix.delete([0])  # not clean, so drift can exist
-        ix._state.observe("contains-point", 100.0, 1.0, clean=True)
-        ix._state.observe("contains-point", 105.0, 1.0, clean=False)
+        ids = ix.insert(random_boxes(rng, 30))
+        for i in range(2):
+            ix.update(ids[i : i + 1], random_boxes(rng, 1))
+        assert ix._delta_refits > 1 and ix.delta_fraction() > 0.1
+        assert ix.compaction_due()["reason"] == "delta-ratio"
+
+    def test_reads_do_not_move_the_triggers(self, rng):
+        """Triggers read the structure alone: any number of reads leaves
+        ``compaction_due()`` and ``describe()["churn"]`` where the writes
+        put them, and the next write is what crosses the ratio."""
+        ix = make_index(rng, 100, churn=ChurnConfig(delta_ratio_max=0.25))
+        ix.insert(random_boxes(rng, 20))  # 20 / 120 < 0.25
+        ix.delete(np.arange(5, 10))
+        churn = ix.describe()["churn"]
+        for _ in range(4):
+            ix.query_points(random_points(rng, 50))
+            ix.query_contains(random_boxes(rng, 20, max_extent=2.0))
+            ix.query_intersects(random_boxes(rng, 20, max_extent=4.0))
         assert ix.compaction_due() is None
-        # Huge drift but negligible per-query cost: priced out.
-        cheap = make_index(rng, 100, churn=cfg)
-        cheap.delete([0])
-        cheap._state.observe("contains-point", 100.0, 1e-12, clean=True)
-        cheap._state.observe("contains-point", 500.0, 1e-12, clean=False)
-        assert cheap.compaction_due() is None
-        # Same drift, real per-query cost: fires as counter-drift.
-        hot = make_index(rng, 100, churn=cfg)
-        hot.delete([0])
-        hot._state.observe("contains-point", 100.0, 1.0, clean=True)
-        hot._state.observe("contains-point", 500.0, 1.0, clean=False)
-        due = hot.compaction_due()
-        assert due is not None and due["reason"] == "counter-drift"
-        assert due["excess_s"] > due["rebuild_s"]
+        assert ix.describe()["churn"] == churn
+        ix.insert(random_boxes(rng, 20))  # 45 / 135 > 0.25
+        assert ix.compaction_due()["reason"] == "delta-ratio"
 
-    def test_priced_decision_math(self):
-        d = priced_drift_decision(1000, drift=2.0, per_query_s=1.0, horizon=100)
-        assert d.excess_s == pytest.approx(50.0)
-        assert d.rebuild_s == pytest.approx(compaction_build_cost(1000))
-        assert d.fire == (d.excess_s > d.rebuild_s)
-        flat = priced_drift_decision(1000, drift=0.5, per_query_s=1.0, horizon=100)
-        assert flat.drift == 1.0 and flat.excess_s == 0.0 and not flat.fire
-
-    def test_drift_observed_from_queries(self, rng):
-        """Real query traffic over a tombstone-heavy index must push the
-        drift factor above 1 without any hand-seeded state."""
-        ix = make_index(rng, 400)
-        pts = random_points(rng, 200)
-        ix.query_points(pts)  # clean baseline observation
-        ix.delete(np.arange(0, 300))  # main tombstones: stale geometry
-        for _ in range(6):
-            ix.query_points(pts)
-        assert ix.rt_traversal_factor() > 1.15
-
-    def test_planner_prices_drift(self, rng):
-        """The planner's RT estimate must carry the drift tax on its
-        data-side traversal work only — not on the launch floor — and
-        stay untouched at drift 1.0 so plain-index plans are unchanged."""
-        from repro.plan.cost import analytic_estimates
-        from repro.plan.planner import QueryPlanner
-
+    @pytest.mark.parametrize("predicate", list(Predicate))
+    def test_planner_prices_churned_rt_at_live_count(self, rng, predicate):
+        """The planner takes no churn input: a churned index's RT offer
+        is the analytic estimate at its live count, the same as its
+        compacted twin's."""
         ix = make_index(rng, 300)
-        planner = QueryPlanner()
-        base = planner.plan(ix, Predicate.CONTAINS_POINT, 64)
-        assert "traversal_factor" not in base.estimates["rt"].detail
-        ix._state.observe("contains-point", 100.0, 1.0, clean=True)
-        ix.delete([0])
-        ix._state.observe("contains-point", 250.0, 1.0, clean=False)
-        taxed = planner.plan(ix, Predicate.CONTAINS_POINT, 64)
-        factor = taxed.estimates["rt"].detail["traversal_factor"]
-        assert factor == pytest.approx(ix.rt_traversal_factor())
-        # The untaxed offer at the taxed plan's live count.
-        rt = analytic_estimates(Predicate.CONTAINS_POINT, 64, ix.n_rects, w=ix.w)["rt"]
-        assert 0.0 < rt.detail["traversal_s"] < rt.query_s
-        assert taxed.estimates["rt"].query_s == pytest.approx(
-            rt.query_s + (factor - 1.0) * rt.detail["traversal_s"]
-        )
+        ix.delete(np.arange(0, 120))
+        ix.insert(random_boxes(rng, 40))
+        twin = ix.fork()
+        twin.compact()
+        rt = QueryPlanner().plan(ix, predicate, 64).estimates["rt"]
+        want = analytic_estimates(predicate, 64, ix.n_rects, w=ix.w)["rt"]
+        assert rt.query_s == pytest.approx(want.query_s)
+        assert rt.detail == want.detail
+        clean = QueryPlanner().plan(twin, predicate, 64).estimates["rt"]
+        assert rt.query_s == clean.query_s
 
 
 class TestFromIndexAndExport:
@@ -285,11 +266,48 @@ class TestFromIndexAndExport:
         again = ChurnIndex.from_index(ix, churn=cfg)
         assert again is ix and again.churn is cfg
 
-    def test_fork_shares_drift_state(self, rng):
+    def test_fork_copies_id_maps(self, rng):
         ix = make_index(rng, 50)
         twin = ix.fork()
         assert isinstance(twin, ChurnIndex)
-        assert twin._state is ix._state
+        assert twin.churn is ix.churn
         assert twin._canon_id is not ix._canon_id
         twin.delete(np.arange(10))
         assert ix.n_rects == 50 and twin.n_rects == 40
+
+    def test_fork_describes_the_same_churn_state(self, rng):
+        ix = make_index(rng, 80)
+        ix.insert(random_boxes(rng, 10))
+        ix.delete(np.arange(5))
+        churn = ix.describe()["churn"]
+        twin = ix.fork()
+        assert twin.describe()["churn"] == churn
+        twin.delete(np.arange(5, 25))
+        twin.compact()
+        assert ix.describe()["churn"] == churn
+
+    def test_drift_factor_is_structural(self, rng):
+        """``describe()["churn"]["drift_factor"]`` reads the structure
+        alone: 1.0 when compacted, above 1 with delta fan-out and
+        tombstones, unmoved by reads, and 1.0 again after compaction."""
+        ix = make_index(rng, 400)
+        assert ix.describe()["churn"]["drift_factor"] == 1.0
+        ix.delete(np.arange(0, 300))
+        ix.insert(random_boxes(rng, 40))
+        drift = ix.describe()["churn"]["drift_factor"]
+        assert np.isfinite(drift) and drift > 1.0
+        ix.query_points(random_points(rng, 100))
+        assert ix.describe()["churn"]["drift_factor"] == drift
+        ix.compact()
+        assert ix.describe()["churn"]["drift_factor"] == 1.0
+
+    def test_drift_factor_sums_ideal_gas_depths(self, rng):
+        """Two 1,024-slot GASes over 2,048 live rects: every ray descends
+        both roots, 10 + 10 levels against one 11-level tree."""
+        ix = make_index(rng, 1024)
+        ix.insert(random_boxes(rng, 1024))
+        assert ix.describe()["churn"]["drift_factor"] == pytest.approx(20 / 11)
+        # Tombstones keep their slots, so deleting lowers only the
+        # live denominator: 20 levels against a 1,024-rect tree's 10.
+        ix.delete(np.arange(1024))
+        assert ix.describe()["churn"]["drift_factor"] == pytest.approx(2.0)

@@ -6,9 +6,8 @@ mutating writer run against a churn-enabled service while the
 real compactions publish mid-stress. Every lock built by
 :func:`repro.lockorder.make_lock` is an :class:`OrderedLock`, so the run
 is a runtime proof that the compactor's rank-5 lock (held across
-``service.compact()``) and the churn-state rank-38 lock (taken inside
-query recording) acquire in the documented global order even while
-readers, the writer, and the compactor thread interleave.
+``service.compact()``) acquires in the documented global order even
+while readers, the writer, and the compactor thread interleave.
 
 The env flag is read at lock *construction*, so the service must be
 built inside the test.
@@ -51,7 +50,6 @@ def test_compaction_stress_under_lock_order_assertions(monkeypatch):
     with SpatialQueryService(index, config, retain_snapshots=True) as svc:
         assert isinstance(svc._lock, OrderedLock)
         assert isinstance(svc.compactor._lock, OrderedLock)
-        assert isinstance(svc.snapshot()._state.lock, OrderedLock)
 
         def reader(cid: int) -> None:
             r = np.random.default_rng((79, cid))

@@ -75,44 +75,30 @@ class TestWriterPath:
 
 class TestBackgroundCompactor:
     def test_ratio_trigger_fires_in_background(self, rng):
+        """The delta-ratio trigger fires on the compactor thread, and the
+        compacted epoch answers exactly like the epoch it folded."""
         churn = ChurnConfig(delta_ratio_max=0.2, poll_interval=0.001)
-        with make_service(rng, 200, churn=churn) as svc:
+        seed = RTSIndex(random_boxes(rng, 200), dtype=np.float64, seed=4)
+        config = ServiceConfig(churn=churn, cache_size=0)
+        with SpatialQueryService(seed, config, retain_snapshots=True) as svc:
+            # Debt 20/220, 40/240, 60/260: only the last write crosses 0.2.
             for _ in range(3):
-                svc.insert(random_boxes(rng, 30))
+                svc.insert(random_boxes(rng, 20))
             deadline = time.monotonic() + 5.0
             while svc.compactor.n_compactions == 0 and time.monotonic() < deadline:
                 time.sleep(0.002)
-            assert svc.compactor.n_compactions >= 1
-            assert svc.compactor.last_summary["trigger"]["reason"] == "delta-ratio"
-            # Reads proceed normally on the compacted epoch.
-            res = svc.query_intersects(random_boxes(rng, 20))
-            assert res.meta["epoch"] >= svc.compactor.last_summary["epoch"]
-
-    def test_drift_trigger_through_service(self, rng):
-        """The acceptance-criteria trigger: compaction fired by observed
-        counter drift (size/wear caps out of reach), with reads flowing
-        through the serve layer before, during and after."""
-        churn = ChurnConfig(
-            delta_ratio_max=1e9,
-            refit_wear_max=10**9,
-            drift_threshold=1.1,
-            min_observations=3,
-            horizon=10**9,  # any real drift pays for the rebuild
-            poll_interval=0.001,
-        )
-        with make_service(rng, 400, churn=churn) as svc:
-            pts = random_points(rng, 150)
-            svc.query_points(pts)  # clean baseline observation
-            svc.delete(np.arange(0, 300))  # tombstone-heavy: drift source
-            deadline = time.monotonic() + 10.0
-            while svc.compactor.n_compactions == 0 and time.monotonic() < deadline:
-                svc.query_points(pts)  # reads ARE the drift sensor
-            assert svc.compactor.n_compactions >= 1
-            trigger = svc.compactor.last_summary["trigger"]
-            assert trigger["reason"] == "counter-drift"
-            assert trigger["drift"] >= churn.drift_threshold
-            after = svc.query_points(pts)
-            assert after.meta["epoch"] >= svc.compactor.last_summary["epoch"]
+            assert svc.compactor.n_compactions == 1
+            summary = svc.compactor.last_summary
+            assert summary["trigger"]["reason"] == "delta-ratio"
+            # Reads proceed normally on the compacted epoch, with the
+            # answers of the last uncompacted one.
+            queries = random_boxes(rng, 20)
+            before = svc.snapshot_at(summary["epoch"] - 1)
+            assert not before.is_clean
+            want = before.query(Predicate.RANGE_INTERSECTS, queries)
+            res = svc.query_intersects(queries)
+            assert res.meta["epoch"] == summary["epoch"]
+            assert_pairs_equal(res.pairs(), want.pairs(), "across background compaction")
 
     def test_poll_synchronous_and_idempotent(self, rng):
         churn = ChurnConfig(delta_ratio_max=0.2, poll_interval=60.0)
